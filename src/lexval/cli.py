@@ -1,10 +1,13 @@
 """Command-line front end.
 
-Every subcommand maps to one library operation and supports --json for a
-stable machine-readable schema (field tables are in README.md).  All numbers
-in JSON payloads are emitted as exact decimal strings; nothing is ever
-rounded.  Exit codes: 0 success, 1 domain error (bad expression, invalid
-parameters, violated precondition), 2 usage error.
+Each subcommand maps to one library operation, and its handler returns one
+payload.  `--json` prints it, plus the arguments the subcommand echoes, with
+a stable schema (field tables are in README.md); all numbers in it are exact
+decimal strings, never rounded.  Text mode prints the payload's scalar fields
+in order as `key = value` lines, booleans as `true`/`false`.  Handlers write
+text by hand only for bare answers, tables and violation lines.  Exit codes:
+0 success, 1 domain error (bad expression, invalid parameters, violated
+precondition), 2 usage error (including a negative count or degree bound).
 """
 
 from __future__ import annotations
@@ -13,11 +16,12 @@ import argparse
 import json
 import random
 import sys
+from typing import NamedTuple
 
-from .exprs import ExprError, parse_poly
-from .presets import ConfigError, load_spec
+from .exprs import parse_poly
+from .presets import SpecConfig, load_config, load_spec
 from .valgroup import ValuePair
-from .valuation import InvalidSpecError, cancel_lambda, check_axioms, lead_term, value
+from .valuation import ValuationSpec, cancel_lambda, check_axioms, lead_term, spec_violations, value
 from .witness import (
     CorpusSpec,
     increasing_value_sequence,
@@ -30,212 +34,133 @@ from .witness import (
 from .ypoly import w_expand, ypower_table
 
 
-class _DomainError(Exception):
-    """Wraps a domain failure for a uniform error path."""
+class _Output(NamedTuple):
+    """A handler's payload, its hand-written text (None renders the payload) and exit code."""
+
+    payload: dict
+    text: list[str] | None = None
+    code: int = 0
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+def _fields(payload: dict) -> list[str]:
+    """`key = value` lines of the payload's scalar fields, in payload order."""
+    return [
+        f"{k} = {str(v).lower() if isinstance(v, bool) else v}"
+        for k, v in payload.items()
+        if not isinstance(v, (list, dict))
+    ]
 
 
-def _get_spec(args):
-    try:
-        return load_spec(args.spec)
-    except (ConfigError, InvalidSpecError, ExprError, OSError) as exc:
-        raise _DomainError(str(exc)) from exc
+def _count(text: str) -> int:
+    """argparse type of the count and degree-bound flags: a nonnegative integer."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"invalid nonnegative int value: {text!r}")
+    return n
 
 
-def _parse(expr: str):
-    try:
-        return parse_poly(expr)
-    except ExprError as exc:
-        raise _DomainError(str(exc)) from exc
+# argparse names the type in its message for a non-integer ("invalid int value").
+_count.__name__ = "int"
 
 
-def _cmd_expand(args) -> None:
-    spec = _get_spec(args)
-    f = _parse(args.expr)
-    exp = w_expand(f, spec.w)
-    rows = [[str(c) for c in row] for row in exp.rows]
-    lines = [f"m = {exp.m}", f"rows = {exp.ell + 1}"]
-    for i, row in enumerate(rows):
-        for j, cell in enumerate(row):
-            lines.append(f"f[{i}][{j}] = {cell}")
-    _emit(args, {"input": args.expr, "m": str(exp.m), "rows": rows}, lines)
+def _add_corpus_flags(p: argparse.ArgumentParser, random_count: int) -> None:
+    p.add_argument("--max-deg-x", type=_count, default=6)
+    p.add_argument("--max-deg-y", type=_count, default=6)
+    p.add_argument("--random-count", type=_count, default=random_count)
 
 
-def _cmd_value(args) -> None:
-    spec = _get_spec(args)
-    v = value(spec, _parse(args.expr))
-    _emit(args, {"input": args.expr, "value": str(v)}, [str(v)])
+def _corpus(args) -> CorpusSpec:
+    return CorpusSpec(args.max_deg_x, args.max_deg_y, args.random_count, args.seed)
 
 
-def _cmd_lead(args) -> None:
-    spec = _get_spec(args)
-    f = _parse(args.expr)
-    if f.is_zero():
-        raise _DomainError("zero polynomial has no lead term")
-    t = lead_term(spec, f)
-    v = value(spec, f)
-    payload = {"input": args.expr, "i": str(t.i), "j": str(t.j), "coeff": str(t.coeff), "value": str(v)}
-    _emit(args, payload, [f"i = {t.i}", f"j = {t.j}", f"coeff = {t.coeff}", f"value = {v}"])
+def _cmd_expand(spec: ValuationSpec, args) -> _Output:
+    exp = w_expand(parse_poly(args.input), spec.w)
+    payload = {"m": str(exp.m), "rows": [[str(c) for c in row] for row in exp.rows]}
+    cells = [f"f[{i}][{j}] = {c}" for i, row in enumerate(payload["rows"]) for j, c in enumerate(row)]
+    return _Output(payload, _fields(payload) + [f"rows = {len(exp.rows)}"] + cells)
 
 
-def _cmd_lambda(args) -> None:
-    spec = _get_spec(args)
-    f = _parse(args.f)
-    g = _parse(args.g)
-    try:
-        lam = cancel_lambda(spec, f, g)
-    except ValueError as exc:
-        raise _DomainError(str(exc)) from exc
-    _emit(args, {"f": args.f, "g": args.g, "lambda": str(lam)}, [str(lam)])
+def _cmd_value(spec: ValuationSpec, args) -> _Output:
+    v = str(value(spec, parse_poly(args.input)))
+    return _Output({"value": v}, [v])
 
 
-def _cmd_axioms(args) -> None:
-    spec = _get_spec(args)
+def _cmd_lead(spec: ValuationSpec, args) -> _Output:
+    t = lead_term(spec, parse_poly(args.input))
+    return _Output({"i": str(t.i), "j": str(t.j), "coeff": str(t.coeff), "value": str(t.value)})
+
+
+def _cmd_lambda(spec: ValuationSpec, args) -> _Output:
+    lam = str(cancel_lambda(spec, parse_poly(args.f), parse_poly(args.g)))
+    return _Output({"lambda": lam}, [lam])
+
+
+def _cmd_axioms(spec: ValuationSpec, args) -> _Output:
     rng = random.Random(args.seed)
     corpus = [random_xy_poly(rng, args.max_deg) for _ in range(args.count)]
     report = check_axioms(spec, corpus, args.pairs, seed=args.seed)
-    counts = report.counts()
     payload = {
         "pairs_checked": str(report.pairs_checked),
         "x_pairs_checked": str(report.x_pairs_checked),
-        "violations": {k: str(v) for k, v in counts.items()},
+        "violations": {k: str(v) for k, v in report.counts().items()},
         "ok": report.ok,
     }
-    lines = [
-        f"pairs_checked = {report.pairs_checked}",
-        f"x_pairs_checked = {report.x_pairs_checked}",
-        f"violations = {report.total_violations}",
-        f"ok = {str(report.ok).lower()}",
+    text = _fields(payload)
+    text.insert(-1, f"violations = {report.total_violations}")
+    return _Output(payload, text + [f"violations[{k}] = {v}" for k, v in payload["violations"].items()])
+
+
+def _cmd_witness(spec: ValuationSpec, args) -> _Output:
+    seq = [
+        {"d": str(d), "deg_y": str(f.deg_y), "value": str(v), "poly": str(f)}
+        for d, (f, v) in enumerate(increasing_value_sequence(spec, args.dmax))
     ]
-    for k, v in counts.items():
-        lines.append(f"violations[{k}] = {v}")
-    _emit(args, payload, lines)
+    return _Output({"sequence": seq}, [f"d={e['d']} deg_y={e['deg_y']} value={e['value']}" for e in seq])
 
 
-def _cmd_witness(args) -> None:
-    spec = _get_spec(args)
-    try:
-        seq = increasing_value_sequence(spec, args.dmax)
-    except (ValueError, RuntimeError) as exc:
-        raise _DomainError(str(exc)) from exc
-    entries = []
-    lines = []
-    for d, (f, v) in enumerate(seq):
-        entries.append({"d": str(d), "deg_y": str(f.deg_y), "value": str(v), "poly": str(f)})
-        lines.append(f"d={d} deg_y={f.deg_y} value={v}")
-    _emit(args, {"sequence": entries}, lines)
-
-
-def _cmd_image(args) -> None:
-    spec = _get_spec(args)
-    corpus = CorpusSpec(
-        max_deg_x=args.max_deg_x,
-        max_deg_y=args.max_deg_y,
-        random_count=args.random_count,
-        seed=args.seed,
-    )
-    try:
-        report = sample_image(spec, corpus, args.mode)
-    except ValueError as exc:
-        raise _DomainError(str(exc)) from exc
-    attained = sorted(str(v) for v in report.attained)
-    minus_one_zero = ValuePair(-1, 0) in report.attained
+def _cmd_image(spec: ValuationSpec, args) -> _Output:
+    report = sample_image(spec, _corpus(args), args.mode)
     payload = {
         "mode": args.mode,
-        "attained": attained,
+        "attained": sorted(str(v) for v in report.attained),
         "attained_count": str(len(report.attained)),
         "violation_count": str(len(report.violations)),
         "violations": [{"poly": str(f), "value": str(v)} for f, v in report.violations[:20]],
         "class_count": str(report.class_count),
-        "minus_one_zero_attained": minus_one_zero,
+        "minus_one_zero_attained": ValuePair(-1, 0) in report.attained,
         "ok": report.ok,
     }
-    lines = [
-        f"mode = {args.mode}",
-        f"attained_count = {len(report.attained)}",
-        f"violation_count = {len(report.violations)}",
-        f"class_count = {report.class_count}",
-        f"minus_one_zero_attained = {str(minus_one_zero).lower()}",
-        f"ok = {str(report.ok).lower()}",
-    ]
-    for f, v in report.violations[:20]:
-        lines.append(f"violation: value={v} poly={f}")
-    _emit(args, payload, lines)
+    lines = [f"violation: value={e['value']} poly={e['poly']}" for e in payload["violations"]]
+    return _Output(payload, _fields(payload) + lines)
 
 
-def _cmd_census(args) -> None:
-    spec = _get_spec(args)
-    try:
-        classes = quotient_census(spec, args.ell, family=args.family, seed=args.seed)
-    except ValueError as exc:
-        raise _DomainError(str(exc)) from exc
-    payload = {"ell": str(args.ell), "family": args.family, "classes": str(classes)}
-    _emit(args, payload, [f"classes = {classes}"])
+def _cmd_census(spec: ValuationSpec, args) -> _Output:
+    return _Output({"classes": str(quotient_census(spec, args.ell, family=args.family, seed=args.seed))})
 
 
-def _cmd_spec_check(args) -> None:
-    try:
-        spec = _get_spec(args)
-    except _DomainError as exc:
-        cause = exc.__cause__
-        if isinstance(cause, InvalidSpecError):
-            payload = {"valid": False, "violations": list(cause.violations)}
-            lines = ["valid = false"] + [f"violation: {v}" for v in cause.violations]
-            _emit(args, payload, lines)
-            sys.exit(1)
-        raise
-    payload = {
-        "valid": True,
-        "violations": [],
-        "m": str(spec.m),
-        "n": str(spec.n),
-        "w": str(spec.w),
-        "alpha": str(spec.alpha),
-        "beta": str(spec.beta),
-    }
-    lines = [
-        "valid = true",
-        f"m = {spec.m}",
-        f"n = {spec.n}",
-        f"w = {spec.w}",
-        f"alpha = {spec.alpha}",
-        f"beta = {spec.beta}",
-    ]
-    _emit(args, payload, lines)
+def _cmd_spec_check(config: SpecConfig, args) -> _Output:
+    bundle = config.bundle()
+    violations = spec_violations(**bundle)
+    if violations:
+        payload = {"valid": False, "violations": violations}
+        return _Output(payload, _fields(payload) + [f"violation: {v}" for v in violations], code=1)
+    return _Output({"valid": True, "violations": [], **{k: str(v) for k, v in bundle.items()}})
 
 
-def _cmd_ypower(args) -> None:
-    spec = _get_spec(args)
-    if args.emax < 0:
-        raise _DomainError("emax must be nonnegative")
+def _cmd_ypower(spec: ValuationSpec, args) -> _Output:
     table = ypower_table(spec.w, args.emax)
-    entries = []
-    lines = [f"m = {table.m}", f"e_max = {table.e_max}"]
-    for e in range(args.emax + 1):
-        for t in range(e + 1):
-            c = table.entry(e, t)
-            entries.append({"e": str(e), "t": str(t), "coeff": str(c)})
-            lines.append(f"y[{e}][{t}] = {c}")
-    _emit(args, {"m": str(table.m), "e_max": str(table.e_max), "entries": entries}, lines)
+    entries = [
+        {"e": str(e), "t": str(t), "coeff": str(table.entry(e, t))}
+        for e in range(args.emax + 1)
+        for t in range(e + 1)
+    ]
+    payload = {"m": str(table.m), "e_max": str(table.e_max), "entries": entries}
+    return _Output(payload, _fields(payload) + [f"y[{x['e']}][{x['t']}] = {x['coeff']}" for x in entries])
 
 
-def _cmd_structure(args) -> None:
-    spec = _get_spec(args)
-    corpus = CorpusSpec(
-        max_deg_x=args.max_deg_x,
-        max_deg_y=args.max_deg_y,
-        random_count=args.random_count,
-        seed=args.seed,
-    )
-    report = structure_checks(spec, corpus)
-    payload = {
+def _cmd_structure(spec: ValuationSpec, args) -> _Output:
+    report = structure_checks(spec, _corpus(args))
+    return _Output({
         "low_degree_checked": str(report.low_degree_checked),
         "low_degree_violations": str(len(report.low_degree_violations)),
         "divisor_value": str(report.divisor_value),
@@ -243,28 +168,12 @@ def _cmd_structure(args) -> None:
         "rational_checked": str(report.rational_checked),
         "rational_violations": str(len(report.rational_violations)),
         "ok": report.ok,
-    }
-    lines = [
-        f"low_degree_checked = {report.low_degree_checked}",
-        f"low_degree_violations = {len(report.low_degree_violations)}",
-        f"divisor_value = {report.divisor_value}",
-        f"divisor_escapes = {str(report.divisor_escapes).lower()}",
-        f"rational_checked = {report.rational_checked}",
-        f"rational_violations = {len(report.rational_violations)}",
-        f"ok = {str(report.ok).lower()}",
-    ]
-    _emit(args, payload, lines)
+    })
 
 
-def _cmd_target(args) -> None:
-    spec = _get_spec(args)
-    try:
-        f = witness_for_value(spec, args.i, args.j)
-    except (ValueError, RuntimeError) as exc:
-        raise _DomainError(str(exc)) from exc
-    v = value(spec, f)
-    payload = {"i": str(args.i), "j": str(args.j), "value": str(v), "poly": str(f)}
-    _emit(args, payload, [f"value = {v}", f"poly = {f}"])
+def _cmd_target(spec: ValuationSpec, args) -> _Output:
+    f = witness_for_value(spec, args.i, args.j)
+    return _Output({"value": str(value(spec, f)), "poly": str(f)})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -280,83 +189,80 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--json", action="store_true", help="emit JSON instead of text")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized corpora")
+    # `load` turns --spec into the handler's first argument; `echo` names the
+    # arguments the JSON payload repeats.
+    common.set_defaults(load=load_spec, echo=())
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("expand", parents=[common], help="w-expansion table of an expression")
-    p.add_argument("expr")
-    p.set_defaults(func=_cmd_expand)
-
-    p = sub.add_parser("value", parents=[common], help="value of an expression")
-    p.add_argument("expr")
-    p.set_defaults(func=_cmd_value)
-
-    p = sub.add_parser("lead", parents=[common], help="lead term of an expression")
-    p.add_argument("expr")
-    p.set_defaults(func=_cmd_lead)
+    for name, func, what in (
+        ("expand", _cmd_expand, "w-expansion table"),
+        ("value", _cmd_value, "value"),
+        ("lead", _cmd_lead, "lead term"),
+    ):
+        p = sub.add_parser(name, parents=[common], help=f"{what} of an expression")
+        p.add_argument("input", metavar="expr")
+        p.set_defaults(func=func, echo=("input",))
 
     p = sub.add_parser("lambda", parents=[common], help="cancellation scalar of two expressions")
     p.add_argument("f")
     p.add_argument("g")
-    p.set_defaults(func=_cmd_lambda)
+    p.set_defaults(func=_cmd_lambda, echo=("f", "g"))
 
     p = sub.add_parser("axioms", parents=[common], help="audit valuation axioms on a random corpus")
-    p.add_argument("--count", type=int, default=200, help="corpus size")
-    p.add_argument("--pairs", type=int, default=500, help="sampled pair budget")
-    p.add_argument("--max-deg", type=int, default=5, help="total degree bound for corpus elements")
+    p.add_argument("--count", type=_count, default=200, help="corpus size")
+    p.add_argument("--pairs", type=_count, default=500, help="sampled pair budget")
+    p.add_argument("--max-deg", type=_count, default=5, help="total degree bound for corpus elements")
     p.set_defaults(func=_cmd_axioms)
 
     p = sub.add_parser("witness", parents=[common], help="strictly increasing value sequence")
-    p.add_argument("--dmax", type=int, default=5)
+    p.add_argument("--dmax", type=_count, default=5)
     p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("image", parents=[common], help="sample attained values and test membership")
     p.add_argument("--mode", choices=("ex55", "cone"), default="ex55")
-    p.add_argument("--max-deg-x", type=int, default=6)
-    p.add_argument("--max-deg-y", type=int, default=6)
-    p.add_argument("--random-count", type=int, default=1000)
+    _add_corpus_flags(p, random_count=1000)
     p.set_defaults(func=_cmd_image)
 
     p = sub.add_parser("census", parents=[common], help="count quotient classes up to a y-degree")
-    p.add_argument("--ell", type=int, required=True)
+    p.add_argument("--ell", type=_count, required=True)
     p.add_argument("--family", choices=("h_family", "corpus"), default="h_family")
-    p.set_defaults(func=_cmd_census)
+    p.set_defaults(func=_cmd_census, echo=("ell", "family"))
 
     p = sub.add_parser("spec-check", parents=[common], help="validate valuation parameters")
-    p.set_defaults(func=_cmd_spec_check)
+    p.set_defaults(func=_cmd_spec_check, load=load_config)
 
     p = sub.add_parser("ypower", parents=[common], help="expansion table of pure y-powers")
-    p.add_argument("--emax", type=int, required=True)
+    p.add_argument("--emax", type=_count, required=True)
     p.set_defaults(func=_cmd_ypower)
 
     p = sub.add_parser("structure", parents=[common], help="structural containment checks")
-    p.add_argument("--max-deg-x", type=int, default=6)
-    p.add_argument("--max-deg-y", type=int, default=6)
-    p.add_argument("--random-count", type=int, default=200)
+    _add_corpus_flags(p, random_count=200)
     p.set_defaults(func=_cmd_structure)
 
     p = sub.add_parser("target", parents=[common], help="witness polynomial for a prescribed value")
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
-    p.set_defaults(func=_cmd_target)
+    p.set_defaults(func=_cmd_target, echo=("i", "j"))
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        args.func(args)
-    except _DomainError as exc:
+        out = args.func(args.load(args.spec), args)
+    except (ValueError, RuntimeError, ZeroDivisionError, OSError) as exc:
+        # ValueError covers ExprError, ConfigError and InvalidSpecError.
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 0
+    if args.json:
+        echoed = {k: str(getattr(args, k)) for k in args.echo}
+        print(json.dumps({**echoed, **out.payload}, indent=2, sort_keys=True))
+    else:
+        for line in out.text if out.text is not None else _fields(out.payload):
+            print(line)
+    return out.code
 
 
 if __name__ == "__main__":

@@ -8,7 +8,9 @@ Grammar (whitespace ignored):
     base   := 'x' | 'y' | uint | '(' expr ')' | '-' factor
 
 Division is only defined by y-free expressions, since results must stay in
-Q(x)[y].  Errors carry the byte offset of the offending token.
+Q(x)[y].  Parentheses and unary minus together nest at most MAX_NESTING
+deep, which keeps the recursion far from Python's stack limit.  Errors carry
+the byte offset of the offending token.
 """
 
 from __future__ import annotations
@@ -27,11 +29,14 @@ class ExprError(ValueError):
 
 _ATOM_STARTERS = ("x", "y", "(")
 
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, src: str):
         self.src = src
         self.pos = 0
+        self.depth = 0
 
     # -- lexing helpers
 
@@ -56,6 +61,13 @@ class _Parser:
         if self.pos == start:
             raise ExprError("expected an integer", start)
         return int(self.src[start : self.pos])
+
+    def _open(self, at: int) -> None:
+        """Take a '(' or a unary '-' and count it against MAX_NESTING."""
+        self._take()
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExprError("expression nested too deeply", at)
 
     # -- grammar
 
@@ -119,15 +131,18 @@ class _Parser:
         if ch.isdigit():
             return YPoly.const(self._read_uint())
         if ch == "(":
-            self._take()
+            self._open(at)
             inner = self.expr()
             if self._peek() != ")":
                 raise ExprError("expected ')'", self.pos)
             self._take()
+            self.depth -= 1
             return inner
         if ch == "-":
-            self._take()
-            return -self.factor()
+            self._open(at)
+            inner = -self.factor()
+            self.depth -= 1
+            return inner
         if ch == "":
             raise ExprError("unexpected end of input", at)
         raise ExprError(f"unexpected {ch!r}", at)

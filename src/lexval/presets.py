@@ -36,15 +36,19 @@ class SpecConfig:
     alpha: tuple[int, int]
     beta: tuple[int, int]
 
+    def bundle(self) -> dict:
+        """The parsed bundle m, n, w, alpha, beta, not yet validated."""
+        return {
+            "m": self.m,
+            "n": self.n,
+            "w": parse_poly(self.w),
+            "alpha": ValuePair(*self.alpha),
+            "beta": ValuePair(*self.beta),
+        }
+
     def build(self) -> ValuationSpec:
         """Validate and construct the valuation parameters."""
-        return make_spec(
-            self.m,
-            self.n,
-            parse_poly(self.w),
-            ValuePair(*self.alpha),
-            ValuePair(*self.beta),
-        )
+        return make_spec(**self.bundle())
 
     def to_text(self) -> str:
         return (

@@ -115,13 +115,6 @@ ExtValue = ValuePair | Infinity
 ZERO_PAIR = ValuePair(0, 0)
 
 
-def lex_cmp(u: ExtValue, v: ExtValue) -> int:
-    """Three-way lexicographic comparison: -1 (LT), 0 (EQ) or 1 (GT)."""
-    if u == v:
-        return 0
-    return -1 if u < v else 1
-
-
 def is_indivisible(u: ValuePair) -> bool:
     """True iff u is not an integer multiple n*g with n >= 2.
 

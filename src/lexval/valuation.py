@@ -58,11 +58,8 @@ class ValuationSpec:
     beta: ValuePair
 
 
-def make_spec(m: int, n: int, w: YPoly, alpha: ValuePair, beta: ValuePair) -> ValuationSpec:
-    """Validate a parameter bundle and return the spec, or raise InvalidSpecError.
-
-    All violated conditions are collected, not just the first.
-    """
+def spec_violations(m: int, n: int, w: YPoly, alpha: ValuePair, beta: ValuePair) -> list[str]:
+    """Names of every condition the parameter bundle violates; empty when it is valid."""
     violations: list[str] = []
     if m < 1:
         violations.append(V_M_NOT_POSITIVE)
@@ -106,6 +103,15 @@ def make_spec(m: int, n: int, w: YPoly, alpha: ValuePair, beta: ValuePair) -> Va
         if w0.is_zero() or v_inf(w0) != -n:
             violations.append(V_W0_MISMATCH)
 
+    return violations
+
+
+def make_spec(m: int, n: int, w: YPoly, alpha: ValuePair, beta: ValuePair) -> ValuationSpec:
+    """Validate a parameter bundle and return the spec, or raise InvalidSpecError.
+
+    All violated conditions are collected, not just the first.
+    """
+    violations = spec_violations(m, n, w, alpha, beta)
     if violations:
         raise InvalidSpecError(violations)
     return ValuationSpec(m=m, n=n, w=w, alpha=alpha, beta=beta)
@@ -113,27 +119,28 @@ def make_spec(m: int, n: int, w: YPoly, alpha: ValuePair, beta: ValuePair) -> Va
 
 @dataclass(frozen=True)
 class LeadTerm:
-    """The unique expansion cell realizing value(f)."""
+    """The unique expansion cell realizing value(f), with that value."""
 
     i: int
     j: int
     coeff: RatFunc
+    value: ValuePair
 
 
 def _cell_value(spec: ValuationSpec, i: int, j: int, coeff: RatFunc) -> ValuePair:
     return (-v_inf(coeff) * spec.m + j * spec.n) * spec.alpha + i * spec.beta
 
 
-def _lead_cell(spec: ValuationSpec, f: YPoly):
+def lead_term(spec: ValuationSpec, f: YPoly) -> LeadTerm:
+    """The unique cell of the expansion of f attaining value(f)."""
     if f.is_zero():
-        return None
+        raise ValueError("zero polynomial has no lead term")
     best = None
-    best_cell = None
     ties = 0
     for i, j, c in w_expand(f, spec.w).nonzero_cells():
         val = _cell_value(spec, i, j, c)
         if best is None or val < best:
-            best, best_cell, ties = val, (i, j, c), 1
+            best, cell, ties = val, (i, j, c), 1
         elif val == best:
             ties += 1
     if ties != 1:
@@ -141,36 +148,22 @@ def _lead_cell(spec: ValuationSpec, f: YPoly):
         # and coprime m, n force a unique minimizer); reaching this means
         # corrupted state, not a domain error.
         raise RuntimeError("minimizing expansion cell is not unique")
-    return best, best_cell
+    return LeadTerm(*cell, best)
 
 
 def value(spec: ValuationSpec, f: YPoly) -> ExtValue:
     """Value of f; INF exactly for f = 0."""
-    found = _lead_cell(spec, f)
-    if found is None:
-        return INF
-    return found[0]
-
-
-def lead_term(spec: ValuationSpec, f: YPoly) -> LeadTerm:
-    """The unique cell of the expansion of f attaining value(f)."""
-    found = _lead_cell(spec, f)
-    if found is None:
-        raise ValueError("zero polynomial has no lead term")
-    (i, j, c) = found[1]
-    return LeadTerm(i=i, j=j, coeff=c)
+    return INF if f.is_zero() else lead_term(spec, f).value
 
 
 def cancel_lambda(spec: ValuationSpec, f: YPoly, g: YPoly) -> Fraction:
     """The unique scalar with value(f + lambda*g) > value(f) = value(g)."""
-    vf = value(spec, f)
-    vg = value(spec, g)
-    if vf == INF or vg == INF:
+    if f.is_zero() or g.is_zero():
         raise ValueError("cancellation scalar needs nonzero inputs")
-    if vf != vg:
-        raise ValueError("cancellation scalar needs equal values")
     tf = lead_term(spec, f)
     tg = lead_term(spec, g)
+    if tf.value != tg.value:
+        raise ValueError("cancellation scalar needs equal values")
     return -residue_at_inf(tf.coeff) / residue_at_inf(tg.coeff)
 
 

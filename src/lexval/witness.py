@@ -86,14 +86,14 @@ def reduce_past_chain(
     span of the chain the reduction lands exactly on zero (value INF), which
     still satisfies the postcondition.
     """
-    vf = value(spec, f)
-    if not vf >= chain.values[0]:
-        raise ValueError(f"value {vf} of input is below the chain start {chain.values[0]}")
     h = f
     steps: list[tuple[int, Fraction]] = []
     cap = 4 * (len(chain.polys) + 2)
     while True:
         vh = value(spec, h)
+        # Each step raises the value, so only the input can fail this check.
+        if not vh >= chain.values[0]:
+            raise ValueError(f"value {vh} of input is below the chain start {chain.values[0]}")
         if vh == INF or vh > chain.values[-1]:
             return h, steps
         try:

@@ -78,7 +78,10 @@ def test_witness_json_parity(capsys):
 def test_lead_and_lambda(capsys):
     code, out, _ = run_cli(capsys, "lead", "y^2")
     assert code == 0
-    assert out.splitlines() == ["i = 0", "j = 0", "coeff = -x^3", "value = (-6,-6)"]
+    assert out == "i = 0\nj = 0\ncoeff = -x^3\nvalue = (-6,-6)\n"
+    code, out, _ = run_cli(capsys, "lead", "y^5 + x^2 y")
+    assert code == 0
+    assert out == "i = 0\nj = 1\ncoeff = (x^10 + x^6 - 3*x^5 + 1)/x^4\nvalue = (-15,-15)\n"
     code, out, _ = run_cli(capsys, "lambda", "y^2", "--", "-x^3")
     assert code == 0
     assert out == "-1\n"
@@ -101,6 +104,26 @@ def test_ypower_golden(capsys):
     ]
 
 
+def test_image_golden(capsys):
+    code, out, _ = run_cli(capsys, "image", "--spec", "ex52", "--mode", "cone")
+    assert code == 0
+    assert out == (
+        "mode = cone\nattained_count = 31\nviolation_count = 0\nclass_count = 4\n"
+        "minus_one_zero_attained = false\nok = true\n"
+    )
+    # value(w) = beta = (0,-1) under ex52; the ex55-shaped monoid needs s >= 1 in s*alpha + t*beta.
+    code, out, _ = run_cli(
+        capsys, "image", "--spec", "ex52", "--mode", "ex55", "--seed", "18",
+        "--random-count", "60", "--max-deg-x", "3", "--max-deg-y", "3",
+    )
+    assert code == 0
+    assert out == (
+        "mode = ex55\nattained_count = 15\nviolation_count = 1\nclass_count = 3\n"
+        "minus_one_zero_attained = false\nok = false\n"
+        "violation: value=(0,-1) poly=-2*y^2 - 2*x^3\n"
+    )
+
+
 def test_image_json(capsys):
     payload = run_json(
         capsys, "image", "--spec", "ex52", "--mode", "cone",
@@ -116,7 +139,7 @@ def test_axioms_deterministic_under_seed(capsys):
     args = ("axioms", "--count", "30", "--pairs", "40", "--seed", "7")
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
-    assert out1 == out2
+    assert out1 == out2 == "pairs_checked = 40\nx_pairs_checked = 40\nviolations = 0\nok = true\n"
     _, out3, _ = run_cli(capsys, *args[:-1], "8")
     assert out1.splitlines()[-1] == out3.splitlines()[-1] == "ok = true"
 
@@ -132,18 +155,33 @@ def test_structure_command(capsys):
     payload = run_json(capsys, "structure", "--spec", "ex55", "--random-count", "40")
     assert payload["ok"] is True
     assert payload["divisor_value"] == "(0,1)"
+    code, out, _ = run_cli(capsys, "structure", "--spec", "ex55", "--random-count", "40")
+    assert code == 0
+    assert out == (
+        "low_degree_checked = 54\nlow_degree_violations = 0\ndivisor_value = (0,1)\n"
+        "divisor_escapes = true\nrational_checked = 40\nrational_violations = 0\nok = true\n"
+    )
 
 
 def test_target_command(capsys):
     code, out, _ = run_cli(capsys, "target", "--i", "3", "--j", "2")
     assert code == 0
-    assert out.splitlines()[0] == "value = (-3,-1)"
+    assert out == (
+        "value = (-3,-1)\n"
+        "poly = y^10 + 5*x^3*y^8 + (10*x^6 + 3*x)*y^6 + 2*y^5 + (10*x^9 + 9*x^4)*y^4"
+        " + 4*x^3*y^3 + (5*x^12 + 9*x^7)*y^2 + 2*x^6*y + x^15 + 3*x^10\n"
+    )
 
 
 def test_spec_check_valid(capsys):
     payload = run_json(capsys, "spec-check", "--spec", "ex52")
-    assert payload["valid"] is True
-    assert payload["w"] == "y^2 + x^3"
+    assert payload == {
+        "valid": True, "violations": [], "m": "2", "n": "3",
+        "w": "y^2 + x^3", "alpha": "(-1,-1)", "beta": "(0,-1)",
+    }
+    code, out, _ = run_cli(capsys, "spec-check", "--spec", "ex52")
+    assert code == 0
+    assert out == "valid = true\nm = 2\nn = 3\nw = y^2 + x^3\nalpha = (-1,-1)\nbeta = (0,-1)\n"
 
 
 def test_lead_lambda_census_ypower_json_parity(capsys):
@@ -174,7 +212,12 @@ def test_spec_check_invalid_config(tmp_path, capsys):
     path.write_text(bad)
     code, out, err = run_cli(capsys, "spec-check", "--spec", str(path))
     assert code == 1
-    assert "beta_divisible" in out
+    assert out == "valid = false\nviolation: beta_divisible\n"
+    assert err == ""
+    code, out, err = run_cli(capsys, "spec-check", "--json", "--spec", str(path))
+    assert code == 1
+    assert json.loads(out) == {"valid": False, "violations": ["beta_divisible"]}
+    assert err == ""
 
 
 def test_domain_error_exit_codes(capsys):
@@ -184,12 +227,41 @@ def test_domain_error_exit_codes(capsys):
     code, _, err = run_cli(capsys, "value", "--spec", "nosuch", "x")
     assert code == 1
     assert "no preset" in err
+    code, _, err = run_cli(capsys, "value", "--", "-" * 3000 + "x")
+    assert code == 1
+    assert err == "error: expression nested too deeply at offset 100\n"
 
 
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["census"])  # missing required --ell
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["axioms", "--count", "-1"],
+        ["axioms", "--pairs", "-1"],
+        ["axioms", "--max-deg", "-1"],
+        ["image", "--max-deg-x", "-1"],
+        ["image", "--max-deg-y", "-1"],
+        ["image", "--random-count", "-3"],
+        ["structure", "--max-deg-x", "-1"],
+        ["structure", "--max-deg-y", "-1"],
+        ["structure", "--random-count", "-1"],
+        ["census", "--ell", "-1"],
+        ["witness", "--dmax", "-1"],
+        ["ypower", "--emax", "-1"],
+    ],
+)
+def test_negative_counts_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {argv[1]}: invalid nonnegative int value: '{argv[2]}'" in captured.err
 
 
 def test_bundled_configs_match_presets():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from lexval import ExprError, RatFunc, UniPoly, YPoly, parse_poly
+from lexval.exprs import MAX_NESTING
 from lexval.witness import random_rational_poly, random_xy_poly
 
 X = UniPoly.x()
@@ -57,6 +58,14 @@ def test_syntax_error_offsets():
     with pytest.raises(ExprError) as err:
         parse_poly("x ) y")
     assert err.value.offset == 2
+    # Parentheses and unary minus share one nesting limit; the first token
+    # past it is reported, long before Python's recursion limit.
+    for deep in ("(" * 3000 + "x" + ")" * 3000, "-" * 3000 + "x", "(-" * 1500 + "x" + ")" * 1500):
+        with pytest.raises(ExprError, match="nested too deeply") as err:
+            parse_poly(deep)
+        assert err.value.offset == MAX_NESTING
+    depth = MAX_NESTING - 1
+    assert parse_poly("(" * depth + "-x" + ")" * depth) == -parse_poly("x")
 
 
 def test_semantic_errors():

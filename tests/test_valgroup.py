@@ -11,7 +11,6 @@ from lexval import (
     commensurable,
     decompose,
     is_indivisible,
-    lex_cmp,
     monoid_member,
     quotient_class,
 )
@@ -21,11 +20,11 @@ BETA = ValuePair(0, 1)
 
 
 def test_lex_cmp_examples():
-    assert lex_cmp(ValuePair(0, 1), ValuePair(-6, -6)) == 1
-    assert lex_cmp(ValuePair(-1, 0), ValuePair(-1, -1)) == 1
-    assert lex_cmp(INF, ValuePair(100, 100)) == 1
-    assert lex_cmp(ValuePair(2, 3), ValuePair(2, 3)) == 0
-    assert lex_cmp(ValuePair(-1, 5), ValuePair(0, -9)) == -1
+    assert ValuePair(0, 1) > ValuePair(-6, -6)
+    assert ValuePair(-1, 0) > ValuePair(-1, -1)
+    assert INF > ValuePair(100, 100)
+    assert ValuePair(2, 3) == ValuePair(2, 3)
+    assert ValuePair(-1, 5) < ValuePair(0, -9)
 
 
 def test_infinity_is_maximum():
@@ -49,10 +48,10 @@ def test_lex_total_order_random():
     pairs = [ValuePair(rng.randint(-40, 40), rng.randint(-40, 40)) for _ in range(300)]
     for _ in range(10_000):
         u, v = rng.choice(pairs), rng.choice(pairs)
-        c = lex_cmp(u, v)
-        assert c in (-1, 0, 1)
-        assert lex_cmp(v, u) == -c
-        assert (c == 0) == (u == v)
+        # exactly one of <, ==, > holds, and swapping the operands mirrors it
+        assert [u < v, u == v, u > v].count(True) == 1
+        assert (u < v, u == v, u > v) == (v > u, v == u, v < u)
+        assert (u == v) == ((u.a, u.b) == (v.a, v.b))
     for _ in range(3000):
         u, v, t = rng.choice(pairs), rng.choice(pairs), rng.choice(pairs)
         if u <= v <= t:

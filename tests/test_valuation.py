@@ -144,6 +144,7 @@ def test_lead_term_unique_on_random_corpus(ex55, ex52):
             f = random_xy_poly(rng, 6)
             t = lead_term(spec, f)  # raises RuntimeError if the minimum ties
             assert not t.coeff.is_zero()
+            assert t.value == value(spec, f)
             assert 0 <= t.j < spec.m
 
 
