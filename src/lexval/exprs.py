@@ -9,7 +9,10 @@ Grammar (whitespace ignored):
 
 Division is only defined by y-free expressions, since results must stay in
 Q(x)[y].  Parentheses and unary minus together nest at most MAX_NESTING
-deep, which keeps the recursion far from Python's stack limit.  Errors carry
+deep, which keeps the recursion far from Python's stack limit.  Every
+intermediate result has x-degree and y-degree at most MAX_DEGREE; a power is
+checked before it is computed.  The x-degree of a rational coefficient is
+that of its numerator or its denominator, whichever is larger.  Errors carry
 the byte offset of the offending token.
 """
 
@@ -30,6 +33,20 @@ class ExprError(ValueError):
 _ATOM_STARTERS = ("x", "y", "(")
 
 MAX_NESTING = 100
+
+MAX_DEGREE = 200
+
+
+def _max_degree(p: YPoly) -> int:
+    """The larger of the y-degree and the x-degree of a nonzero p."""
+    xdeg = max(max(c.num.degree, c.den.degree) for c in p.terms.values())
+    return max(p.deg_y, xdeg)
+
+
+def _bounded(p: YPoly, offset: int) -> YPoly:
+    if p and _max_degree(p) > MAX_DEGREE:
+        raise ExprError("degree too large", offset)
+    return p
 
 
 class _Parser:
@@ -84,10 +101,12 @@ class _Parser:
             ch = self._peek()
             if ch == "+":
                 self._take()
-                acc = acc + self.term()
+                at = self.pos
+                acc = _bounded(acc + self.term(), at)
             elif ch == "-":
                 self._take()
-                acc = acc - self.term()
+                at = self.pos
+                acc = _bounded(acc - self.term(), at)
             else:
                 return acc
 
@@ -97,14 +116,16 @@ class _Parser:
             ch = self._peek()
             if ch == "*":
                 self._take()
-                acc = acc * self.factor()
+                at = self.pos
+                acc = _bounded(acc * self.factor(), at)
             elif ch == "/":
                 self._take()
                 at = self.pos
                 divisor = self.factor()
-                acc = self._divide(acc, divisor, at)
+                acc = _bounded(self._divide(acc, divisor, at), at)
             elif ch.isdigit() or ch in _ATOM_STARTERS:
-                acc = acc * self.factor()
+                at = self.pos
+                acc = _bounded(acc * self.factor(), at)
             else:
                 return acc
 
@@ -113,9 +134,12 @@ class _Parser:
         if self._peek() == "^":
             self._take()
             self._skip_ws()
+            at = self.pos
             if self._peek() == "-":
-                raise ExprError("negative exponent", self.pos)
+                raise ExprError("negative exponent", at)
             k = self._read_uint()
+            if base and _max_degree(base) * k > MAX_DEGREE:
+                raise ExprError("degree too large", at)
             return base**k
         return base
 

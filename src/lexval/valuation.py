@@ -126,6 +126,13 @@ class LeadTerm:
     coeff: RatFunc
     value: ValuePair
 
+    def cancel_scalar(self, other: "LeadTerm") -> Fraction:
+        """The unique lambda with value(f + lambda*g) > value(f), where self
+        and other are the lead terms of f and g."""
+        if self.value != other.value:
+            raise ValueError("cancellation scalar needs equal values")
+        return -residue_at_inf(self.coeff) / residue_at_inf(other.coeff)
+
 
 def _cell_value(spec: ValuationSpec, i: int, j: int, coeff: RatFunc) -> ValuePair:
     return (-v_inf(coeff) * spec.m + j * spec.n) * spec.alpha + i * spec.beta
@@ -160,11 +167,7 @@ def cancel_lambda(spec: ValuationSpec, f: YPoly, g: YPoly) -> Fraction:
     """The unique scalar with value(f + lambda*g) > value(f) = value(g)."""
     if f.is_zero() or g.is_zero():
         raise ValueError("cancellation scalar needs nonzero inputs")
-    tf = lead_term(spec, f)
-    tg = lead_term(spec, g)
-    if tf.value != tg.value:
-        raise ValueError("cancellation scalar needs equal values")
-    return -residue_at_inf(tf.coeff) / residue_at_inf(tg.coeff)
+    return lead_term(spec, f).cancel_scalar(lead_term(spec, g))
 
 
 def value_fraction(spec: ValuationSpec, f: YPoly, g: YPoly) -> ExtValue:

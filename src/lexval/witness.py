@@ -21,10 +21,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratfunc import RatFunc, UniPoly, corrector, poly_gcd
-from .valgroup import INF, ValuePair, decompose, monoid_member, quotient_class
-from .valuation import ValuationSpec, cancel_lambda, value
-from .ypoly import YPoly, ypower_table
+from .ratfunc import RatFunc, UniPoly, corrector
+from .valgroup import ValuePair, decompose, monoid_member, quotient_class
+from .valuation import LeadTerm, ValuationSpec, lead_term, value
+from .ypoly import YPoly, YPowerTable, denominator_clearer, ypower_table
 
 
 @dataclass(frozen=True)
@@ -60,10 +60,11 @@ def build_bounded_monic(spec: ValuationSpec, d: int) -> YPoly:
     """
     if d < 0:
         raise ValueError("d must be nonnegative")
-    dm = d * spec.m
-    if dm == 0:
-        return YPoly.one()
-    table = ypower_table(spec.w, dm)
+    return _bounded_monic(ypower_table(spec.w, d * spec.m), d * spec.m)
+
+
+def _bounded_monic(table: YPowerTable, dm: int) -> YPoly:
+    """The corrector recursion of build_bounded_monic at y-degree dm <= table.e_max."""
     coeffs: dict[int, UniPoly] = {dm: UniPoly.one()}
     for t in range(dm - 1, -1, -1):
         acc = RatFunc.zero()
@@ -84,29 +85,34 @@ def reduce_past_chain(
     Returns (g, steps) with g = f + sum lambda * chain.polys[i] over the
     recorded steps and value(g) > chain.values[-1].  If f lies in the scalar
     span of the chain the reduction lands exactly on zero (value INF), which
-    still satisfies the postcondition.
+    still satisfies the postcondition.  Each step expands the current
+    element once; each chain element used is expanded once per call.
     """
     h = f
     steps: list[tuple[int, Fraction]] = []
+    chain_leads: dict[int, LeadTerm] = {}
     cap = 4 * (len(chain.polys) + 2)
-    while True:
-        vh = value(spec, h)
+    while not h.is_zero():
+        lead = lead_term(spec, h)
         # Each step raises the value, so only the input can fail this check.
-        if not vh >= chain.values[0]:
-            raise ValueError(f"value {vh} of input is below the chain start {chain.values[0]}")
-        if vh == INF or vh > chain.values[-1]:
-            return h, steps
+        if not lead.value >= chain.values[0]:
+            raise ValueError(f"value {lead.value} of input is below the chain start {chain.values[0]}")
+        if lead.value > chain.values[-1]:
+            break
         try:
-            idx = chain.values.index(vh)
+            idx = chain.values.index(lead.value)
         except ValueError:
             # The chain is a run of immediate successors, so a value that is
             # neither past the end nor on the chain cannot occur.
-            raise RuntimeError(f"value {vh} is inside the chain range but not on the chain")
-        lam = cancel_lambda(spec, h, chain.polys[idx])
+            raise RuntimeError(f"value {lead.value} is inside the chain range but not on the chain")
+        if idx not in chain_leads:
+            chain_leads[idx] = lead_term(spec, chain.polys[idx])
+        lam = lead.cancel_scalar(chain_leads[idx])
         h = h + chain.polys[idx].scale(lam)
         steps.append((idx, lam))
         if len(steps) > cap:
             raise RuntimeError("reduction exceeded its iteration cap")
+    return h, steps
 
 
 def increasing_value_sequence(spec: ValuationSpec, d_max: int) -> list[tuple[YPoly, ValuePair]]:
@@ -115,30 +121,23 @@ def increasing_value_sequence(spec: ValuationSpec, d_max: int) -> list[tuple[YPo
     f_0 is the bounded monic builder's degree-m output; each later element
     reduces a fresh higher-degree builder output past the chain built so
     far.  For the ex55 preset this yields deg_y(f_d) = 2(d+1) and
-    value(f_d) = (-1, d-1) exactly.
+    value(f_d) = (-1, d-1) exactly.  All builder outputs share one y-power
+    table.
     """
     if d_max < 0:
         raise ValueError("d_max must be nonnegative")
-    f0 = build_bounded_monic(spec, 1)
+    table = ypower_table(spec.w, (d_max + 1) * spec.m)
+    f0 = _bounded_monic(table, spec.m)
     v0 = value(spec, f0)
     out = [(f0, v0)]
     chain = WitnessChain((f0,), (v0,))
     for d in range(1, d_max + 1):
-        raw = build_bounded_monic(spec, d + 1)
+        raw = _bounded_monic(table, (d + 1) * spec.m)
         g, _ = reduce_past_chain(spec, raw, chain)
         vg = value(spec, g)
         out.append((g, vg))
         chain = chain.extended(g, vg)
     return out
-
-
-def denominator_clearer(w: YPoly) -> UniPoly:
-    """Least common multiple of the coefficient denominators of w."""
-    acc = UniPoly.one()
-    for _, c in w.items():
-        g = poly_gcd(acc, c.den)
-        acc = (acc * c.den) // g
-    return acc.monic()
 
 
 def class_witness(spec: ValuationSpec, q: int, r: int) -> YPoly:

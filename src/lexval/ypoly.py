@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .ratfunc import NEG_INF, RatFunc, UniPoly, as_ratfunc
+from .ratfunc import NEG_INF, RatFunc, UniPoly, as_ratfunc, poly_gcd
 
 
 class YPoly:
@@ -257,17 +258,112 @@ class WExpansion:
         return total
 
 
+def denominator_clearer(w: YPoly) -> UniPoly:
+    """Least common multiple of the coefficient denominators of w."""
+    acc = UniPoly.one()
+    for _, c in w.items():
+        if c.is_polynomial():
+            continue
+        g = poly_gcd(acc, c.den)
+        acc = (acc * c.den) // g
+    return acc.monic()
+
+
+def _clear_denominators(f: YPoly) -> tuple[list[int], dict[int, list[int]]]:
+    """Integer lists den and P_e with f = sum_e P_e y^e / den, all in Z[x]."""
+    lcm_den = denominator_clearer(f)
+    nums = {
+        e: c.num if c.den == lcm_den else c.num * (lcm_den // c.den)
+        for e, c in f.terms.items()
+    }
+    s = lcm(*(q.denominator for p in (lcm_den, *nums.values()) for q in p.coeffs))
+    return _scaled(lcm_den, s), {e: _scaled(p, s) for e, p in nums.items()}
+
+
+def _scaled(p: UniPoly, s: int) -> list[int]:
+    """Coefficients of s*p, which must all be integers."""
+    return [q.numerator * (s // q.denominator) for q in p.coeffs]
+
+
+def _zmul(a: list[int], b: list[int]) -> list[int]:
+    """Product in Z[x] of two nonzero coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return out
+
+
+def _zadd(a: list[int], b: list[int]) -> list[int]:
+    """Sum in Z[x], with trailing zeros stripped."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = a[:]
+    for i, bi in enumerate(b):
+        out[i] += bi
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
 def w_expand(f: YPoly, w: YPoly) -> WExpansion:
-    """Expand f in powers of the monic divisor w by iterated division."""
+    """Expand f in powers of the monic divisor w by iterated division.
+
+    The division runs over Z[x] and takes no gcd.  With denominators
+    cleared once, w = y^m + sum_j A_j y^j / H and f = sum_e P_e y^e / den,
+    where H, A_j, P_e and den lie in Z[x].  Every intermediate coefficient
+    is a pair (N, k) standing for N / (den * H^k), N in Z[x]; subtracting
+    a multiple of w brings the smaller of two exponents up by a power of H.
+    Each cell is reduced once, when it becomes the canonical
+    RatFunc(N, den * H^k) at the end.
+    """
     m = _require_monic_divisor(w)
+    h, wnums = _clear_denominators(w)
+    neg_a = [(j, [-c for c in wnums[j]]) for j in range(m) if j in wnums]
+    # With H = 1 every exponent stays 0 and nothing is ever lifted.
+    step = 0 if h == [1] else 1
+    hpow = [[1], h]
+
+    def hpower(k: int) -> list[int]:
+        while len(hpow) <= k:
+            hpow.append(_zmul(hpow[-1], h))
+        return hpow[k]
+
+    def lift(p: list[int], k: int) -> list[int]:
+        return _zmul(p, hpower(k)) if k and p else p
+
+    den, fnums = _clear_denominators(f)
+    cur = [(fnums.get(e, []), 0) for e in range(f.deg_y + 1 if f.terms else 0)]
     rows = []
-    cur = f
-    while True:
-        cur, rem = divmod_w(cur, w)
-        rows.append(tuple(rem.coeff(j) for j in range(m)))
-        if cur.is_zero():
-            break
-    return WExpansion(m=m, rows=tuple(rows))
+    while len(cur) > m:
+        # Position d >= m holds its quotient coefficient once reached: only
+        # positions below d change afterwards.
+        for d in range(len(cur) - 1, m - 1, -1):
+            q, k = cur[d]
+            if not q:
+                continue
+            k += step
+            for j, a in neg_a:
+                t = d - m + j
+                r, kt = cur[t]
+                top = max(k, kt) if r else k
+                cur[t] = (_zadd(lift(r, top - kt), lift(_zmul(q, a), top - k)), top)
+        rows.append(cur[:m])
+        cur = cur[m:]
+    rows.append(cur + [([], 0)] * (m - len(cur)))
+
+    zero = RatFunc.zero()
+    dens: dict[int, UniPoly] = {}
+
+    def cell(n: list[int], k: int) -> RatFunc:
+        if not n:
+            return zero
+        if k not in dens:
+            dens[k] = UniPoly(_zmul(den, hpower(k)))
+        return RatFunc(UniPoly(n), dens[k])
+
+    return WExpansion(m=m, rows=tuple(tuple(cell(n, k) for n, k in row) for row in rows))
 
 
 @dataclass(frozen=True)

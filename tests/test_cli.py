@@ -230,6 +230,9 @@ def test_domain_error_exit_codes(capsys):
     code, _, err = run_cli(capsys, "value", "--", "-" * 3000 + "x")
     assert code == 1
     assert err == "error: expression nested too deeply at offset 100\n"
+    code, _, err = run_cli(capsys, "value", "y^3000")
+    assert code == 1
+    assert err == "error: degree too large at offset 2\n"
 
 
 def test_usage_error_exit_code(capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from lexval import ExprError, RatFunc, UniPoly, YPoly, parse_poly
-from lexval.exprs import MAX_NESTING
+from lexval.exprs import MAX_DEGREE, MAX_NESTING
 from lexval.witness import random_rational_poly, random_xy_poly
 
 X = UniPoly.x()
@@ -66,6 +66,24 @@ def test_syntax_error_offsets():
         assert err.value.offset == MAX_NESTING
     depth = MAX_NESTING - 1
     assert parse_poly("(" * depth + "-x" + ")" * depth) == -parse_poly("x")
+    # x-degree and y-degree are bounded by MAX_DEGREE: a power is refused at
+    # its exponent before it is computed; a product, quotient or sum just
+    # after its operator (at the right operand of a juxtaposition).
+    for src, offset in (
+        ("y^3000", 2),
+        ("x ^ 201", 4),
+        ("x^99999999999999999999", 2),
+        ("(y+x)^3 * y^198", 9),
+        ("y^150 y^60", 6),
+        ("y^150*(x^60 + y^60)", 6),
+        ("1/x^150/(x+2)^60", 8),
+        ("1/x^200 - 1/(x-1)", 9),
+    ):
+        with pytest.raises(ExprError, match="degree too large") as err:
+            parse_poly(src)
+        assert err.value.offset == offset
+    top = f"y^{MAX_DEGREE} + x^{MAX_DEGREE}*y + 1/x^{MAX_DEGREE} + 0^99999999999999999999"
+    assert parse_poly(top).deg_y == MAX_DEGREE
 
 
 def test_semantic_errors():

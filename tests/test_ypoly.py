@@ -11,6 +11,10 @@ from conftest import assert_canonical_ypoly
 
 W55 = parse_poly("y^2 + y/x + x^3")
 X = UniPoly.x()
+# Divisors whose coefficient denominators are not powers of x, or whose
+# coefficients are fractions.
+W_X1 = parse_poly("y^2 + y/(x+1) + x^3")
+W_FRAC = parse_poly("y^3 + x*y/(2*x^2 + 2) + 3*x^2/2")
 
 
 def rf(s: str) -> RatFunc:
@@ -117,7 +121,7 @@ def _random_ypoly(rng, max_deg_y=12):
 
 def test_w_expand_reconstruction_random():
     rng = random.Random(20)
-    divisors = (W55, parse_poly("y^2 + x^3"), parse_poly("y^3 + x*y + x^2"))
+    divisors = (W55, parse_poly("y^2 + x^3"), parse_poly("y^3 + x*y + x^2"), W_X1, W_FRAC)
     for _ in range(120):
         w = rng.choice(divisors)
         f = _random_ypoly(rng)
@@ -129,6 +133,46 @@ def test_w_expand_reconstruction_random():
         if not f.is_zero():
             assert any(not c.is_zero() for c in exp.rows[-1])
         assert_canonical_ypoly(f)
+
+
+def _expand_by_division(f, w):
+    """Reference expansion: repeated division by w over Q(x)."""
+    rows = []
+    while True:
+        f, rem = divmod_w(f, w)
+        rows.append(tuple(rem.coeff(j) for j in range(w.deg_y)))
+        if f.is_zero():
+            return tuple(rows)
+
+
+def _random_fraction_ypoly(rng, max_deg_y=9):
+    """Random element of Q(x)[y] with fractional coefficients; may be zero."""
+    dens = (UniPoly.one(), X, X**2 + 1, UniPoly([1, 1]), UniPoly([Fraction(1, 3), 2]))
+    terms = {}
+    for _ in range(rng.randint(0, 5)):
+        num = UniPoly([Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(rng.randint(1, 4))])
+        if not num.is_zero():
+            terms[rng.randint(0, max_deg_y)] = RatFunc(num, rng.choice(dens))
+    return YPoly(terms)
+
+
+def test_w_expand_matches_iterated_division():
+    rng = random.Random(23)
+    divisors = (
+        W55,
+        parse_poly("y^2 + x^3"),
+        parse_poly("y^3 + x*y + x^2"),
+        W_X1,
+        W_FRAC,
+        parse_poly("y^2 + 2y/3 + x^3/2"),
+    )
+    for w in divisors:
+        for e in range(12):
+            f = YPoly.monomial(e)
+            assert w_expand(f, w).rows == _expand_by_division(f, w)
+        for _ in range(30):
+            f = _random_fraction_ypoly(rng)
+            assert w_expand(f, w).rows == _expand_by_division(f, w)
 
 
 def test_w_expand_numeric_reconstruction():
@@ -189,11 +233,12 @@ def test_ypower_table_structure():
             assert table.entry(e, t).is_zero()
 
 
-def test_ypower_table_matches_expansions():
-    table = ypower_table(W55, 8)
-    m = W55.deg_y
+@pytest.mark.parametrize("w", [W55, W_X1, W_FRAC], ids=["ex55", "x_plus_1", "fractions"])
+def test_ypower_table_matches_expansions(w):
+    table = ypower_table(w, 8)
+    m = w.deg_y
     for e in range(9):
-        exp = w_expand(YPoly.monomial(e), W55)
+        exp = w_expand(YPoly.monomial(e), w)
         for i, row in enumerate(exp.rows):
             for j, c in enumerate(row):
                 t = i * m + j
