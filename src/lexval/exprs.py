@@ -12,8 +12,11 @@ Q(x)[y].  Parentheses and unary minus together nest at most MAX_NESTING
 deep, which keeps the recursion far from Python's stack limit.  Every
 intermediate result has x-degree and y-degree at most MAX_DEGREE; a power is
 checked before it is computed.  The x-degree of a rational coefficient is
-that of its numerator or its denominator, whichever is larger.  Errors carry
-the byte offset of the offending token.
+that of its numerator or its denominator, whichever is larger.  Integers
+are bounded as well: an integer literal by MAX_BITS bits, and a power by
+bits(base) * k <= MAX_BITS before it is computed, where bits(base) is the
+largest bit length of a numerator or denominator among its coefficients.
+Errors carry the byte offset of the offending token.
 """
 
 from __future__ import annotations
@@ -36,11 +39,23 @@ MAX_NESTING = 100
 
 MAX_DEGREE = 200
 
+MAX_BITS = 10_000
+
 
 def _max_degree(p: YPoly) -> int:
     """The larger of the y-degree and the x-degree of a nonzero p."""
     xdeg = max(max(c.num.degree, c.den.degree) for c in p.terms.values())
     return max(p.deg_y, xdeg)
+
+
+def _max_bits(p: YPoly) -> int:
+    """The largest bit length of a numerator or denominator among p's coefficients."""
+    return max(
+        max(q.numerator.bit_length(), q.denominator.bit_length())
+        for c in p.terms.values()
+        for poly in (c.num, c.den)
+        for q in poly.coeffs
+    )
 
 
 def _bounded(p: YPoly, offset: int) -> YPoly:
@@ -77,7 +92,15 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             raise ExprError("expected an integer", start)
-        return int(self.src[start : self.pos])
+        digits = self.src[start : self.pos].lstrip("0") or "0"
+        # More than MAX_BITS // 3 significant digits always exceed MAX_BITS
+        # bits; refusing them first keeps int() below its own digit limit.
+        if len(digits) > MAX_BITS // 3:
+            raise ExprError("number too large", start)
+        n = int(digits)
+        if n.bit_length() > MAX_BITS:
+            raise ExprError("number too large", start)
+        return n
 
     def _open(self, at: int) -> None:
         """Take a '(' or a unary '-' and count it against MAX_NESTING."""
@@ -140,6 +163,8 @@ class _Parser:
             k = self._read_uint()
             if base and _max_degree(base) * k > MAX_DEGREE:
                 raise ExprError("degree too large", at)
+            if base and _max_bits(base) * k > MAX_BITS:
+                raise ExprError("number too large", at)
             return base**k
         return base
 

@@ -20,7 +20,7 @@ from math import gcd
 
 from .ratfunc import RatFunc, residue_at_inf, v_inf
 from .valgroup import INF, ExtValue, ValuePair, commensurable, is_indivisible
-from .ypoly import YPoly, w_expand
+from .ypoly import YPoly, w_expand_z
 
 # Named validation failures, reported together in InvalidSpecError.
 V_M_NOT_POSITIVE = "m_not_positive"
@@ -134,28 +134,36 @@ class LeadTerm:
         return -residue_at_inf(self.coeff) / residue_at_inf(other.coeff)
 
 
-def _cell_value(spec: ValuationSpec, i: int, j: int, coeff: RatFunc) -> ValuePair:
-    return (-v_inf(coeff) * spec.m + j * spec.n) * spec.alpha + i * spec.beta
+def _cell_value(spec: ValuationSpec, i: int, j: int, order: int) -> ValuePair:
+    return (-order * spec.m + j * spec.n) * spec.alpha + i * spec.beta
 
 
 def lead_term(spec: ValuationSpec, f: YPoly) -> LeadTerm:
-    """The unique cell of the expansion of f attaining value(f)."""
+    """The unique cell of the expansion of f attaining value(f).
+
+    Each cell's value needs only its order at infinity, which the unreduced
+    Z[x] expansion gives; only the winning cell is reduced.
+    """
     if f.is_zero():
         raise ValueError("zero polynomial has no lead term")
+    exp = w_expand_z(f, spec.w)
     best = None
     ties = 0
-    for i, j, c in w_expand(f, spec.w).nonzero_cells():
-        val = _cell_value(spec, i, j, c)
-        if best is None or val < best:
-            best, cell, ties = val, (i, j, c), 1
-        elif val == best:
-            ties += 1
+    for i, row in enumerate(exp.rows):
+        for j, (n, _) in enumerate(row):
+            if not n:
+                continue
+            val = _cell_value(spec, i, j, exp.order(i, j))
+            if best is None or val < best:
+                best, cell, ties = val, (i, j), 1
+            elif val == best:
+                ties += 1
     if ties != 1:
         # Impossible for a validated bundle (non-commensurable alpha, beta
         # and coprime m, n force a unique minimizer); reaching this means
         # corrupted state, not a domain error.
         raise RuntimeError("minimizing expansion cell is not unique")
-    return LeadTerm(*cell, best)
+    return LeadTerm(*cell, exp.cell(*cell), best)
 
 
 def value(spec: ValuationSpec, f: YPoly) -> ExtValue:

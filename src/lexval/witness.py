@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ratfunc import RatFunc, UniPoly, corrector
-from .valgroup import ValuePair, decompose, monoid_member, quotient_class
+from .valgroup import INF, ValuePair, decompose, monoid_member, quotient_class
 from .valuation import LeadTerm, ValuationSpec, lead_term, value
 from .ypoly import YPoly, YPowerTable, denominator_clearer, ypower_table
 
@@ -88,6 +88,14 @@ def reduce_past_chain(
     still satisfies the postcondition.  Each step expands the current
     element once; each chain element used is expanded once per call.
     """
+    g, steps, _ = _reduce_past_chain(spec, f, chain)
+    return g, steps
+
+
+def _reduce_past_chain(
+    spec: ValuationSpec, f: YPoly, chain: WitnessChain
+) -> tuple[YPoly, list[tuple[int, Fraction]], LeadTerm | None]:
+    """reduce_past_chain, also returning the lead term of g (None for g = 0)."""
     h = f
     steps: list[tuple[int, Fraction]] = []
     chain_leads: dict[int, LeadTerm] = {}
@@ -112,7 +120,8 @@ def reduce_past_chain(
         steps.append((idx, lam))
         if len(steps) > cap:
             raise RuntimeError("reduction exceeded its iteration cap")
-    return h, steps
+    # A reduction that lands on zero leaves the previous step's lead behind.
+    return h, steps, None if h.is_zero() else lead
 
 
 def increasing_value_sequence(spec: ValuationSpec, d_max: int) -> list[tuple[YPoly, ValuePair]]:
@@ -133,8 +142,8 @@ def increasing_value_sequence(spec: ValuationSpec, d_max: int) -> list[tuple[YPo
     chain = WitnessChain((f0,), (v0,))
     for d in range(1, d_max + 1):
         raw = _bounded_monic(table, (d + 1) * spec.m)
-        g, _ = reduce_past_chain(spec, raw, chain)
-        vg = value(spec, g)
+        g, _, lead = _reduce_past_chain(spec, raw, chain)
+        vg = INF if lead is None else lead.value
         out.append((g, vg))
         chain = chain.extended(g, vg)
     return out

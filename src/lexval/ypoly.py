@@ -8,7 +8,7 @@ such expansions for the pure powers y^e.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -307,16 +307,54 @@ def _zadd(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def w_expand(f: YPoly, w: YPoly) -> WExpansion:
-    """Expand f in powers of the monic divisor w by iterated division.
+def _hpower(hpow: list[list[int]], k: int) -> list[int]:
+    """H^k from the list hpow = [H^0, H^1, ...], extended as needed."""
+    while len(hpow) <= k:
+        hpow.append(_zmul(hpow[-1], hpow[1]))
+    return hpow[k]
 
-    The division runs over Z[x] and takes no gcd.  With denominators
-    cleared once, w = y^m + sum_j A_j y^j / H and f = sum_e P_e y^e / den,
-    where H, A_j, P_e and den lie in Z[x].  Every intermediate coefficient
-    is a pair (N, k) standing for N / (den * H^k), N in Z[x]; subtracting
-    a multiple of w brings the smaller of two exponents up by a power of H.
-    Each cell is reduced once, when it becomes the canonical
-    RatFunc(N, den * H^k) at the end.
+
+@dataclass(frozen=True)
+class ZExpansion:
+    """The w-expansion of f before any cell is reduced.
+
+    rows[i][j] is a pair (N, k) standing for the cell N / (den * H^k): N,
+    den and H are integer coefficient lists (elements of Z[x], no trailing
+    zeros) and N = [] is the zero cell.  H clears the denominators of w;
+    hpow holds H^0, H^1, ... as far as they have been computed.
+    """
+
+    m: int
+    rows: list[list[tuple[list[int], int]]]
+    den: list[int]
+    hpow: list[list[int]]
+    dens: dict[int, UniPoly] = field(default_factory=dict, repr=False, compare=False)
+
+    def order(self, i: int, j: int) -> int:
+        """v_inf of the nonzero cell (i, j): deg den + k*deg H - deg N.
+
+        Cancelling a common factor lowers the degrees of N and of
+        den * H^k alike, so this is also v_inf of the reduced cell.
+        """
+        n, k = self.rows[i][j]
+        return len(self.den) + k * (len(self.hpow[1]) - 1) - len(n)
+
+    def cell(self, i: int, j: int) -> RatFunc:
+        """Cell (i, j) as a canonical RatFunc: its one reduction."""
+        n, k = self.rows[i][j]
+        if k not in self.dens:
+            self.dens[k] = UniPoly(_zmul(self.den, _hpower(self.hpow, k)))
+        return RatFunc(UniPoly(n), self.dens[k])
+
+
+def w_expand_z(f: YPoly, w: YPoly) -> ZExpansion:
+    """Expand f in powers of the monic divisor w over Z[x], reducing no cell.
+
+    The division takes no gcd.  With denominators cleared once,
+    w = y^m + sum_j A_j y^j / H and f = sum_e P_e y^e / den, where H, A_j,
+    P_e and den lie in Z[x].  Every intermediate coefficient is a pair
+    (N, k) standing for N / (den * H^k), N in Z[x]; subtracting a multiple
+    of w brings the smaller of two exponents up by a power of H.
     """
     m = _require_monic_divisor(w)
     h, wnums = _clear_denominators(w)
@@ -325,13 +363,8 @@ def w_expand(f: YPoly, w: YPoly) -> WExpansion:
     step = 0 if h == [1] else 1
     hpow = [[1], h]
 
-    def hpower(k: int) -> list[int]:
-        while len(hpow) <= k:
-            hpow.append(_zmul(hpow[-1], h))
-        return hpow[k]
-
     def lift(p: list[int], k: int) -> list[int]:
-        return _zmul(p, hpower(k)) if k and p else p
+        return _zmul(p, _hpower(hpow, k)) if k and p else p
 
     den, fnums = _clear_denominators(f)
     cur = [(fnums.get(e, []), 0) for e in range(f.deg_y + 1 if f.terms else 0)]
@@ -352,18 +385,21 @@ def w_expand(f: YPoly, w: YPoly) -> WExpansion:
         rows.append(cur[:m])
         cur = cur[m:]
     rows.append(cur + [([], 0)] * (m - len(cur)))
+    return ZExpansion(m=m, rows=rows, den=den, hpow=hpow)
 
+
+def w_expand(f: YPoly, w: YPoly) -> WExpansion:
+    """Expand f in powers of the monic divisor w by iterated division.
+
+    The division is `w_expand_z`'s, over Z[x]; each nonzero cell is reduced
+    once, when it becomes a canonical RatFunc here.
+    """
+    z = w_expand_z(f, w)
     zero = RatFunc.zero()
-    dens: dict[int, UniPoly] = {}
-
-    def cell(n: list[int], k: int) -> RatFunc:
-        if not n:
-            return zero
-        if k not in dens:
-            dens[k] = UniPoly(_zmul(den, hpower(k)))
-        return RatFunc(UniPoly(n), dens[k])
-
-    return WExpansion(m=m, rows=tuple(tuple(cell(n, k) for n, k in row) for row in rows))
+    rows = tuple(
+        tuple(z.cell(i, j) if n else zero for j, (n, _) in enumerate(row)) for i, row in enumerate(z.rows)
+    )
+    return WExpansion(m=z.m, rows=rows)
 
 
 @dataclass(frozen=True)

@@ -233,6 +233,12 @@ def test_domain_error_exit_codes(capsys):
     code, _, err = run_cli(capsys, "value", "y^3000")
     assert code == 1
     assert err == "error: degree too large at offset 2\n"
+    code, _, err = run_cli(capsys, "value", "2^99999999999")
+    assert code == 1
+    assert err == "error: number too large at offset 2\n"
+    code, _, err = run_cli(capsys, "value", "x + " + "7" * 5000)
+    assert code == 1
+    assert err == "error: number too large at offset 4\n"
 
 
 def test_usage_error_exit_code(capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from lexval import ExprError, RatFunc, UniPoly, YPoly, parse_poly
-from lexval.exprs import MAX_DEGREE, MAX_NESTING
+from lexval.exprs import MAX_BITS, MAX_DEGREE, MAX_NESTING
 from lexval.witness import random_rational_poly, random_xy_poly
 
 X = UniPoly.x()
@@ -84,6 +84,26 @@ def test_syntax_error_offsets():
         assert err.value.offset == offset
     top = f"y^{MAX_DEGREE} + x^{MAX_DEGREE}*y + 1/x^{MAX_DEGREE} + 0^99999999999999999999"
     assert parse_poly(top).deg_y == MAX_DEGREE
+    # Integers are bounded by MAX_BITS: a literal is refused at its first
+    # digit, a power at its exponent, before it is computed.
+    long_literal = "7" * 5000
+    for src, offset in (
+        ("2^99999999999", 2),
+        (long_literal, 0),
+        (f"x + {long_literal}", 4),
+        (f"y^{long_literal}", 2),
+        (f"x^2 + (1/3)^{MAX_BITS // 2 + 1}", 12),
+        (f"{2**MAX_BITS} + x", 0),
+        ("2 (8/5)^2501", 8),
+        ("(2^100 x + 1)^101", 14),
+    ):
+        with pytest.raises(ExprError, match="number too large") as err:
+            parse_poly(src)
+        assert err.value.offset == offset
+    assert parse_poly(f"{2**MAX_BITS - 1}") == YPoly.const(2**MAX_BITS - 1)
+    assert parse_poly(f"2^{MAX_BITS // 2}*y") == YPoly.monomial(1, 2 ** (MAX_BITS // 2))
+    assert parse_poly(f"(1/3)^{MAX_BITS // 2}") == YPoly.const(Fraction(1, 3 ** (MAX_BITS // 2)))
+    assert parse_poly("0" * 5000 + "1") == YPoly.one()
 
 
 def test_semantic_errors():

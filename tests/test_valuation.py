@@ -9,7 +9,10 @@ import pytest
 from lexval import (
     INF,
     InvalidSpecError,
+    RatFunc,
+    UniPoly,
     ValuePair,
+    YPoly,
     cancel_lambda,
     check_axioms,
     lead_term,
@@ -18,7 +21,9 @@ from lexval import (
     random_xy_poly,
     value,
     value_fraction,
+    w_expand,
 )
+from lexval.ratfunc import residue_at_inf, v_inf
 from lexval.valuation import (
     V_ALPHA_DIVISIBLE,
     V_ALPHA_NOT_NEGATIVE,
@@ -30,6 +35,7 @@ from lexval.valuation import (
     V_W_COEFF_TOO_LOW,
     V_W_NOT_MONIC,
 )
+from lexval.ypoly import w_expand_z
 
 A = ValuePair(-1, -1)
 B55 = ValuePair(0, 1)
@@ -146,6 +152,62 @@ def test_lead_term_unique_on_random_corpus(ex55, ex52):
             assert not t.coeff.is_zero()
             assert t.value == value(spec, f)
             assert 0 <= t.j < spec.m
+
+
+def _reference_lead(spec, f):
+    """(i, j, coeff, value) of the lex-minimal cell of the reduced expansion."""
+    cells = [
+        (i, j, c, (-v_inf(c) * spec.m + j * spec.n) * spec.alpha + i * spec.beta)
+        for i, j, c in w_expand(f, spec.w).nonzero_cells()
+    ]
+    return min(cells, key=lambda cell: cell[3])
+
+
+def _random_fraction_poly(rng):
+    """Nonzero element of Q(x)[y] with fractional and non-monomial denominators."""
+    x = UniPoly.x()
+    dens = (UniPoly.one(), x, x**2 + 1, x + 1, UniPoly([Fraction(1, 3), 2]), (x + 1) ** 2)
+    terms = {}
+    while not terms:
+        for _ in range(rng.randint(1, 4)):
+            num = UniPoly([Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(rng.randint(1, 4))])
+            if not num.is_zero():
+                terms[rng.randint(0, 7)] = RatFunc(num, rng.choice(dens))
+    return YPoly(terms)
+
+
+def test_lead_term_matches_reduced_expansion():
+    # lead_term reads each cell's order off the unreduced Z[x] expansion and
+    # reduces only the winning cell; the reference reduces every cell.  The
+    # divisors have H = x, H = x + 1 and a constant H other than 1.
+    a, b = ValuePair(-1, -1), ValuePair(0, 1)
+    specs = [
+        make_spec(2, 3, parse_poly(w), a, b)
+        for w in ("y^2 + y/x + x^3", "y^2 + y/(x+1) + x^3", "y^2 + 2y/3 + x^3/2")
+    ]
+    specs.append(make_spec(3, 2, parse_poly("y^3 + x*y/(2*x^2 + 2) + 3*x^2/2"), a, b))
+    rng = random.Random(31)
+    cancelled = 0
+    for spec in specs:
+        corpus = [_random_fraction_poly(rng) for _ in range(30)]
+        corpus += [parse_poly(s) for s in ("(x+1)^2*y^3", "(x+1)^3*y^5 + y", "x^2*y^4/(x+1)")]
+        for f in corpus:
+            t = lead_term(spec, f)
+            ref = _reference_lead(spec, f)
+            assert (t.i, t.j, t.coeff, t.value) == ref
+            # (3x + 1) / (2x) has value (0, 0) and residue 3/2 at infinity,
+            # so g has the value of f and a different lead coefficient.
+            g = f.scale(RatFunc(UniPoly([1, 3]), UniPoly([0, 2])))
+            g_ref = _reference_lead(spec, g)
+            assert g_ref[3] == ref[3]
+            assert cancel_lambda(spec, f, g) == -residue_at_inf(ref[2]) / residue_at_inf(g_ref[2])
+            z = w_expand_z(f, spec.w)
+            for i, row in enumerate(z.rows):
+                for j, (n, _) in enumerate(row):
+                    if n and len(n) - 1 != z.cell(i, j).num.degree:
+                        cancelled += 1
+    # The order formula is exercised where the reduction really cancels.
+    assert cancelled > 0
 
 
 def _corpus(seed, count, max_deg=5):

@@ -104,6 +104,36 @@ def test_increasing_value_sequence_exact(ex55):
     assert seq[0][0] == parse_poly("y^2 + x^3")
 
 
+def test_increasing_value_sequence_values_each_element_once(ex55, monkeypatch):
+    # The value of a reduced element is the last lead term of its reduction;
+    # it is not expanded again.  The sequence itself is unchanged.
+    import lexval.valuation as valuation_mod
+    import lexval.witness as witness_mod
+
+    calls = {"expand": 0, "value": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(valuation_mod, "w_expand_z", counted("expand", valuation_mod.w_expand_z))
+    monkeypatch.setattr(witness_mod, "value", counted("value", witness_mod.value))
+    seq = increasing_value_sequence(ex55, 7)
+    monkeypatch.undo()
+    # f_0 is valued once.  The reductions for d = 1..4 take no step: one lead
+    # term each, of the builder output, which is also the value.  Those for
+    # d = 5..7 take one step: lead terms of the builder output, of the chain
+    # element it cancels against, and of the result.  Valuing every result
+    # again would make 7 more expansions.
+    assert calls == {"expand": 1 + 4 * 1 + 3 * 3, "value": 1}
+    for d, (f, v) in enumerate(seq):
+        assert v == value(ex55, f) == ValuePair(-1, d - 1)
+        assert f.deg_y == 2 * (d + 1)
+
+
 def test_denominator_clearer(ex55, ex52):
     assert denominator_clearer(ex55.w) == parse_poly("x").as_ratfunc().num
     assert denominator_clearer(ex52.w) == parse_poly("1").as_ratfunc().num
