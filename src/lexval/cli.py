@@ -13,6 +13,7 @@ precondition), 2 usage error (including a negative count or degree bound).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -248,8 +249,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process, built on first use; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         out = args.func(args.load(args.spec), args)
     except (ValueError, RuntimeError, ZeroDivisionError, OSError) as exc:

@@ -1,39 +1,53 @@
 """Exact arithmetic over Q: univariate polynomials and reduced rational functions.
 
-Coefficients are `fractions.Fraction` (arbitrary-precision exact rationals).
-A `UniPoly` is a dense coefficient sequence in x with no trailing zeros; a
-`RatFunc` is a reduced quotient num/den with monic denominator.  On top of
-the field arithmetic this module provides the degree valuation at infinity
-`v_inf`, its leading residue, and the `corrector` that shifts a rational
-function into the strictly proper range by a unique polynomial.
+A `UniPoly` is stored the way FLINT stores an `fmpq_poly`: a tuple of
+integer coefficients `ints` (no trailing zeros) over one positive integer
+`denom`, in lowest terms, so that sums, products and scalings are integer
+loops.  Its `coeffs` are the same coefficients as `fractions.Fraction`s.  A
+`RatFunc` is a reduced quotient num/den with monic denominator.  Its gcds
+are taken over Z[x] by the heuristic GCDHEU (Char, Geddes & Gonnet,
+J. Symbolic Comput. 7, 1989), which also returns both cofactors, with
+Euclid's algorithm as the fallback.  On top of the field arithmetic this
+module provides the degree valuation at infinity `v_inf`, its leading
+residue, and the `corrector` that shifts a rational function into the
+strictly proper range by a unique polynomial.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf
+from math import gcd, inf, lcm
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
+# Evaluation points GCDHEU tries before it falls back to Euclid.
+_HEU_POINTS = 6
 
-def _fr(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"cannot use {type(value).__name__} as an exact rational")
+_set = object.__setattr__
 
 
 class UniPoly:
-    """Polynomial in x over Q, stored densely with no trailing zeros."""
+    """Polynomial in x over Q: the integer coefficients `ints` over `denom`.
 
-    __slots__ = ("coeffs",)
+    `ints` has no trailing zeros, `denom` is positive and no integer above 1
+    divides `denom` and every entry of `ints`, so equal polynomials have
+    equal fields.
+    """
+
+    __slots__ = ("ints", "denom", "_coeffs")
 
     def __init__(self, coeffs=()):
-        cs = [_fr(c) for c in coeffs]
+        cs = list(coeffs)
+        for c in cs:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"cannot use {type(c).__name__} as an exact rational")
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        # Over the lcm of reduced denominators the numerators share no
+        # factor with it, so this is already in lowest terms.
+        d = lcm(*[c.denominator for c in cs])
+        _set(self, "ints", tuple([c.numerator * (d // c.denominator) for c in cs]))
+        _set(self, "denom", d)
 
     def __setattr__(self, name, value):
         raise AttributeError("UniPoly is immutable")
@@ -61,48 +75,63 @@ class UniPoly:
         return cls((c,))
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, lowest degree first."""
+        try:
+            return self._coeffs
+        except AttributeError:
+            cs = tuple(Fraction(c, self.denom) for c in self.ints)
+            _set(self, "_coeffs", cs)
+            return cs
+
+    @property
     def degree(self):
         """Degree, or -inf for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.ints) - 1 if self.ints else NEG_INF
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     def lc(self) -> Fraction:
         """Leading coefficient (of the zero polynomial: 0)."""
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return Fraction(self.ints[-1], self.denom) if self.ints else Fraction(0)
 
     def coeff(self, e: int) -> Fraction:
-        return self.coeffs[e] if 0 <= e < len(self.coeffs) else Fraction(0)
+        return Fraction(self.ints[e], self.denom) if 0 <= e < len(self.ints) else Fraction(0)
 
     def monic(self) -> "UniPoly":
-        if self.is_zero() or self.lc() == 1:
+        if not self.ints or self.ints[-1] == self.denom:
             return self
-        lead = self.lc()
-        return UniPoly(c / lead for c in self.coeffs)
+        return _poly(list(self.ints), self.ints[-1])
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.ints)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = UniPoly((other,))
-        if not isinstance(other, UniPoly):
+        other = _as_unipoly(other)
+        if other is NotImplemented:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.ints == other.ints and self.denom == other.denom
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.ints, self.denom))
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly(-c for c in self.coeffs)
+        return _raw(tuple(-c for c in self.ints), self.denom)
 
     def __add__(self, other) -> "UniPoly":
         other = _as_unipoly(other)
         if other is NotImplemented:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(self.coeff(e) + other.coeff(e) for e in range(n))
+        a, b = self.ints, other.ints
+        d = lcm(self.denom, other.denom)
+        fa, fb = d // self.denom, d // other.denom
+        if len(a) < len(b):
+            a, b, fa, fb = b, a, fb, fa
+        out = [c * fa for c in a]
+        for i, c in enumerate(b):
+            out[i] += c * fb
+        return _poly(out, d)
 
     __radd__ = __add__
 
@@ -119,22 +148,16 @@ class UniPoly:
         other = _as_unipoly(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return UniPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(other.coeffs):
-                out[i + j] += ci * cj
-        return UniPoly(out)
+        if not self.ints or not other.ints:
+            return _ZERO
+        return _poly(_zmul(self.ints, other.ints), self.denom * other.denom)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "UniPoly":
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        result = UniPoly.one()
+        result = _ONE
         base = self
         while k:
             if k & 1:
@@ -158,9 +181,9 @@ class UniPoly:
     def __call__(self, point) -> Fraction:
         """Evaluate at an exact rational point (Horner)."""
         acc = Fraction(0)
-        for c in reversed(self.coeffs):
+        for c in reversed(self.ints):
             acc = acc * point + c
-        return acc
+        return acc / self.denom
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -192,11 +215,36 @@ class UniPoly:
         return f"UniPoly({str(self)!r})"
 
 
+def _raw(ints: tuple[int, ...], denom: int) -> UniPoly:
+    """ints/denom, which must already satisfy UniPoly's invariants."""
+    p = object.__new__(UniPoly)
+    _set(p, "ints", ints)
+    _set(p, "denom", denom)
+    return p
+
+
+def _poly(ints: list[int], denom: int = 1) -> UniPoly:
+    """ints/denom in lowest terms, for an integer list (which is consumed) and denom != 0."""
+    while ints and not ints[-1]:
+        ints.pop()
+    if denom != 1:
+        if denom < 0:
+            ints, denom = [-c for c in ints], -denom
+        g = gcd(denom, *ints)
+        if g != 1:
+            ints, denom = [c // g for c in ints], denom // g
+    return _raw(tuple(ints), denom)
+
+
+_ZERO = _raw((), 1)
+_ONE = _raw((1,), 1)
+
+
 def _as_unipoly(value):
     if isinstance(value, UniPoly):
         return value
     if isinstance(value, (int, Fraction)):
-        return UniPoly((value,))
+        return _raw((value.numerator,), value.denominator) if value else _ZERO
     return NotImplemented
 
 
@@ -205,28 +253,144 @@ def uni_divmod(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
     if b.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if a.degree < b.degree:
-        return UniPoly(), a
-    rem = list(a.coeffs)
-    db = len(b.coeffs) - 1
-    blc = b.lc()
-    q = [Fraction(0)] * (len(rem) - db)
+        return _ZERO, a
+    # Over Z: with a = A/alpha and b = B/beta, the remainder is scaled up
+    # only when lc(B) does not divide its leading coefficient, so that at
+    # the end A*s = Q*B + R, q = Q*beta/(alpha*s) and r = R/(alpha*s).
+    rem = list(a.ints)
+    bi = b.ints
+    db = len(bi) - 1
+    lead = bi[-1]
+    q = [0] * (len(rem) - db)
+    s = 1
     for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i]
-        if c == 0:
-            continue
-        f = c / blc
-        q[i - db] = f
-        for j, bc in enumerate(b.coeffs):
-            rem[i - db + j] -= f * bc
-    return UniPoly(q), UniPoly(rem[:db])
+        if rem[i] % lead:
+            f = lead // gcd(rem[i], lead)
+            rem, q, s = [x * f for x in rem], [x * f for x in q], s * f
+        t = rem[i] // lead
+        if t:
+            q[i - db] = t
+            for j in range(db):
+                rem[i - db + j] -= t * bi[j]
+    den = a.denom * s
+    return _poly([x * b.denom for x in q], den), _poly(rem[:db], den)
 
 
-def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic greatest common divisor (Euclid); gcd(0, 0) = 0."""
+def _euclid(a: UniPoly, b: UniPoly) -> UniPoly:
+    """Monic gcd by Euclid's algorithm over Q."""
     while not b.is_zero():
         # making each remainder monic keeps the coefficient fractions small
         a, b = b, (a % b).monic()
     return a.monic()
+
+
+# ---------------------------------------------------------------------------
+# Z[x]: coefficient lists, lowest degree first, no trailing zeros.
+
+
+def _zmul(a, b) -> list[int]:
+    """Product in Z[x] of two nonzero coefficient lists."""
+    if len(b) == 1:
+        b0 = b[0]
+        return [c * b0 for c in a]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return out
+
+
+def _primitive(a) -> tuple[int, list[int]]:
+    """The positive content of a nonzero a and its primitive part."""
+    c = gcd(*a)
+    return c, list(a) if c == 1 else [x // c for x in a]
+
+
+def _zdiv_exact(a, g) -> list[int] | None:
+    """a / g in Z[x] if g divides the nonzero a exactly, else None."""
+    dg = len(g) - 1
+    n = len(a) - dg
+    g0 = g[0]
+    if n <= 0 or (a[0] % g0 if g0 else a[0]):
+        return None
+    lead = g[-1]
+    rem = list(a)
+    q = [0] * n
+    for i in range(n - 1, -1, -1):
+        c = rem[i + dg]
+        if c:
+            t, r = divmod(c, lead)
+            if r:
+                return None
+            q[i] = t
+            for j in range(dg):
+                rem[i + j] -= t * g[j]
+    return None if any(rem[:dg]) else q
+
+
+def _heu_gcd(a, b) -> tuple[list[int], list[int], list[int]] | None:
+    """GCDHEU: the gcd of primitive a, b in Z[x] and both cofactors, or None.
+
+    At an integer point xi the gcd of a(xi) and b(xi), written in balanced
+    base xi, is a candidate.  With xi >= 2*min(|a|, |b|) + 2 in max-norm, a
+    candidate whose primitive part divides both a and b is their gcd
+    (Geddes, Czapor & Labahn, Algorithms for Computer Algebra, Thm 7.7).
+    The divisions that check this give the cofactors.  None means that no
+    candidate of _HEU_POINTS points divided.
+    """
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    for _ in range(_HEU_POINTS):
+        va = vb = 0
+        for c in reversed(a):
+            va = va * xi + c
+        for c in reversed(b):
+            vb = vb * xi + c
+        gamma = gcd(va, vb)
+        g = []
+        while gamma:
+            gamma, c = divmod(gamma, xi)
+            if 2 * c > xi:
+                c -= xi
+                gamma += 1
+            g.append(c)
+        if g:
+            content = gcd(*g) if g[-1] > 0 else -gcd(*g)
+            g = [c // content for c in g]
+            qa = _zdiv_exact(a, g)
+            if qa is not None:
+                qb = _zdiv_exact(b, g)
+                if qb is not None:
+                    return g, qa, qb
+        xi = xi * 73794 // 27011
+    return None
+
+
+def _zgcd(a, b) -> tuple[list[int], list[int], list[int]]:
+    """gcd of primitive nonzero a, b in Z[x], with positive lead, and both cofactors."""
+    ta = next(i for i, c in enumerate(a) if c)
+    tb = next(i for i, c in enumerate(b) if c)
+    t = min(ta, tb)
+    a1, b1 = a[ta:], b[tb:]
+    if len(a1) == 1 or len(b1) == 1:
+        # A primitive constant is 1 or -1.
+        g, qa, qb = [1], list(a1), list(b1)
+    else:
+        out = _heu_gcd(a1, b1)
+        if out is None:
+            # A monic gcd in lowest terms has primitive integer coefficients.
+            g = list(_euclid(_poly(list(a1)), _poly(list(b1))).ints)
+            out = g, _zdiv_exact(a1, g), _zdiv_exact(b1, g)
+        g, qa, qb = out
+    return [0] * t + g, [0] * (ta - t) + qa, [0] * (tb - t) + qb
+
+
+def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
+    """Monic greatest common divisor; gcd(0, 0) = 0."""
+    if a.is_zero() or b.is_zero():
+        return (b if a.is_zero() else a).monic()
+    g = _zgcd(_primitive(a.ints)[1], _primitive(b.ints)[1])[0]
+    return _raw(tuple(g), g[-1])
 
 
 class RatFunc:
@@ -236,29 +400,29 @@ class RatFunc:
 
     def __init__(self, num, den=None):
         num = _as_unipoly(num)
-        den = UniPoly.one() if den is None else _as_unipoly(den)
+        den = _ONE if den is None else _as_unipoly(den)
         if num is NotImplemented or den is NotImplemented:
             raise TypeError("RatFunc components must be polynomials or rationals")
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
-            num, den = UniPoly(), UniPoly.one()
-        elif den.degree == 0:
-            lead = den.lc()
-            if lead != 1:
-                num = UniPoly(c / lead for c in num.coeffs)
-                den = UniPoly.one()
+            num, den = _ZERO, _ONE
+        elif len(den.ints) == 1:
+            if den.ints[0] != den.denom:
+                num = _poly([c * den.denom for c in num.ints], num.denom * den.ints[0])
+                den = _ONE
         else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num // g
-                den = den // g
-            lead = den.lc()
-            if lead != 1:
-                num = UniPoly(c / lead for c in num.coeffs)
-                den = den.monic()
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+            num, den = _reduced(num, den)
+        _set(self, "num", num)
+        _set(self, "den", den)
+
+    @classmethod
+    def _canonical(cls, num: UniPoly, den: UniPoly) -> "RatFunc":
+        """num/den, which must already be reduced with a monic den."""
+        r = object.__new__(cls)
+        _set(r, "num", num)
+        _set(r, "den", den)
+        return r
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
@@ -275,7 +439,7 @@ class RatFunc:
         return self.num.is_zero()
 
     def is_polynomial(self) -> bool:
-        return self.den == UniPoly.one()
+        return len(self.den.ints) == 1
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -290,19 +454,25 @@ class RatFunc:
         return hash((self.num, self.den))
 
     def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
+        return RatFunc._canonical(-self.num, self.den)
 
     def __add__(self, other) -> "RatFunc":
         other = _as_ratfunc(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den == other.den:
-            return RatFunc(self.num + other.num, self.den)
-        g = poly_gcd(self.den, other.den)
-        if g.degree > 0:
-            db = other.den // g
-            return RatFunc(self.num * db + other.num * (self.den // g), self.den * db)
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if b == d:
+            return RatFunc(a + c, b)
+        # With one denominator 1, say b: gcd(a*d + c, d) = gcd(c, d) = 1.
+        if b.degree == 0:
+            return RatFunc._canonical(a * d + c, d)
+        if d.degree == 0:
+            return RatFunc._canonical(c * b + a, b)
+        # b = B/lc(B) and d = D/lc(D) with B = G*B1 and D = G*D1 in Z[x], so
+        # a/b + c/d = (a*lc(B)*D1 + c*lc(D)*B1) / (B*D1).
+        _, b1, d1 = _zgcd(b.ints, d.ints)
+        num = a * _poly([x * b.denom for x in d1]) + c * _poly([x * d.denom for x in b1])
+        return RatFunc(num, _poly(_zmul(b.ints, d1)))
 
     __radd__ = __add__
 
@@ -319,6 +489,8 @@ class RatFunc:
         other = _as_ratfunc(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den.degree == 0 and other.den.degree == 0:
+            return RatFunc._canonical(self.num * other.num, _ONE)
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -339,7 +511,8 @@ class RatFunc:
             if self.is_zero():
                 raise ZeroDivisionError("negative power of zero")
             return RatFunc(self.den ** (-k), self.num ** (-k))
-        return RatFunc(self.num**k, self.den**k)
+        # Powers of coprime polynomials are coprime, and of a monic one monic.
+        return RatFunc._canonical(self.num**k, self.den**k)
 
     def __call__(self, point) -> Fraction:
         d = self.den(point)
@@ -361,13 +534,31 @@ class RatFunc:
         return f"RatFunc({str(self)!r})"
 
 
+def _reduced(num: UniPoly, den: UniPoly) -> tuple[UniPoly, UniPoly]:
+    """The canonical num/den, for a nonzero num and den of degree at least 1."""
+    cn, n = _primitive(num.ints)
+    cd, d = _primitive(den.ints)
+    if len(n) > 1:
+        _, n, d = _zgcd(n, d)
+    # num/den = (cn*den.denom) / (num.denom*cd) * n/d, and d/lead is monic.
+    lead = d[-1]
+    p, q = cn * den.denom, num.denom * cd * lead
+    if q < 0:
+        p, q = -p, -q
+    g = gcd(p, q)
+    p, q = p // g, q // g
+    # n and d are primitive, so both results are in lowest terms.
+    return (
+        _raw(tuple(c * p for c in n), q),
+        _raw(tuple(d) if lead > 0 else tuple(-c for c in d), abs(lead)),
+    )
+
+
 def _as_ratfunc(value):
     if isinstance(value, RatFunc):
         return value
-    if isinstance(value, UniPoly):
-        return RatFunc(value)
-    if isinstance(value, (int, Fraction)):
-        return RatFunc(UniPoly((value,)))
+    if isinstance(value, (UniPoly, int, Fraction)):
+        return RatFunc._canonical(_as_unipoly(value), _ONE)
     return NotImplemented
 
 

@@ -16,11 +16,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
-from .ratfunc import RatFunc, residue_at_inf, v_inf
+from .ratfunc import RatFunc, v_inf
 from .valgroup import INF, ExtValue, ValuePair, commensurable, is_indivisible
-from .ypoly import YPoly, w_expand_z
+from .ypoly import YPoly, ZExpansion, w_expand_z
 
 # Named validation failures, reported together in InvalidSpecError.
 V_M_NOT_POSITIVE = "m_not_positive"
@@ -119,19 +120,27 @@ def make_spec(m: int, n: int, w: YPoly, alpha: ValuePair, beta: ValuePair) -> Va
 
 @dataclass(frozen=True)
 class LeadTerm:
-    """The unique expansion cell realizing value(f), with that value."""
+    """The unique expansion cell realizing value(f), with that value.
+
+    `exp` is the unreduced expansion the cell comes from; the cell's
+    coefficient is reduced only when `coeff` is first read.
+    """
 
     i: int
     j: int
-    coeff: RatFunc
     value: ValuePair
+    exp: ZExpansion = field(repr=False, compare=False)
+
+    @cached_property
+    def coeff(self) -> RatFunc:
+        return self.exp.cell(self.i, self.j)
 
     def cancel_scalar(self, other: "LeadTerm") -> Fraction:
         """The unique lambda with value(f + lambda*g) > value(f), where self
         and other are the lead terms of f and g."""
         if self.value != other.value:
             raise ValueError("cancellation scalar needs equal values")
-        return -residue_at_inf(self.coeff) / residue_at_inf(other.coeff)
+        return -self.exp.residue(self.i, self.j) / other.exp.residue(other.i, other.j)
 
 
 def _cell_value(spec: ValuationSpec, i: int, j: int, order: int) -> ValuePair:
@@ -142,7 +151,7 @@ def lead_term(spec: ValuationSpec, f: YPoly) -> LeadTerm:
     """The unique cell of the expansion of f attaining value(f).
 
     Each cell's value needs only its order at infinity, which the unreduced
-    Z[x] expansion gives; only the winning cell is reduced.
+    Z[x] expansion gives; no cell is reduced until `coeff` is read.
     """
     if f.is_zero():
         raise ValueError("zero polynomial has no lead term")
@@ -163,7 +172,7 @@ def lead_term(spec: ValuationSpec, f: YPoly) -> LeadTerm:
         # and coprime m, n force a unique minimizer); reaching this means
         # corrupted state, not a domain error.
         raise RuntimeError("minimizing expansion cell is not unique")
-    return LeadTerm(*cell, exp.cell(*cell), best)
+    return LeadTerm(*cell, best, exp)
 
 
 def value(spec: ValuationSpec, f: YPoly) -> ExtValue:

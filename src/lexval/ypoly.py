@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .ratfunc import NEG_INF, RatFunc, UniPoly, as_ratfunc, poly_gcd
+from .ratfunc import _ONE, NEG_INF, RatFunc, UniPoly, _poly, _zdiv_exact, _zmul, as_ratfunc, poly_gcd
 
 
 class YPoly:
@@ -146,6 +146,9 @@ class YPoly:
     def __pow__(self, k: int) -> "YPoly":
         if k < 0:
             raise ValueError("negative power of a y-polynomial")
+        if len(self.terms) == 1:
+            ((e, c),) = self.terms.items()
+            return YPoly({e * k: c**k})
         result = YPoly.one()
         base = self
         while k:
@@ -260,8 +263,8 @@ class WExpansion:
 
 def denominator_clearer(w: YPoly) -> UniPoly:
     """Least common multiple of the coefficient denominators of w."""
-    acc = UniPoly.one()
-    for _, c in w.items():
+    acc = _ONE
+    for c in w.terms.values():
         if c.is_polynomial():
             continue
         g = poly_gcd(acc, c.den)
@@ -271,28 +274,19 @@ def denominator_clearer(w: YPoly) -> UniPoly:
 
 def _clear_denominators(f: YPoly) -> tuple[list[int], dict[int, list[int]]]:
     """Integer lists den and P_e with f = sum_e P_e y^e / den, all in Z[x]."""
-    lcm_den = denominator_clearer(f)
-    nums = {
-        e: c.num if c.den == lcm_den else c.num * (lcm_den // c.den)
-        for e, c in f.terms.items()
-    }
-    s = lcm(*(q.denominator for p in (lcm_den, *nums.values()) for q in p.coeffs))
-    return _scaled(lcm_den, s), {e: _scaled(p, s) for e, p in nums.items()}
-
-
-def _scaled(p: UniPoly, s: int) -> list[int]:
-    """Coefficients of s*p, which must all be integers."""
-    return [q.numerator * (s // q.denominator) for q in p.coeffs]
-
-
-def _zmul(a: list[int], b: list[int]) -> list[int]:
-    """Product in Z[x] of two nonzero coefficient lists."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
+    # The monic lcm's integer coefficients h are primitive, so each (monic)
+    # denominator's D divides h in Z[x].  A coefficient (N/nd) / (D/dd)
+    # times h is N * (h/D) * dd/nd; s clears the nd.
+    h = denominator_clearer(f).ints
+    s = lcm(*(c.num.denom for c in f.terms.values()))
+    nums = {}
+    for e, c in f.terms.items():
+        n = c.num.ints
+        if len(h) > 1:
+            n = _zmul(n, h if c.is_polynomial() else _zdiv_exact(h, c.den.ints))
+        k = s // c.num.denom * c.den.denom
+        nums[e] = list(n) if k == 1 else _zmul(n, (k,))
+    return _zmul(h, (s,)), nums
 
 
 def _zadd(a: list[int], b: list[int]) -> list[int]:
@@ -339,12 +333,25 @@ class ZExpansion:
         n, k = self.rows[i][j]
         return len(self.den) + k * (len(self.hpow[1]) - 1) - len(n)
 
+    def residue(self, i: int, j: int) -> Fraction:
+        """residue_at_inf of the nonzero cell (i, j): lc(N) / lc(den * H^k).
+
+        Like the order, it is the same for the reduced cell.
+        """
+        n, k = self.rows[i][j]
+        return Fraction(n[-1], self.den[-1] * self.hpow[1][-1] ** k)
+
     def cell(self, i: int, j: int) -> RatFunc:
         """Cell (i, j) as a canonical RatFunc: its one reduction."""
-        n, k = self.rows[i][j]
+        return self._reduced(*self.rows[i][j])
+
+    def _reduced(self, n: list[int], k: int) -> RatFunc:
+        """The cell N / (den * H^k) as a canonical RatFunc."""
+        if not n:
+            return RatFunc.zero()
         if k not in self.dens:
-            self.dens[k] = UniPoly(_zmul(self.den, _hpower(self.hpow, k)))
-        return RatFunc(UniPoly(n), self.dens[k])
+            self.dens[k] = _poly(_zmul(self.den, _hpower(self.hpow, k)))
+        return RatFunc(_poly(list(n)), self.dens[k])
 
 
 def w_expand_z(f: YPoly, w: YPoly) -> ZExpansion:
@@ -395,11 +402,7 @@ def w_expand(f: YPoly, w: YPoly) -> WExpansion:
     once, when it becomes a canonical RatFunc here.
     """
     z = w_expand_z(f, w)
-    zero = RatFunc.zero()
-    rows = tuple(
-        tuple(z.cell(i, j) if n else zero for j, (n, _) in enumerate(row)) for i, row in enumerate(z.rows)
-    )
-    return WExpansion(m=z.m, rows=rows)
+    return WExpansion(m=z.m, rows=tuple(tuple(z._reduced(n, k) for n, k in row) for row in z.rows))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 """CLI subcommands: golden text output, JSON parity, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
 
 from lexval import bundled_config_path, load_config, load_spec, parse_poly
+from lexval import cli
 from lexval.cli import main
 from lexval.presets import PRESETS, ConfigError, parse_config_text
 
@@ -239,6 +241,68 @@ def test_domain_error_exit_codes(capsys):
     code, _, err = run_cli(capsys, "value", "x + " + "7" * 5000)
     assert code == 1
     assert err == "error: number too large at offset 4\n"
+
+
+# Inputs whose lead-cell reduction or parser sum took 7-23 s before gcds were
+# taken over Z[x].  The lead digests are of the output of that older code.
+REDUCTION_BOUND = [
+    ("y^80/(x^2+x+1)^20 + y^79/(x+2)^24", "(-189,-189)",
+     "771f99aaebccfb3c76de9ead3f20517d73c384f90931f874a451faea6f79db47"),
+    ("1/(x^2+x+1)^50 + 1/(x+2)^60", "(120,120)",
+     "441353f2f027b060791b737cb8f35b518b736f964a54fbd1094263f1cce732c6"),
+]
+
+
+@pytest.mark.parametrize("expr,val,lead_sha256", REDUCTION_BOUND, ids=["ex55_lead_cell", "parser_sum"])
+def test_reduction_bound_inputs(capsys, expr, val, lead_sha256):
+    assert run_cli(capsys, "value", expr) == (0, val + "\n", "")
+    code, out, _ = run_cli(capsys, "lead", expr)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == lead_sha256
+
+
+# Neighbours in this sequence differ in what the parser sets: spec-check's
+# `load`, --json, echoed arguments, help and usage errors.
+SEQUENCE = [
+    ["spec-check", "--spec", "ex52"],
+    ["value", "y^2+x^3"],
+    ["value", "--json", "y^2"],
+    ["value", "y^2"],
+    ["lambda", "--spec", "ex52", "y^2", "--", "-x^3"],
+    ["spec-check", "--json"],
+    ["census", "--ell", "3", "--json"],
+    ["census"],
+    ["lead", "y^3/(x^2+1) + x*y"],
+    ["-h"],
+    ["value", "-h"],
+    ["census", "--ell", "3"],
+    ["bogus"],
+    ["witness", "--dmax", "-1"],
+    ["axioms", "--count", "5", "--pairs", "5"],
+]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_consecutive_main_calls_match_fresh_calls(capsys):
+    # main builds its parser once per process; a command run after others
+    # prints what it prints with a newly built parser.
+    fresh = []
+    for argv in SEQUENCE:
+        cli._parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+    for order in (SEQUENCE, SEQUENCE[::-1]):
+        cli._parser.cache_clear()
+        outcomes = {tuple(argv): _outcome(capsys, argv) for argv in order}
+        assert [outcomes[tuple(argv)] for argv in SEQUENCE] == fresh
+        assert cli._parser.cache_info().misses == 1
 
 
 def test_usage_error_exit_code(capsys):

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import inf
+from math import gcd, inf
 
 import pytest
 
@@ -190,3 +190,158 @@ def test_unipoly_str_roundtrip_through_fraction_eval():
     assert str(UniPoly.zero()) == "0"
     assert str(RatFunc(1, X)) == "1/x"
     assert str(RatFunc(UniPoly((1, 0, 0, 0, 0, -2)), X**3)) == "(-2*x^5 + 1)/x^3"
+
+
+# ---------------------------------------------------------------------------
+# The integer layout and the gcd core, against plain Fraction references.
+
+
+def _ref_trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _ref_divmod(a, b):
+    """Long division of Fraction coefficient lists, lowest degree first."""
+    rem = list(a)
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(rem) - len(b), -1, -1):
+        t = rem[i + len(b) - 1] / b[-1]
+        q[i] = t
+        for j, c in enumerate(b):
+            rem[i + j] -= t * c
+    return _ref_trim(q), _ref_trim(rem[: len(b) - 1])
+
+
+def _ref_monic(a):
+    return [c / a[-1] for c in a] if a else []
+
+
+def _ref_gcd(a, b):
+    """Monic gcd by Euclid over Fraction lists: the algorithm poly_gcd replaced."""
+    a, b = _ref_trim(a), _ref_trim(b)
+    while b:
+        a, b = b, _ref_monic(_ref_divmod(a, b)[1])
+    return _ref_monic(a)
+
+
+def _ref_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _ref_reduced(num, den):
+    """(num, den) divided by their gcd, den monic, as Fraction lists."""
+    g = _ref_gcd(num, den)
+    n, d = _ref_divmod(num, g)[0], _ref_divmod(den, g)[0]
+    return [c / d[-1] for c in n], [c / d[-1] for c in d]
+
+
+def _planted_pairs(rng):
+    """Pairs (a, b) of Fraction lists with planted common factors, and edge cases."""
+
+    def rand(deg, fractions=False, lo=-9, hi=9):
+        cs = [Fraction(rng.randint(lo, hi), rng.randint(1, 7) if fractions else 1) for _ in range(deg)]
+        return cs + [Fraction(rng.choice((-3, -2, -1, 1, 2, 5)), rng.randint(1, 4) if fractions else 1)]
+
+    pairs = []
+    for _ in range(60):
+        fractions = rng.random() < 0.5
+        g = rand(rng.randint(0, 6), fractions)
+        a = _ref_mul(g, rand(rng.randint(0, 8), fractions))
+        b = _ref_mul(g, rand(rng.randint(0, 8), fractions))
+        xs = [Fraction(0)] * rng.randint(0, 4)
+        pairs.append((xs + a, [Fraction(0)] * rng.randint(0, 4) + b))
+    for _ in range(6):
+        # degree around 60: a planted factor of degree 20 and larger coefficients
+        g = rand(20, lo=-99, hi=99)
+        pairs.append((_ref_mul(g, rand(40, lo=-99, hi=99)), _ref_mul(g, rand(38, lo=-99, hi=99))))
+    f = rand(9, fractions=True)
+    x = [Fraction(0), Fraction(1)]
+    pairs += [
+        (f, f),                                   # f = g
+        (f, [c * -7 for c in f]),                 # a constant multiple, negative lead
+        (rand(7), rand(6)),                       # almost surely coprime
+        ([Fraction(3)], rand(5)),                 # a constant
+        (_ref_mul(x, x), _ref_mul(x, rand(4))),   # powers of x only
+        ([Fraction(0)] * 5 + [Fraction(-2)], [Fraction(0)] * 3 + [Fraction(4, 3)]),
+        ([Fraction(-1), Fraction(0), Fraction(1)], [Fraction(1), Fraction(2), Fraction(1)]),
+    ]
+    return pairs
+
+
+@pytest.mark.parametrize("path", ["heuristic", "euclid_fallback"])
+def test_gcd_core_matches_euclid(path, monkeypatch):
+    import lexval.ratfunc as ratfunc_mod
+
+    if path == "euclid_fallback":
+        monkeypatch.setattr(ratfunc_mod, "_heu_gcd", lambda a, b: None)
+    rng = random.Random(61)
+    for a, b in _planted_pairs(rng):
+        pa, pb = UniPoly(a), UniPoly(b)
+        assert list(poly_gcd(pa, pb).coeffs) == _ref_gcd(a, b)
+        # RatFunc's normalisation and sum use the cofactors of the same gcd.
+        h = RatFunc(pa, pb)
+        n, d = _ref_reduced(a, b)
+        assert (list(h.num.coeffs), list(h.den.coeffs)) == (n, d)
+        assert_canonical_ratfunc(h)
+        if len(a) + len(b) > 40:
+            continue  # the reference below would reduce at degree 120
+        s = RatFunc(1, pa) + RatFunc(1, pb)
+        n, d = _ref_reduced([p + q for p, q in zip(a + [0] * len(b), b + [0] * len(a))], _ref_mul(a, b))
+        assert (list(s.num.coeffs), list(s.den.coeffs)) == (_ref_trim(n), d)
+        assert_canonical_ratfunc(s)
+
+
+def _assert_layout(p):
+    assert p.denom > 0
+    assert gcd(p.denom, *p.ints) == 1
+    assert not p.ints or p.ints[-1] != 0
+    assert p.coeffs == tuple(Fraction(c, p.denom) for c in p.ints)
+
+
+def test_unipoly_layout_invariants():
+    rng = random.Random(62)
+    for _ in range(300):
+        a = [Fraction(rng.randint(-6, 6), rng.randint(1, 9)) for _ in range(rng.randint(0, 6))]
+        b = [Fraction(rng.randint(-6, 6), rng.randint(1, 9)) for _ in range(rng.randint(1, 6))]
+        pa, pb = UniPoly(a), UniPoly(b)
+        k = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+        results = {
+            "a": (pa, a),
+            "-a": (-pa, [-c for c in a]),
+            "a+b": (pa + pb, [p + q for p, q in zip(a + [0] * len(b), b + [0] * len(a))]),
+            "a-a": (pa - pa, []),
+            "a*b": (pa * pb, _ref_mul(a, b) if a and b else []),
+            "k*a": (k * pa, [k * c for c in a]),
+            "a^3": (pa**3, _ref_mul(_ref_mul(a, a), a) if a else []),
+        }
+        if _ref_trim(b):
+            q, r = divmod(pa, pb)
+            rq, rr = _ref_divmod(_ref_trim(a), _ref_trim(b)) if len(_ref_trim(a)) >= len(_ref_trim(b)) else ([], a)
+            results["a//b"], results["a%b"] = (q, rq), (r, rr)
+            results["monic"] = (pb.monic(), _ref_monic(_ref_trim(b)))
+        for name, (p, ref) in results.items():
+            _assert_layout(p)
+            # coeffs is the Fraction tuple the old layout stored.
+            assert p.coeffs == tuple(_ref_trim(ref)), name
+    # Equal polynomials built different ways are equal and hash alike.
+    x = UniPoly.x()
+    same = [
+        UniPoly([Fraction(1, 2), Fraction(3, 4)]),
+        UniPoly([1, 3]) * Fraction(1, 4) + UniPoly([Fraction(1, 4)]),
+        (x * 6 + 4) * Fraction(1, 8),
+        UniPoly([Fraction(2, 4), Fraction(6, 8), 0, 0]),
+        -UniPoly([Fraction(-1, 2), Fraction(-3, 4)]),
+        divmod(UniPoly([1, Fraction(5, 2), Fraction(3, 2)]), UniPoly([2, 2]))[0],
+    ]
+    for p in same:
+        _assert_layout(p)
+        assert p == same[0]
+        assert hash(p) == hash(same[0])
+    assert (UniPoly([3]), UniPoly([0])) == (3, 0)

@@ -35,7 +35,7 @@ from lexval.valuation import (
     V_W_COEFF_TOO_LOW,
     V_W_NOT_MONIC,
 )
-from lexval.ypoly import w_expand_z
+from lexval.ypoly import ZExpansion, w_expand_z
 
 A = ValuePair(-1, -1)
 B55 = ValuePair(0, 1)
@@ -208,6 +208,43 @@ def test_lead_term_matches_reduced_expansion():
                         cancelled += 1
     # The order formula is exercised where the reduction really cancels.
     assert cancelled > 0
+
+
+def _refuse_reduction(self, i, j):
+    raise AssertionError(f"cell ({i}, {j}) was reduced")
+
+
+def test_questions_reduce_no_cell(ex55, ex52, monkeypatch):
+    # A value and a cancellation scalar need each cell's order and leading
+    # residue only, which the unreduced expansion gives.
+    monkeypatch.setattr(ZExpansion, "cell", _refuse_reduction)
+    f = parse_poly("y^3/(x^2+1) + y - 5/(3*x)")
+    g = parse_poly("2*y^3/(x^2+x) + y/x")
+    assert value(ex55, f) == value(ex55, g) == ValuePair(-5, -5)
+    assert cancel_lambda(ex55, f, g) == Fraction(-1, 2)
+    for spec in (ex55, ex52):
+        assert check_axioms(spec, _corpus(5, 15), 30, seed=5).ok
+
+
+def test_lead_reduces_one_cell(ex55, monkeypatch, capsys):
+    from lexval.cli import main
+
+    calls = []
+    cell = ZExpansion.cell
+
+    def counted(self, i, j):
+        calls.append((i, j))
+        return cell(self, i, j)
+
+    monkeypatch.setattr(ZExpansion, "cell", counted)
+    t = lead_term(ex55, parse_poly("y^3/(x^2+1) + x*y"))
+    assert calls == []
+    assert t.coeff == t.coeff == RatFunc(UniPoly([1, 0, 0, 1]), UniPoly([0, 0, 1, 0, 1]))
+    assert calls == [(0, 1)]
+    calls.clear()
+    assert main(["lead", "y^3/(x^2+1) + x*y"]) == 0
+    assert capsys.readouterr().out == "i = 0\nj = 1\ncoeff = (x^3 + 1)/(x^4 + x^2)\nvalue = (-1,-1)\n"
+    assert len(calls) == 1
 
 
 def _corpus(seed, count, max_deg=5):

@@ -134,6 +134,19 @@ def test_increasing_value_sequence_values_each_element_once(ex55, monkeypatch):
         assert f.deg_y == 2 * (d + 1)
 
 
+def test_increasing_value_sequence_reduces_no_question_cell(ex55, monkeypatch):
+    # Its reductions take values and cancellation scalars from unreduced
+    # expansions.  Only the shared y-power table is reduced, by w_expand.
+    from lexval.ypoly import ZExpansion
+
+    def refuse(self, i, j):
+        raise AssertionError(f"cell ({i}, {j}) was reduced")
+
+    monkeypatch.setattr(ZExpansion, "cell", refuse)
+    seq = increasing_value_sequence(ex55, 5)
+    assert [v for _, v in seq] == [ValuePair(-1, d - 1) for d in range(6)]
+
+
 def test_denominator_clearer(ex55, ex52):
     assert denominator_clearer(ex55.w) == parse_poly("x").as_ratfunc().num
     assert denominator_clearer(ex52.w) == parse_poly("1").as_ratfunc().num
