@@ -7,7 +7,8 @@ decimal strings, never rounded.  Text mode prints the payload's scalar fields
 in order as `key = value` lines, booleans as `true`/`false`.  Handlers write
 text by hand only for bare answers, tables and violation lines.  Exit codes:
 0 success, 1 domain error (bad expression, invalid parameters, violated
-precondition), 2 usage error (including a negative count or degree bound).
+precondition, a degree-like flag above its bound), 2 usage error (including a
+negative count or degree bound).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import random
 import sys
 from typing import NamedTuple
 
-from .exprs import parse_poly
+from .exprs import MAX_DEGREE, parse_poly
 from .presets import SpecConfig, load_config, load_spec
 from .valgroup import ValuePair
 from .valuation import ValuationSpec, cancel_lambda, check_axioms, lead_term, spec_violations, value
@@ -64,6 +65,16 @@ def _count(text: str) -> int:
 _count.__name__ = "int"
 
 
+class DegreeBoundError(ValueError):
+    """A degree-like flag asks for more than MAX_DEGREE; refused before any algebra."""
+
+
+def _check_degree(flag: str, value: int, bound: int = MAX_DEGREE) -> None:
+    """Refuse a flag above its bound, the largest value whose degrees stay within MAX_DEGREE."""
+    if value > bound:
+        raise DegreeBoundError(f"{flag} = {value} exceeds its bound {bound} (degree limit {MAX_DEGREE})")
+
+
 def _add_corpus_flags(p: argparse.ArgumentParser, random_count: int) -> None:
     p.add_argument("--max-deg-x", type=_count, default=6)
     p.add_argument("--max-deg-y", type=_count, default=6)
@@ -71,6 +82,8 @@ def _add_corpus_flags(p: argparse.ArgumentParser, random_count: int) -> None:
 
 
 def _corpus(args) -> CorpusSpec:
+    _check_degree("--max-deg-x", args.max_deg_x)
+    _check_degree("--max-deg-y", args.max_deg_y)
     return CorpusSpec(args.max_deg_x, args.max_deg_y, args.random_count, args.seed)
 
 
@@ -97,6 +110,7 @@ def _cmd_lambda(spec: ValuationSpec, args) -> _Output:
 
 
 def _cmd_axioms(spec: ValuationSpec, args) -> _Output:
+    _check_degree("--max-deg", args.max_deg)
     rng = random.Random(args.seed)
     corpus = [random_xy_poly(rng, args.max_deg) for _ in range(args.count)]
     report = check_axioms(spec, corpus, args.pairs, seed=args.seed)
@@ -112,6 +126,8 @@ def _cmd_axioms(spec: ValuationSpec, args) -> _Output:
 
 
 def _cmd_witness(spec: ValuationSpec, args) -> _Output:
+    # The sequence builds y-degrees up to (dmax + 1) * m.
+    _check_degree("--dmax", args.dmax, MAX_DEGREE // spec.m - 1)
     seq = [
         {"d": str(d), "deg_y": str(f.deg_y), "value": str(v), "poly": str(f)}
         for d, (f, v) in enumerate(increasing_value_sequence(spec, args.dmax))
@@ -136,6 +152,7 @@ def _cmd_image(spec: ValuationSpec, args) -> _Output:
 
 
 def _cmd_census(spec: ValuationSpec, args) -> _Output:
+    _check_degree("--ell", args.ell)
     return _Output({"classes": str(quotient_census(spec, args.ell, family=args.family, seed=args.seed))})
 
 
@@ -149,6 +166,7 @@ def _cmd_spec_check(config: SpecConfig, args) -> _Output:
 
 
 def _cmd_ypower(spec: ValuationSpec, args) -> _Output:
+    _check_degree("--emax", args.emax)
     table = ypower_table(spec.w, args.emax)
     entries = [
         {"e": str(e), "t": str(t), "coeff": str(table.entry(e, t))}
@@ -173,6 +191,8 @@ def _cmd_structure(spec: ValuationSpec, args) -> _Output:
 
 
 def _cmd_target(spec: ValuationSpec, args) -> _Output:
+    # The witness has y-degree (i + j) * m.
+    _check_degree("--i + --j", args.i + args.j, MAX_DEGREE // spec.m)
     f = witness_for_value(spec, args.i, args.j)
     return _Output({"value": str(value(spec, f)), "poly": str(f)})
 

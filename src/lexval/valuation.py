@@ -21,7 +21,7 @@ from math import gcd
 
 from .ratfunc import RatFunc, v_inf
 from .valgroup import INF, ExtValue, ValuePair, commensurable, is_indivisible
-from .ypoly import YPoly, ZExpansion, w_expand_z
+from .ypoly import Divisor, WExpansion, YPoly
 
 # Named validation failures, reported together in InvalidSpecError.
 V_M_NOT_POSITIVE = "m_not_positive"
@@ -57,6 +57,11 @@ class ValuationSpec:
     w: YPoly
     alpha: ValuePair
     beta: ValuePair
+
+    @cached_property
+    def divisor(self) -> Divisor:
+        """w with its denominators cleared, built on first use."""
+        return Divisor(self.w)
 
 
 def spec_violations(m: int, n: int, w: YPoly, alpha: ValuePair, beta: ValuePair) -> list[str]:
@@ -129,7 +134,7 @@ class LeadTerm:
     i: int
     j: int
     value: ValuePair
-    exp: ZExpansion = field(repr=False, compare=False)
+    exp: WExpansion = field(repr=False, compare=False)
 
     @cached_property
     def coeff(self) -> RatFunc:
@@ -155,10 +160,10 @@ def lead_term(spec: ValuationSpec, f: YPoly) -> LeadTerm:
     """
     if f.is_zero():
         raise ValueError("zero polynomial has no lead term")
-    exp = w_expand_z(f, spec.w)
+    exp = spec.divisor.expand(f)
     best = None
     ties = 0
-    for i, row in enumerate(exp.rows):
+    for i, row in enumerate(exp.grid):
         for j, (n, _) in enumerate(row):
             if not n:
                 continue

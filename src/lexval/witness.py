@@ -201,29 +201,26 @@ def random_unipoly(rng: random.Random, max_deg: int) -> UniPoly:
 
 def random_xy_poly(rng: random.Random, max_total_deg: int) -> YPoly:
     """Random nonzero element of Q[x,y] of bounded total degree."""
-    terms: dict[int, dict[int, int]] = {}
-    for _ in range(rng.randint(1, 6)):
+
+    def exponents():
         a = rng.randint(0, max_total_deg)
-        b = rng.randint(0, max_total_deg - a)
-        terms.setdefault(b, {})[a] = _nonzero_scalar(rng)
-    return YPoly({b: RatFunc(_dense(xs)) for b, xs in terms.items()})
+        return a, rng.randint(0, max_total_deg - a)
 
-
-def _dense(sparse: dict[int, int]) -> UniPoly:
-    out = [0] * (max(sparse) + 1)
-    for e, c in sparse.items():
-        out[e] = c
-    return UniPoly(out)
+    return _random_terms(rng, exponents)
 
 
 def random_bounded_poly(rng: random.Random, max_deg_x: int, max_deg_y: int) -> YPoly:
     """Random nonzero element of Q[x,y] with separate degree bounds."""
+    return _random_terms(rng, lambda: (rng.randint(0, max_deg_x), rng.randint(0, max_deg_y)))
+
+
+def _random_terms(rng: random.Random, exponents) -> YPoly:
+    """Sum of 1 to 6 terms c*x^a*y^b, (a, b) drawn by exponents(), c a nonzero scalar."""
     terms: dict[int, dict[int, int]] = {}
     for _ in range(rng.randint(1, 6)):
-        a = rng.randint(0, max_deg_x)
-        b = rng.randint(0, max_deg_y)
+        a, b = exponents()
         terms.setdefault(b, {})[a] = _nonzero_scalar(rng)
-    return YPoly({b: RatFunc(_dense(xs)) for b, xs in terms.items()})
+    return YPoly({b: RatFunc(UniPoly([xs.get(e, 0) for e in range(max(xs) + 1)])) for b, xs in terms.items()})
 
 
 def random_rational_poly(rng: random.Random, max_deg_x: int, max_deg_y: int) -> YPoly:
@@ -235,6 +232,23 @@ def random_rational_poly(rng: random.Random, max_deg_x: int, max_deg_y: int) -> 
         den = random_unipoly(rng, 2)
         terms[b] = RatFunc(num, den)
     return YPoly(terms)
+
+
+def _seeded_corpus(
+    rng: random.Random, max_deg_x: int, max_deg_y: int, count: int, total_degree: bool = False
+) -> list[YPoly]:
+    """The monomials x^a*y^b with a <= max_deg_x and b <= max_deg_y, then count
+    random elements drawn from rng: with those degree bounds, or with
+    total_degree, of total degree at most the larger bound."""
+    items = [
+        YPoly.monomial(b, UniPoly.monomial(a)) for a in range(max_deg_x + 1) for b in range(max_deg_y + 1)
+    ]
+    for _ in range(count):
+        if total_degree:
+            items.append(random_xy_poly(rng, max(max_deg_x, max_deg_y)))
+        else:
+            items.append(random_bounded_poly(rng, max_deg_x, max_deg_y))
+    return items
 
 
 # ---------------------------------------------------------------------------
@@ -254,18 +268,6 @@ class ImageReport:
         return not self.violations
 
 
-def _image_corpus(spec: ValuationSpec, corpus_spec: CorpusSpec) -> list[YPoly]:
-    items = []
-    for a in range(corpus_spec.max_deg_x + 1):
-        for b in range(corpus_spec.max_deg_y + 1):
-            items.append(YPoly.monomial(b, UniPoly.monomial(a)))
-    rng = random.Random(corpus_spec.seed)
-    bound = max(corpus_spec.max_deg_x, corpus_spec.max_deg_y)
-    for _ in range(corpus_spec.random_count):
-        items.append(random_xy_poly(rng, bound))
-    return items
-
-
 def sample_image(spec: ValuationSpec, corpus_spec: CorpusSpec, mode: str) -> ImageReport:
     """Evaluate the valuation over a corpus and test image membership.
 
@@ -274,7 +276,9 @@ def sample_image(spec: ValuationSpec, corpus_spec: CorpusSpec, mode: str) -> Ima
     """
     attained = set()
     violations = []
-    for f in _image_corpus(spec, corpus_spec):
+    rng = random.Random(corpus_spec.seed)
+    dx, dy = corpus_spec.max_deg_x, corpus_spec.max_deg_y
+    for f in _seeded_corpus(rng, dx, dy, corpus_spec.random_count, total_degree=True):
         v = value(spec, f)
         attained.add(v)
         if not monoid_member(v, spec.alpha, spec.beta, mode):
@@ -304,12 +308,7 @@ def quotient_census(
         raise ValueError("ell must be nonnegative")
     items = [class_witness(spec, i // spec.m, i % spec.m) for i in range(ell + 1)]
     if family == "corpus":
-        for a in range(5):
-            for b in range(ell + 1):
-                items.append(YPoly.monomial(b, UniPoly.monomial(a)))
-        rng = random.Random(seed)
-        for _ in range(random_count):
-            items.append(random_bounded_poly(rng, 4, ell))
+        items += _seeded_corpus(random.Random(seed), 4, ell, random_count)
     elif family != "h_family":
         raise ValueError(f"unknown family {family!r}")
     classes = set()
@@ -354,13 +353,7 @@ def structure_checks(spec: ValuationSpec, corpus_spec: CorpusSpec) -> StructureR
     low_checked = 0
     rng = random.Random(corpus_spec.seed)
 
-    low_items = []
-    for a in range(corpus_spec.max_deg_x + 1):
-        for b in range(spec.m):
-            low_items.append(YPoly.monomial(b, UniPoly.monomial(a)))
-    for _ in range(corpus_spec.random_count):
-        low_items.append(random_bounded_poly(rng, corpus_spec.max_deg_x, spec.m - 1))
-    for f in low_items:
+    for f in _seeded_corpus(rng, corpus_spec.max_deg_x, spec.m - 1, corpus_spec.random_count):
         low_checked += 1
         v = value(spec, f)
         if not _in_nonneg_alpha(spec, v):

@@ -1,7 +1,8 @@
 """Polynomials in y over the rational function field Q(x).
 
 A `YPoly` is a sparse map y-exponent -> RatFunc.  The module implements
-division by a monic divisor w, the resulting grid expansion
+division by a monic divisor w, which a `Divisor` holds with its
+denominators cleared over Z[x], the resulting grid expansion
 f = sum_{i,j} f[i][j] * y^j * w^i with 0 <= j < deg_y(w), and the table of
 such expansions for the pure powers y^e.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .ratfunc import _ONE, NEG_INF, RatFunc, UniPoly, _poly, _zdiv_exact, _zmul, as_ratfunc, poly_gcd
@@ -226,41 +228,6 @@ def divmod_w(f: YPoly, w: YPoly) -> tuple[YPoly, YPoly]:
     return YPoly(q), r
 
 
-@dataclass(frozen=True)
-class WExpansion:
-    """Coefficient grid of f = sum rows[i][j] * y^j * w^i, 0 <= j < m.
-
-    The row count is minimal: the top row is nonzero unless the expanded
-    element is zero (a single all-zero row).
-    """
-
-    m: int
-    rows: tuple[tuple[RatFunc, ...], ...]
-
-    @property
-    def ell(self) -> int:
-        return len(self.rows) - 1
-
-    def cell(self, i: int, j: int) -> RatFunc:
-        return self.rows[i][j]
-
-    def nonzero_cells(self):
-        for i, row in enumerate(self.rows):
-            for j, c in enumerate(row):
-                if not c.is_zero():
-                    yield i, j, c
-
-    def reconstruct(self, w: YPoly) -> YPoly:
-        total = YPoly.zero()
-        wpow = YPoly.one()
-        for row in self.rows:
-            for j, c in enumerate(row):
-                if not c.is_zero():
-                    total = total + YPoly.monomial(j, c) * wpow
-            wpow = wpow * w
-        return total
-
-
 def denominator_clearer(w: YPoly) -> UniPoly:
     """Least common multiple of the coefficient denominators of w."""
     acc = _ONE
@@ -301,28 +268,89 @@ def _zadd(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _hpower(hpow: list[list[int]], k: int) -> list[int]:
-    """H^k from the list hpow = [H^0, H^1, ...], extended as needed."""
-    while len(hpow) <= k:
-        hpow.append(_zmul(hpow[-1], hpow[1]))
-    return hpow[k]
+class Divisor:
+    """A monic divisor w with its denominators cleared once over Z[x].
 
-
-@dataclass(frozen=True)
-class ZExpansion:
-    """The w-expansion of f before any cell is reduced.
-
-    rows[i][j] is a pair (N, k) standing for the cell N / (den * H^k): N,
-    den and H are integer coefficient lists (elements of Z[x], no trailing
-    zeros) and N = [] is the zero cell.  H clears the denominators of w;
-    hpow holds H^0, H^1, ... as far as they have been computed.
+    w = y^m + sum_j A_j y^j / H with H and A_j in Z[x]; `neg_a` lists the
+    pairs (j, -A_j) for the nonzero A_j.  The powers of H are computed on
+    first use and shared by every expansion over this divisor.
     """
 
-    m: int
-    rows: list[list[tuple[list[int], int]]]
+    def __init__(self, w: YPoly):
+        self.m = _require_monic_divisor(w)
+        self.h, nums = _clear_denominators(w)
+        self.neg_a = [(j, [-c for c in nums[j]]) for j in range(self.m) if j in nums]
+        # k -> H^k, only ever filled by setdefault: threads racing to fill an
+        # entry compute equal values and all read the first one stored.
+        self._hpow = {0: [1], 1: self.h}
+
+    def hpower(self, k: int) -> list[int]:
+        """H^k as an integer coefficient list."""
+        cache = self._hpow
+        while k not in cache:
+            e = len(cache) - 1  # the cached exponents are always 0 .. e
+            cache.setdefault(e + 1, _zmul(cache[e], self.h))
+        return cache[k]
+
+    def expand(self, f: YPoly) -> "WExpansion":
+        """Expand f in powers of w over Z[x], reducing no cell.
+
+        The division takes no gcd.  With f = sum_e P_e y^e / den, every
+        intermediate coefficient is a pair (N, k) standing for
+        N / (den * H^k), N in Z[x]; subtracting a multiple of w brings the
+        smaller of two exponents up by a power of H.
+        """
+        m, neg_a = self.m, self.neg_a
+        # With H = 1 every exponent stays 0 and nothing is ever lifted.
+        step = 0 if self.h == [1] else 1
+
+        def lift(p: list[int], k: int) -> list[int]:
+            return _zmul(p, self.hpower(k)) if k and p else p
+
+        den, fnums = _clear_denominators(f)
+        cur = [(fnums.get(e, []), 0) for e in range(f.deg_y + 1 if f.terms else 0)]
+        grid = []
+        while len(cur) > m:
+            # Position d >= m holds its quotient coefficient once reached: only
+            # positions below d change afterwards.
+            for d in range(len(cur) - 1, m - 1, -1):
+                q, k = cur[d]
+                if not q:
+                    continue
+                k += step
+                for j, a in neg_a:
+                    t = d - m + j
+                    r, kt = cur[t]
+                    top = max(k, kt) if r else k
+                    cur[t] = (_zadd(lift(r, top - kt), lift(_zmul(q, a), top - k)), top)
+            grid.append(cur[:m])
+            cur = cur[m:]
+        grid.append(cur + [([], 0)] * (m - len(cur)))
+        return WExpansion(grid=grid, den=den, divisor=self)
+
+
+@dataclass(frozen=True, eq=False)
+class WExpansion:
+    """The w-expansion f = sum cell(i, j) * y^j * w^i, 0 <= j < m.
+
+    grid[i][j] is a pair (N, k) standing for the cell N / (den * H^k), with N
+    and den in Z[x] as integer lists (no trailing zeros), H the divisor's and
+    N = [] the zero cell; a cell is reduced only when it is read.  The top row
+    is nonzero unless the expanded element is zero (a single all-zero row).
+    """
+
+    grid: list[list[tuple[list[int], int]]]
     den: list[int]
-    hpow: list[list[int]]
-    dens: dict[int, UniPoly] = field(default_factory=dict, repr=False, compare=False)
+    divisor: Divisor
+    dens: dict[int, UniPoly] = field(default_factory=dict, init=False, repr=False)
+
+    @property
+    def m(self) -> int:
+        return self.divisor.m
+
+    @property
+    def ell(self) -> int:
+        return len(self.grid) - 1
 
     def order(self, i: int, j: int) -> int:
         """v_inf of the nonzero cell (i, j): deg den + k*deg H - deg N.
@@ -330,79 +358,51 @@ class ZExpansion:
         Cancelling a common factor lowers the degrees of N and of
         den * H^k alike, so this is also v_inf of the reduced cell.
         """
-        n, k = self.rows[i][j]
-        return len(self.den) + k * (len(self.hpow[1]) - 1) - len(n)
+        n, k = self.grid[i][j]
+        return len(self.den) + k * (len(self.divisor.h) - 1) - len(n)
 
     def residue(self, i: int, j: int) -> Fraction:
         """residue_at_inf of the nonzero cell (i, j): lc(N) / lc(den * H^k).
 
         Like the order, it is the same for the reduced cell.
         """
-        n, k = self.rows[i][j]
-        return Fraction(n[-1], self.den[-1] * self.hpow[1][-1] ** k)
+        n, k = self.grid[i][j]
+        return Fraction(n[-1], self.den[-1] * self.divisor.h[-1] ** k)
 
     def cell(self, i: int, j: int) -> RatFunc:
         """Cell (i, j) as a canonical RatFunc: its one reduction."""
-        return self._reduced(*self.rows[i][j])
-
-    def _reduced(self, n: list[int], k: int) -> RatFunc:
-        """The cell N / (den * H^k) as a canonical RatFunc."""
+        n, k = self.grid[i][j]
         if not n:
             return RatFunc.zero()
         if k not in self.dens:
-            self.dens[k] = _poly(_zmul(self.den, _hpower(self.hpow, k)))
+            self.dens[k] = _poly(_zmul(self.den, self.divisor.hpower(k)))
         return RatFunc(_poly(list(n)), self.dens[k])
 
+    @cached_property
+    def rows(self) -> tuple[tuple[RatFunc, ...], ...]:
+        """The grid with every cell reduced."""
+        return tuple(tuple(self.cell(i, j) for j in range(self.m)) for i in range(len(self.grid)))
 
-def w_expand_z(f: YPoly, w: YPoly) -> ZExpansion:
-    """Expand f in powers of the monic divisor w over Z[x], reducing no cell.
+    def nonzero_cells(self):
+        for i, row in enumerate(self.rows):
+            for j, c in enumerate(row):
+                if not c.is_zero():
+                    yield i, j, c
 
-    The division takes no gcd.  With denominators cleared once,
-    w = y^m + sum_j A_j y^j / H and f = sum_e P_e y^e / den, where H, A_j,
-    P_e and den lie in Z[x].  Every intermediate coefficient is a pair
-    (N, k) standing for N / (den * H^k), N in Z[x]; subtracting a multiple
-    of w brings the smaller of two exponents up by a power of H.
-    """
-    m = _require_monic_divisor(w)
-    h, wnums = _clear_denominators(w)
-    neg_a = [(j, [-c for c in wnums[j]]) for j in range(m) if j in wnums]
-    # With H = 1 every exponent stays 0 and nothing is ever lifted.
-    step = 0 if h == [1] else 1
-    hpow = [[1], h]
-
-    def lift(p: list[int], k: int) -> list[int]:
-        return _zmul(p, _hpower(hpow, k)) if k and p else p
-
-    den, fnums = _clear_denominators(f)
-    cur = [(fnums.get(e, []), 0) for e in range(f.deg_y + 1 if f.terms else 0)]
-    rows = []
-    while len(cur) > m:
-        # Position d >= m holds its quotient coefficient once reached: only
-        # positions below d change afterwards.
-        for d in range(len(cur) - 1, m - 1, -1):
-            q, k = cur[d]
-            if not q:
-                continue
-            k += step
-            for j, a in neg_a:
-                t = d - m + j
-                r, kt = cur[t]
-                top = max(k, kt) if r else k
-                cur[t] = (_zadd(lift(r, top - kt), lift(_zmul(q, a), top - k)), top)
-        rows.append(cur[:m])
-        cur = cur[m:]
-    rows.append(cur + [([], 0)] * (m - len(cur)))
-    return ZExpansion(m=m, rows=rows, den=den, hpow=hpow)
+    def reconstruct(self, w: YPoly) -> YPoly:
+        total = YPoly.zero()
+        wpow = YPoly.one()
+        for row in self.rows:
+            for j, c in enumerate(row):
+                if not c.is_zero():
+                    total = total + YPoly.monomial(j, c) * wpow
+            wpow = wpow * w
+        return total
 
 
 def w_expand(f: YPoly, w: YPoly) -> WExpansion:
-    """Expand f in powers of the monic divisor w by iterated division.
-
-    The division is `w_expand_z`'s, over Z[x]; each nonzero cell is reduced
-    once, when it becomes a canonical RatFunc here.
-    """
-    z = w_expand_z(f, w)
-    return WExpansion(m=z.m, rows=tuple(tuple(z._reduced(n, k) for n, k in row) for row in z.rows))
+    """Expand f in powers of the monic divisor w by iterated division over Z[x]."""
+    return Divisor(w).expand(f)
 
 
 @dataclass(frozen=True)
@@ -430,15 +430,15 @@ class YPowerTable:
 
 def ypower_table(w: YPoly, e_max: int) -> YPowerTable:
     """Tabulate w-expansions of y^0 .. y^e_max."""
-    m = _require_monic_divisor(w)
+    divisor = Divisor(w)
     if e_max < 0:
         raise ValueError("e_max must be nonnegative")
     entries: dict[tuple[int, int], RatFunc] = {}
     for e in range(e_max + 1):
-        exp = w_expand(YPoly.monomial(e), w)
+        exp = divisor.expand(YPoly.monomial(e))
         for i, row in enumerate(exp.rows):
             for j, c in enumerate(row):
-                t = i * m + j
+                t = i * divisor.m + j
                 if t <= e:
                     entries[(e, t)] = c
-    return YPowerTable(w=w, m=m, e_max=e_max, entries=entries)
+    return YPowerTable(w=w, m=divisor.m, e_max=e_max, entries=entries)

@@ -13,6 +13,22 @@ def ex52():
     return load_spec("ex52")
 
 
+@pytest.fixture
+def cleared(monkeypatch):
+    """Every element whose denominators are cleared over Z[x] during the test, in order."""
+    import lexval.ypoly as ypoly_mod
+
+    calls = []
+    clear = ypoly_mod._clear_denominators
+
+    def counted(f):
+        calls.append(f)
+        return clear(f)
+
+    monkeypatch.setattr(ypoly_mod, "_clear_denominators", counted)
+    return calls
+
+
 def assert_canonical_ratfunc(h: RatFunc) -> None:
     """Canonical-form validator: reduced, monic denominator, zero is 0/1."""
     assert not h.den.is_zero()

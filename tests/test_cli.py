@@ -361,3 +361,67 @@ def test_config_errors(tmp_path):
         parse_config_text(PRESETS["ex55"].to_text() + "m = 2\n")
     with pytest.raises(ConfigError, match="integer pair"):
         parse_config_text(PRESETS["ex55"].to_text().replace("[0, 1]", "[a, b]"))
+
+
+class _Reached(Exception):
+    """Raised in place of the algebra a command would start."""
+
+
+# (command, flag, bound).  ex55 has m = 2 and witness builds y-degree
+# (dmax + 1) * m.
+DEGREE_FLAGS = [
+    ("ypower", "--emax", 200),
+    ("witness", "--dmax", 99),
+    ("census", "--ell", 200),
+    ("axioms", "--max-deg", 200),
+    ("image", "--max-deg-x", 200),
+    ("image", "--max-deg-y", 200),
+    ("structure", "--max-deg-x", 200),
+    ("structure", "--max-deg-y", 200),
+]
+
+
+def _refuse_algebra(monkeypatch):
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    for name in ("ypower_table", "increasing_value_sequence", "quotient_census", "witness_for_value",
+                 "random_xy_poly", "sample_image", "structure_checks"):
+        monkeypatch.setattr(cli, name, reached)
+
+
+def _check_bound(capsys, at, above, refusal):
+    # At the bound the command starts its algebra; above it, it does not.
+    with pytest.raises(_Reached):
+        main(at)
+    capsys.readouterr()
+    assert run_cli(capsys, *above) == (1, "", f"error: {refusal} (degree limit 200)\n")
+
+
+@pytest.mark.parametrize("command,flag,bound", DEGREE_FLAGS, ids=[f"{c} {f}" for c, f, _ in DEGREE_FLAGS])
+def test_degree_flags_above_bound_refused_before_algebra(capsys, monkeypatch, command, flag, bound):
+    _refuse_algebra(monkeypatch)
+    at, above = [command, flag, str(bound)], [command, flag, str(bound + 1)]
+    _check_bound(capsys, at, above, f"{flag} = {bound + 1} exceeds its bound {bound}")
+
+
+def test_target_degree_bound(capsys, monkeypatch):
+    # The witness has y-degree (i + j) * m.
+    _refuse_algebra(monkeypatch)
+    for at, above in (((1, 99), (1, 100)), ((100, 0), (101, 0))):
+        at, above = (["target", "--i", str(i), "--j", str(j)] for i, j in (at, above))
+        _check_bound(capsys, at, above, "--i + --j = 101 exceeds its bound 100")
+
+
+def test_degree_bounds_follow_m(tmp_path, capsys, monkeypatch):
+    # With m = 3 the witness builds y-degree (dmax + 1) * 3, the target (i + j) * 3.
+    cfg = tmp_path / "m3.toml"
+    cfg.write_text(
+        'name = "m3"\nm = 3\nn = 2\nw = "y^3 + x*y/(2*x^2 + 2) + 3*x^2/2"\nalpha = [-1, -1]\nbeta = [0, 1]\n'
+    )
+    _refuse_algebra(monkeypatch)
+    spec = ["--spec", str(cfg)]
+    _check_bound(capsys, ["witness", "--dmax", "65", *spec], ["witness", "--dmax", "66", *spec],
+                 "--dmax = 66 exceeds its bound 65")
+    _check_bound(capsys, ["target", "--i", "1", "--j", "65", *spec],
+                 ["target", "--i", "2", "--j", "65", *spec], "--i + --j = 67 exceeds its bound 66")

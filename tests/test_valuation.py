@@ -16,6 +16,7 @@ from lexval import (
     cancel_lambda,
     check_axioms,
     lead_term,
+    load_spec,
     make_spec,
     parse_poly,
     random_xy_poly,
@@ -35,7 +36,7 @@ from lexval.valuation import (
     V_W_COEFF_TOO_LOW,
     V_W_NOT_MONIC,
 )
-from lexval.ypoly import ZExpansion, w_expand_z
+from lexval.ypoly import WExpansion
 
 A = ValuePair(-1, -1)
 B55 = ValuePair(0, 1)
@@ -201,8 +202,8 @@ def test_lead_term_matches_reduced_expansion():
             g_ref = _reference_lead(spec, g)
             assert g_ref[3] == ref[3]
             assert cancel_lambda(spec, f, g) == -residue_at_inf(ref[2]) / residue_at_inf(g_ref[2])
-            z = w_expand_z(f, spec.w)
-            for i, row in enumerate(z.rows):
+            z = spec.divisor.expand(f)
+            for i, row in enumerate(z.grid):
                 for j, (n, _) in enumerate(row):
                     if n and len(n) - 1 != z.cell(i, j).num.degree:
                         cancelled += 1
@@ -217,7 +218,7 @@ def _refuse_reduction(self, i, j):
 def test_questions_reduce_no_cell(ex55, ex52, monkeypatch):
     # A value and a cancellation scalar need each cell's order and leading
     # residue only, which the unreduced expansion gives.
-    monkeypatch.setattr(ZExpansion, "cell", _refuse_reduction)
+    monkeypatch.setattr(WExpansion, "cell", _refuse_reduction)
     f = parse_poly("y^3/(x^2+1) + y - 5/(3*x)")
     g = parse_poly("2*y^3/(x^2+x) + y/x")
     assert value(ex55, f) == value(ex55, g) == ValuePair(-5, -5)
@@ -230,13 +231,13 @@ def test_lead_reduces_one_cell(ex55, monkeypatch, capsys):
     from lexval.cli import main
 
     calls = []
-    cell = ZExpansion.cell
+    cell = WExpansion.cell
 
     def counted(self, i, j):
         calls.append((i, j))
         return cell(self, i, j)
 
-    monkeypatch.setattr(ZExpansion, "cell", counted)
+    monkeypatch.setattr(WExpansion, "cell", counted)
     t = lead_term(ex55, parse_poly("y^3/(x^2+1) + x*y"))
     assert calls == []
     assert t.coeff == t.coeff == RatFunc(UniPoly([1, 0, 0, 1]), UniPoly([0, 0, 1, 0, 1]))
@@ -245,6 +246,14 @@ def test_lead_reduces_one_cell(ex55, monkeypatch, capsys):
     assert main(["lead", "y^3/(x^2+1) + x*y"]) == 0
     assert capsys.readouterr().out == "i = 0\nj = 1\ncoeff = (x^3 + 1)/(x^4 + x^2)\nvalue = (-1,-1)\n"
     assert len(calls) == 1
+
+
+def test_values_clear_w_once(cleared):
+    # The spec's divisor is built on the first question and kept.
+    spec = load_spec("ex55")
+    for e in range(20):
+        value(spec, parse_poly(f"y^{e + 1}/(x+2) + x"))
+    assert [f is spec.w for f in cleared] == [True] + [False] * 20
 
 
 def _corpus(seed, count, max_deg=5):

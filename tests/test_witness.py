@@ -107,7 +107,6 @@ def test_increasing_value_sequence_exact(ex55):
 def test_increasing_value_sequence_values_each_element_once(ex55, monkeypatch):
     # The value of a reduced element is the last lead term of its reduction;
     # it is not expanded again.  The sequence itself is unchanged.
-    import lexval.valuation as valuation_mod
     import lexval.witness as witness_mod
 
     calls = {"expand": 0, "value": 0}
@@ -119,7 +118,9 @@ def test_increasing_value_sequence_values_each_element_once(ex55, monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(valuation_mod, "w_expand_z", counted("expand", valuation_mod.w_expand_z))
+    # Question expansions are those over the spec's divisor; the shared y-power
+    # table expands over a divisor of its own.
+    monkeypatch.setattr(ex55.divisor, "expand", counted("expand", ex55.divisor.expand))
     monkeypatch.setattr(witness_mod, "value", counted("value", witness_mod.value))
     seq = increasing_value_sequence(ex55, 7)
     monkeypatch.undo()
@@ -136,15 +137,23 @@ def test_increasing_value_sequence_values_each_element_once(ex55, monkeypatch):
 
 def test_increasing_value_sequence_reduces_no_question_cell(ex55, monkeypatch):
     # Its reductions take values and cancellation scalars from unreduced
-    # expansions.  Only the shared y-power table is reduced, by w_expand.
-    from lexval.ypoly import ZExpansion
+    # expansions.  Only the shared y-power table, which expands over a
+    # divisor of its own, is reduced.
+    from lexval.ypoly import WExpansion
 
-    def refuse(self, i, j):
-        raise AssertionError(f"cell ({i}, {j}) was reduced")
+    cell = WExpansion.cell
+    table_cells = []
 
-    monkeypatch.setattr(ZExpansion, "cell", refuse)
+    def refuse_question_cells(self, i, j):
+        if self.divisor is ex55.divisor:
+            raise AssertionError(f"cell ({i}, {j}) of a question was reduced")
+        table_cells.append((i, j))
+        return cell(self, i, j)
+
+    monkeypatch.setattr(WExpansion, "cell", refuse_question_cells)
     seq = increasing_value_sequence(ex55, 5)
     assert [v for _, v in seq] == [ValuePair(-1, d - 1) for d in range(6)]
+    assert table_cells
 
 
 def test_denominator_clearer(ex55, ex52):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from lexval import RatFunc, UniPoly, YPoly, divmod_w, parse_poly, w_expand, ypower_table
+from lexval.ypoly import Divisor
 
 from conftest import assert_canonical_ypoly
 
@@ -259,3 +260,51 @@ def test_ypower_table_recursion_identity():
                 if not wk.is_zero() and e - m + k <= table.e_max:
                     expected = expected - wk * table.entry(e - m + k, t)
             assert table.entry(e, t) == expected
+
+
+def test_divisor_hpower_out_of_order():
+    # The cleared divisor of y^2 + y/(2x+2) + x^3/3 is H = 6x + 6.
+    d = Divisor(parse_poly("y^2 + y/(2*x+2) + x^3/3"))
+    assert d.h == [6, 6]
+    h = UniPoly([6, 6])
+    for k in (5, 2, 9, 0, 7, 1, 9):
+        assert UniPoly(d.hpower(k)) == h**k
+
+
+def test_divisor_hpower_shared_across_threads():
+    # Eight threads fill fresh divisors' caches at once, switching often; a
+    # cache that lost or misplaced an entry would hand out a wrong power.
+    import sys
+    import threading
+
+    w = parse_poly("y^2 + y/(2*x+2) + x^3/3")
+    want = [UniPoly([6, 6]) ** k for k in range(60)]
+    bad = []
+
+    def work(d, barrier):
+        barrier.wait()
+        for k in range(60):
+            if UniPoly(d.hpower(k)) != want[k]:
+                bad.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(100):
+            d, barrier = Divisor(w), threading.Barrier(8)
+            threads = [threading.Thread(target=work, args=(d, barrier)) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert [UniPoly(d.hpower(k)) for k in range(60)] == want
+    finally:
+        sys.setswitchinterval(interval)
+    assert bad == []
+
+
+@pytest.mark.parametrize("w", [W55, W_X1, W_FRAC], ids=["ex55", "x_plus_1", "fractions"])
+def test_ypower_table_clears_w_once(w, cleared):
+    ypower_table(w, 8)
+    assert [f is w for f in cleared] == [True] + [False] * 9
