@@ -161,6 +161,18 @@ def class_witness(spec: ValuationSpec, q: int, r: int) -> YPoly:
     return YPoly.monomial(r) * cleared**q
 
 
+def _class_witnesses(spec: ValuationSpec, ell: int) -> list[YPoly]:
+    """class_witness(spec, i // m, i % m) for i = 0..ell, from one running power of h*w."""
+    cleared = spec.w.scale(denominator_clearer(spec.w))
+    items, power = [], YPoly.one()
+    for i in range(ell + 1):
+        q, r = divmod(i, spec.m)
+        if q and not r:
+            power = power * cleared
+        items.append(YPoly.monomial(r) * power)
+    return items
+
+
 def witness_for_value(spec: ValuationSpec, i: int, j: int) -> YPoly:
     """Polynomial attaining value(f_j) + (i-1) * value(f_0).
 
@@ -306,7 +318,7 @@ def quotient_census(
     """
     if ell < 0:
         raise ValueError("ell must be nonnegative")
-    items = [class_witness(spec, i // spec.m, i % spec.m) for i in range(ell + 1)]
+    items = _class_witnesses(spec, ell)
     if family == "corpus":
         items += _seeded_corpus(random.Random(seed), 4, ell, random_count)
     elif family != "h_family":

@@ -241,6 +241,13 @@ def test_domain_error_exit_codes(capsys):
     code, _, err = run_cli(capsys, "value", "x + " + "7" * 5000)
     assert code == 1
     assert err == "error: number too large at offset 4\n"
+    # Only ASCII digits make an integer.
+    code, _, err = run_cli(capsys, "value", "--spec", "ex55", "x²")
+    assert code == 1
+    assert err == "error: unexpected '²' at offset 1\n"
+    code, _, err = run_cli(capsys, "value", "٣*y")
+    assert code == 1
+    assert err == "error: unexpected '٣' at offset 0\n"
 
 
 # Inputs whose lead-cell reduction or parser sum took 7-23 s before gcds were

@@ -1,6 +1,7 @@
 """Expression grammar, error offsets, and printer round-trips."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -104,6 +105,106 @@ def test_syntax_error_offsets():
     assert parse_poly(f"2^{MAX_BITS // 2}*y") == YPoly.monomial(1, 2 ** (MAX_BITS // 2))
     assert parse_poly(f"(1/3)^{MAX_BITS // 2}") == YPoly.const(Fraction(1, 3 ** (MAX_BITS // 2)))
     assert parse_poly("0" * 5000 + "1") == YPoly.one()
+    # An integer is a run of ASCII digits; other Unicode digits are not
+    # numbers, so they are refused where they stand.
+    for src, message, offset in (
+        ("x²", "unexpected '²'", 1),
+        ("٣*y", "unexpected '٣'", 0),
+        ("12²", "unexpected '²'", 2),
+        ("2 ٣", "unexpected '٣'", 2),
+        ("y^²", "expected an integer", 2),
+    ):
+        with pytest.raises(ExprError) as err:
+            parse_poly(src)
+        assert (str(err.value), err.value.offset) == (f"{message} at offset {offset}", offset)
+
+
+# (input, message, offset) of every kind of ExprError, recorded before each
+# subexpression was evaluated in its smallest ring.
+ERROR_GOLDENS = [
+    ("", "unexpected end of input", 0),
+    ("   ", "unexpected end of input", 3),
+    ("x +", "unexpected end of input", 3),
+    ("x*", "unexpected end of input", 2),
+    ("-", "unexpected end of input", 1),
+    ("(", "unexpected end of input", 1),
+    ("x^", "expected an integer", 2),
+    ("x^ ", "expected an integer", 3),
+    ("x ^\t", "expected an integer", 4),
+    ("x^y", "expected an integer", 2),
+    ("x^(2)", "expected an integer", 2),
+    ("x^ -2", "negative exponent", 3),
+    ("x^-2", "negative exponent", 2),
+    ("(x", "expected ')'", 2),
+    ("x*(y", "expected ')'", 4),
+    ("(x y", "expected ')'", 4),
+    ("((x)", "expected ')'", 4),
+    ("x ) y", "unexpected ')'", 2),
+    ("x $", "unexpected '$'", 2),
+    ("2x^3y!", "unexpected '!'", 5),
+    ("z", "unexpected 'z'", 0),
+    ("x + + y", "unexpected '+'", 4),
+    ("x^2^3", "unexpected '^'", 3),
+    ("x y)", "unexpected ')'", 3),
+    ("1/y", "denominator contains y", 2),
+    ("x/(y + 1)", "denominator contains y", 2),
+    ("1/ (x*y)", "denominator contains y", 2),
+    ("1/(x - x)", "division by zero", 2),
+    ("1/0", "division by zero", 2),
+    ("y/(y - y)", "division by zero", 2),
+    ("(1/x)/(x - x)", "division by zero", 6),
+    ("y^2/ 0", "division by zero", 4),
+    ("y^3000", "degree too large", 2),
+    ("x ^ 201", "degree too large", 4),
+    ("y^150 y^60", "degree too large", 6),
+    ("y^150*(x^60 + y^60)", "degree too large", 6),
+    ("1/x^150/(x+2)^60", "degree too large", 8),
+    ("1/x^200 - 1/(x-1)", "degree too large", 9),
+    ("x^100 * x^101", "degree too large", 7),
+    ("(x+1)^100 (x-1)^101", "degree too large", 10),
+    ("x^201/x", "degree too large", 2),
+    ("y^200 + y y^200", "degree too large", 10),
+    ("2^99999999999", "number too large", 2),
+    ("2 (8/5)^2501", "number too large", 8),
+    ("(2^100 x + 1)^101", "number too large", 14),
+    ("x^2 + (1/3)^5001", "number too large", 12),
+    ("\u3000", "unexpected end of input", 1),
+    ("x\xa0)", "unexpected ')'", 2),
+    ("\u2003x\u2003+\u2003", "unexpected end of input", 5),
+    ("(1/x^150)/x^60", "degree too large", 10),
+    ("(x^ 2 + 1)^-1", "negative exponent", 11),
+    ("1/(y^2 - y^2 + x - x)", "division by zero", 2),
+    ("x×y", "unexpected '×'", 1),
+    ("x\n^\n", "expected an integer", 4),
+    ("0^99999999999999999999 y^201", "degree too large", 25),
+    ("7" * 5000, "number too large", 0),
+    ("x + " + "7" * 5000, "number too large", 4),
+    ("y^" + "7" * 5000, "number too large", 2),
+    (f"{2**MAX_BITS} + x", "number too large", 0),
+    ("(" * 3000 + "x" + ")" * 3000, "expression nested too deeply", 100),
+    ("-" * 3000 + "x", "expression nested too deeply", 100),
+    ("(-" * 1500 + "x" + ")" * 1500, "expression nested too deeply", 100),
+    (" " * 7 + "(" * 101 + "x", "expression nested too deeply", 107),
+]
+
+
+@pytest.mark.parametrize("src,message,offset", ERROR_GOLDENS)
+def test_error_goldens(src, message, offset):
+    with pytest.raises(ExprError) as err:
+        parse_poly(src)
+    assert (str(err.value), err.value.offset) == (f"{message} at offset {offset}", offset)
+
+
+def test_every_unicode_space_separates_tokens():
+    spaces = [chr(i) for i in range(sys.maxunicode + 1) if chr(i).isspace()]
+    assert len(spaces) > 20
+    expected = parse_poly("2*x + y^3")
+    for ws in spaces:
+        assert parse_poly(ws.join(["", "2", "x", "+", "y", "^", "3", ""])) == expected
+    # U+200B ZERO WIDTH SPACE is not a space to str.isspace.
+    with pytest.raises(ExprError) as err:
+        parse_poly("x\u200b+ y")
+    assert str(err.value) == "unexpected '\\u200b' at offset 1"
 
 
 def test_semantic_errors():

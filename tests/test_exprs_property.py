@@ -1,0 +1,116 @@
+"""The parser against a reference that evaluates the same tree in YPoly arithmetic."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from lexval import ExprError, RatFunc, UniPoly, YPoly, parse_poly  # noqa: E402
+
+SPACES = st.sampled_from(["", " ", "  ", "\t"])
+
+
+def _trees(with_y: bool):
+    """Expression trees; every divisor is drawn y-free."""
+    atoms = ["x", "y"] if with_y else ["x"]
+    leaves = st.one_of(st.sampled_from(atoms), st.integers(0, 12).map(str)).map(lambda s: ("atom", s))
+    return st.recursive(
+        leaves,
+        lambda kids: st.one_of(
+            st.tuples(st.sampled_from(["+", "-", "*", ""]), kids, kids, SPACES),
+            st.tuples(st.just("/"), kids, YFREE, SPACES),
+            st.tuples(st.just("^"), kids, st.integers(0, 3), SPACES),
+            st.tuples(st.just("neg"), kids),
+        ),
+        max_leaves=8,
+    )
+
+
+YFREE = st.deferred(lambda: _trees(False))
+TREES = _trees(True)
+
+
+def _wrap(tree) -> str:
+    text = _render(tree)
+    return text if tree[0] == "atom" else f"({text})"
+
+
+def _render(tree) -> str:
+    kind = tree[0]
+    if kind == "atom":
+        return tree[1]
+    if kind == "neg":
+        return "-" + _wrap(tree[1])
+    if kind == "^":
+        _, base, k, sp = tree
+        return f"{_wrap(base)}{sp}^{sp}{k}"
+    op, a, b, sp = tree
+    left, right = _wrap(a), _wrap(b)
+    if op == "" and not sp and left[-1].isdigit() and right[0].isdigit():
+        sp = " "  # "2" "3" juxtaposed must not read as 23
+    return f"{left}{sp}{op}{sp}{right}"
+
+
+def _degree_bound(tree) -> int:
+    """An upper bound on every x- and y-degree met while evaluating the tree."""
+    kind = tree[0]
+    if kind == "atom":
+        return 1 if tree[1] in ("x", "y") else 0
+    if kind == "neg":
+        return _degree_bound(tree[1])
+    if kind == "^":
+        return _degree_bound(tree[1]) * tree[2]
+    op, a, b, _ = tree
+    if op in ("+", "-"):
+        return max(_degree_bound(a), _degree_bound(b))
+    return _degree_bound(a) + _degree_bound(b)
+
+
+def _reference(tree) -> YPoly:
+    """The tree's value, every subexpression a YPoly; ZeroDivisionError on a zero divisor."""
+    kind = tree[0]
+    if kind == "atom":
+        s = tree[1]
+        if s == "x":
+            return YPoly.const(UniPoly.x())
+        if s == "y":
+            return YPoly.y()
+        return YPoly.const(int(s))
+    if kind == "neg":
+        return -_reference(tree[1])
+    if kind == "^":
+        return _reference(tree[1]) ** tree[2]
+    op, a, b, _ = tree
+    left, right = _reference(a), _reference(b)
+    if op == "+":
+        return left + right
+    if op == "-":
+        return left - right
+    if op in ("*", ""):
+        return left * right
+    scalar = right.as_ratfunc()
+    if scalar.is_zero():
+        raise ZeroDivisionError
+    return left.scale(RatFunc.one() / scalar)
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=400,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(TREES)
+def test_parse_matches_ypoly_reference(tree):
+    # Far below MAX_DEGREE, so that no bound is met and the reference stays cheap.
+    assume(_degree_bound(tree) <= 40)
+    src = _render(tree)
+    try:
+        expected = _reference(tree)
+    except ZeroDivisionError:
+        with pytest.raises(ExprError, match="division by zero"):
+            parse_poly(src)
+        return
+    assert parse_poly(src) == expected, src

@@ -18,7 +18,7 @@ from lexval import (
     value,
     witness_for_value,
 )
-from lexval.witness import denominator_clearer
+from lexval.witness import _class_witnesses, denominator_clearer
 
 A = ValuePair(-1, -1)
 
@@ -215,6 +215,25 @@ def test_quotient_census_corpus(ex55, ex52):
     for spec in (ex55, ex52):
         for ell in range(5):
             assert quotient_census(spec, ell, family="corpus", seed=2) <= ell + 1
+
+
+def test_census_items_match_class_witness(ex55, ex52):
+    # The census builds its items from one running power of h*w.
+    for spec in (ex55, ex52):
+        ell = 13
+        assert _class_witnesses(spec, ell) == [class_witness(spec, i // spec.m, i % spec.m) for i in range(ell + 1)]
+    assert _class_witnesses(ex55, 0) == [parse_poly("1")]
+
+
+# Counts recorded when every census item was built by class_witness.
+CENSUS_COUNTS = {ell: ell + 1 for ell in (0, 1, 2, 3, 5, 8, 13, 21)}
+
+
+@pytest.mark.parametrize("family", ["h_family", "corpus"])
+def test_quotient_census_counts_unchanged(ex55, ex52, family):
+    for spec in (ex55, ex52):
+        counts = {ell: quotient_census(spec, ell, family=family, seed=3) for ell in CENSUS_COUNTS}
+        assert counts == CENSUS_COUNTS
 
 
 def test_quotient_census_rejects(ex55):
