@@ -11,6 +11,9 @@ Euclid's algorithm as the fallback.  On top of the field arithmetic this
 module provides the degree valuation at infinity `v_inf`, its leading
 residue, and the `corrector` that shifts a rational function into the
 strictly proper range by a unique polynomial.
+
+Zero's degree (of a `UniPoly`, or in y of a `YPoly`) is `NEG_INF` =
+`-math.inf`, its `v_inf` is `math.inf`, and its lex `value` is `valgroup.INF`.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, inf, lcm
 
-NEG_INF = float("-inf")  # degree of the zero polynomial
+NEG_INF = -inf  # degree of the zero polynomial
 
 # Evaluation points GCDHEU tries before it falls back to Euclid.
 _HEU_POINTS = 6

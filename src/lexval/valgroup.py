@@ -112,8 +112,6 @@ INF = Infinity()
 #: A value is either a finite pair or the infinity marker.
 ExtValue = ValuePair | Infinity
 
-ZERO_PAIR = ValuePair(0, 0)
-
 
 def is_indivisible(u: ValuePair) -> bool:
     """True iff u is not an integer multiple n*g with n >= 2.

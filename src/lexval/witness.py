@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratfunc import RatFunc, UniPoly, corrector
+from .ratfunc import RatFunc, UniPoly, uni_divmod
 from .valgroup import INF, ValuePair, decompose, monoid_member, quotient_class
 from .valuation import LeadTerm, ValuationSpec, lead_term, value
 from .ypoly import YPoly, YPowerTable, denominator_clearer, ypower_table
@@ -64,17 +64,21 @@ def build_bounded_monic(spec: ValuationSpec, d: int) -> YPoly:
 
 
 def _bounded_monic(table: YPowerTable, dm: int) -> YPoly:
-    """The corrector recursion of build_bounded_monic at y-degree dm <= table.e_max."""
+    """The corrector recursion of build_bounded_monic at y-degree dm <= table.e_max.
+
+    A fraction's polynomial part is Q-linear and unchanged by reduction, so
+    coefficient t sums quotients off the unreduced y-power cells.
+    """
     coeffs: dict[int, UniPoly] = {dm: UniPoly.one()}
     for t in range(dm - 1, -1, -1):
-        acc = RatFunc.zero()
+        cell = divmod(t, table.m)
+        acc = UniPoly.zero()
         for s in range(t + 1, dm + 1):
-            cs = coeffs[s]
-            if cs.is_zero():
-                continue
-            acc = acc + RatFunc(cs) * table.entry(s, t)
-        coeffs[t] = corrector(acc)
-    return YPoly({t: RatFunc(p) for t, p in coeffs.items() if not p.is_zero()})
+            num, den = table.powers[s].fraction(*cell)
+            if num and coeffs[s]:
+                acc = acc - uni_divmod(coeffs[s] * num, den)[0]
+        coeffs[t] = acc
+    return YPoly({t: RatFunc(p) for t, p in coeffs.items() if p})
 
 
 def reduce_past_chain(
@@ -157,8 +161,7 @@ def class_witness(spec: ValuationSpec, q: int, r: int) -> YPoly:
     """
     if q < 0 or not 0 <= r < spec.m:
         raise ValueError("need q >= 0 and 0 <= r < m")
-    cleared = spec.w.scale(denominator_clearer(spec.w))
-    return YPoly.monomial(r) * cleared**q
+    return _class_witnesses(spec, q * spec.m + r)[-1]
 
 
 def _class_witnesses(spec: ValuationSpec, ell: int) -> list[YPoly]:

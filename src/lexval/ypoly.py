@@ -208,7 +208,7 @@ def _as_ypoly(value):
 
 def _require_monic_divisor(w: YPoly) -> int:
     m = w.deg_y
-    if m == NEG_INF or m < 1:
+    if m < 1:
         raise ValueError("divisor must have y-degree at least 1")
     if not w.is_monic_in_y():
         raise ValueError("divisor must be monic in y")
@@ -369,14 +369,16 @@ class WExpansion:
         n, k = self.grid[i][j]
         return Fraction(n[-1], self.den[-1] * self.divisor.h[-1] ** k)
 
-    def cell(self, i: int, j: int) -> RatFunc:
-        """Cell (i, j) as a canonical RatFunc: its one reduction."""
+    def fraction(self, i: int, j: int) -> tuple[UniPoly, UniPoly]:
+        """Cell (i, j) unreduced: the numerator N and the denominator den * H^k."""
         n, k = self.grid[i][j]
-        if not n:
-            return RatFunc.zero()
         if k not in self.dens:
             self.dens[k] = _poly(_zmul(self.den, self.divisor.hpower(k)))
-        return RatFunc(_poly(list(n)), self.dens[k])
+        return _poly(list(n)), self.dens[k]
+
+    def cell(self, i: int, j: int) -> RatFunc:
+        """Cell (i, j) as a canonical RatFunc: its one reduction."""
+        return RatFunc(*self.fraction(i, j))
 
     @cached_property
     def rows(self) -> tuple[tuple[RatFunc, ...], ...]:
@@ -405,18 +407,18 @@ def w_expand(f: YPoly, w: YPoly) -> WExpansion:
     return Divisor(w).expand(f)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class YPowerTable:
-    """Expansion coefficients of the pure powers y^e, e <= e_max.
+    """The w-expansions of the pure powers y^0 .. y^e_max, unreduced.
 
-    entry(e, t) is the coefficient of cell (t div m, t mod m) in the
-    expansion of y^e; it is 1 on the diagonal t = e and 0 for t > e.
+    powers[e] expands y^e.  entry(e, t) is its cell (t div m, t mod m),
+    reduced when it is read; it is 1 on the diagonal t = e and 0 for t > e.
     """
 
     w: YPoly
     m: int
     e_max: int
-    entries: dict[tuple[int, int], RatFunc]
+    powers: tuple[WExpansion, ...]
 
     def entry(self, e: int, t: int) -> RatFunc:
         if not 0 <= e <= self.e_max:
@@ -425,20 +427,13 @@ class YPowerTable:
             raise ValueError("negative cell index")
         if t > e:
             return RatFunc.zero()
-        return self.entries[(e, t)]
+        return self.powers[e].cell(*divmod(t, self.m))
 
 
 def ypower_table(w: YPoly, e_max: int) -> YPowerTable:
-    """Tabulate w-expansions of y^0 .. y^e_max."""
+    """Expand y^0 .. y^e_max in powers of w, reducing no cell."""
     divisor = Divisor(w)
     if e_max < 0:
         raise ValueError("e_max must be nonnegative")
-    entries: dict[tuple[int, int], RatFunc] = {}
-    for e in range(e_max + 1):
-        exp = divisor.expand(YPoly.monomial(e))
-        for i, row in enumerate(exp.rows):
-            for j, c in enumerate(row):
-                t = i * divisor.m + j
-                if t <= e:
-                    entries[(e, t)] = c
-    return YPowerTable(w=w, m=divisor.m, e_max=e_max, entries=entries)
+    powers = tuple(divisor.expand(YPoly.monomial(e)) for e in range(e_max + 1))
+    return YPowerTable(w=w, m=divisor.m, e_max=e_max, powers=powers)

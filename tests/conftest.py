@@ -1,6 +1,6 @@
 import pytest
 
-from lexval import RatFunc, UniPoly, YPoly, load_spec, poly_gcd
+from lexval import RatFunc, UniPoly, YPoly, divmod_w, load_spec, poly_gcd
 
 
 @pytest.fixture(scope="session")
@@ -45,3 +45,13 @@ def assert_canonical_ypoly(f: YPoly) -> None:
     for _, c in f.items():
         assert not c.is_zero()
         assert_canonical_ratfunc(c)
+
+
+def expand_by_division(f: YPoly, w: YPoly) -> tuple[tuple[RatFunc, ...], ...]:
+    """Reference w-expansion of f: repeated division by w over Q(x)."""
+    rows = []
+    while True:
+        f, rem = divmod_w(f, w)
+        rows.append(tuple(rem.coeff(j) for j in range(w.deg_y)))
+        if f.is_zero():
+            return tuple(rows)

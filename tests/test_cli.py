@@ -96,6 +96,16 @@ def test_census_golden(capsys):
         assert out == f"classes = {ell + 1}\n"
 
 
+# sha256 of the stdout of `ypower --emax 6`, text and --json, recorded when
+# every table cell was reduced as the table was built.
+YPOWER_EMAX6 = {
+    "ex55": ("ab66880f11daab96d3f226721dd878abf4cbf420dddb242705ff8610fe052787",
+             "3ec94231c990f0a4a797e6ae5a6a28fc0f23b44f12518689733aadb31227ab40"),
+    "ex52": ("9b93e6257ecec6bfa76a96b86125c3e27c797f162a6ba6f72c4d10abd20ab1d7",
+             "94677530bef69b6bf3fdb0aaf4fa778e6fa8e5a26114ac3eb58eec632b1843ef"),
+}
+
+
 def test_ypower_golden(capsys):
     code, out, _ = run_cli(capsys, "ypower", "--emax", "2")
     assert code == 0
@@ -104,6 +114,10 @@ def test_ypower_golden(capsys):
         "y[2][1] = -1/x",
         "y[2][2] = 1",
     ]
+    for spec, digests in YPOWER_EMAX6.items():
+        outs = [run_cli(capsys, "ypower", "--spec", spec, "--emax", "6", *flag) for flag in ((), ("--json",))]
+        assert [code for code, _, _ in outs] == [0, 0]
+        assert tuple(hashlib.sha256(out.encode()).hexdigest() for _, out, _ in outs) == digests
 
 
 def test_image_golden(capsys):

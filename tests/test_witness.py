@@ -5,10 +5,14 @@ import pytest
 from lexval import (
     INF,
     CorpusSpec,
+    RatFunc,
+    UniPoly,
     ValuePair,
     WitnessChain,
+    YPoly,
     build_bounded_monic,
     class_witness,
+    corrector,
     increasing_value_sequence,
     parse_poly,
     quotient_census,
@@ -17,8 +21,11 @@ from lexval import (
     structure_checks,
     value,
     witness_for_value,
+    ypower_table,
 )
-from lexval.witness import _class_witnesses, denominator_clearer
+from lexval.witness import _bounded_monic, _class_witnesses, denominator_clearer
+
+from conftest import expand_by_division
 
 A = ValuePair(-1, -1)
 
@@ -136,24 +143,52 @@ def test_increasing_value_sequence_values_each_element_once(ex55, monkeypatch):
 
 
 def test_increasing_value_sequence_reduces_no_question_cell(ex55, monkeypatch):
-    # Its reductions take values and cancellation scalars from unreduced
-    # expansions.  Only the shared y-power table, which expands over a
-    # divisor of its own, is reduced.
+    # The builder reads polynomial parts off the unreduced y-power cells and
+    # the reductions take values and cancellation scalars off unreduced
+    # expansions, so no driver reduces a cell or takes a RatFunc gcd.
+    import lexval.ratfunc as ratfunc_mod
     from lexval.ypoly import WExpansion
 
-    cell = WExpansion.cell
-    table_cells = []
+    def refuse(*args):
+        raise AssertionError("a witness driver reduced a fraction")
 
-    def refuse_question_cells(self, i, j):
-        if self.divisor is ex55.divisor:
-            raise AssertionError(f"cell ({i}, {j}) of a question was reduced")
-        table_cells.append((i, j))
-        return cell(self, i, j)
-
-    monkeypatch.setattr(WExpansion, "cell", refuse_question_cells)
+    monkeypatch.setattr(WExpansion, "cell", refuse)
+    monkeypatch.setattr(ratfunc_mod, "_reduced", refuse)
+    f4 = build_bounded_monic(ex55, 4)
     seq = increasing_value_sequence(ex55, 5)
+    target = witness_for_value(ex55, 3, 2)
+    monkeypatch.undo()
+    assert f4.deg_y == 8 and f4.has_polynomial_coeffs()
     assert [v for _, v in seq] == [ValuePair(-1, d - 1) for d in range(6)]
-    assert table_cells
+    assert value(ex55, target) == ValuePair(-3, -1)
+
+
+def _bounded_monic_reference(w, dm, powers):
+    """The corrector recursion over Q(x): coefficient t corrects the RatFunc
+    sum of coeff_s times cell t of y^s, with powers[s] the expansion of y^s."""
+    m = w.deg_y
+    coeffs = {dm: UniPoly.one()}
+    for t in range(dm - 1, -1, -1):
+        i, j = divmod(t, m)
+        acc = RatFunc.zero()
+        for s in range(t + 1, dm + 1):
+            acc = acc + RatFunc(coeffs[s]) * powers[s][i][j]
+        coeffs[t] = corrector(acc)
+    return YPoly({t: RatFunc(p) for t, p in coeffs.items()})
+
+
+def test_bounded_monic_matches_corrector_reference(ex55, ex52):
+    divisors = (
+        ex55.w,
+        ex52.w,
+        parse_poly("y^2 + y/(x+1) + x^3"),
+        parse_poly("y^2 + 2y/3 + x^3/2"),  # H is the constant 6
+        parse_poly("y^3 + x*y/(2*x^2 + 2) + 3*x^2/2"),
+    )
+    for w in divisors:
+        powers = [expand_by_division(YPoly.monomial(e), w) for e in range(9)]
+        for dm in range(9):
+            assert _bounded_monic(ypower_table(w, dm), dm) == _bounded_monic_reference(w, dm, powers)
 
 
 def test_denominator_clearer(ex55, ex52):
@@ -218,10 +253,14 @@ def test_quotient_census_corpus(ex55, ex52):
 
 
 def test_census_items_match_class_witness(ex55, ex52):
-    # The census builds its items from one running power of h*w.
+    # The census builds its items from one running power of h*w; here each
+    # is powered from scratch.
     for spec in (ex55, ex52):
         ell = 13
-        assert _class_witnesses(spec, ell) == [class_witness(spec, i // spec.m, i % spec.m) for i in range(ell + 1)]
+        hw = spec.w.scale(denominator_clearer(spec.w))
+        expected = [YPoly.monomial(i % spec.m) * hw ** (i // spec.m) for i in range(ell + 1)]
+        assert _class_witnesses(spec, ell) == expected
+        assert [class_witness(spec, i // spec.m, i % spec.m) for i in range(ell + 1)] == expected
     assert _class_witnesses(ex55, 0) == [parse_poly("1")]
 
 

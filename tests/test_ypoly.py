@@ -8,7 +8,7 @@ import pytest
 from lexval import RatFunc, UniPoly, YPoly, divmod_w, parse_poly, w_expand, ypower_table
 from lexval.ypoly import Divisor
 
-from conftest import assert_canonical_ypoly
+from conftest import assert_canonical_ypoly, expand_by_division
 
 W55 = parse_poly("y^2 + y/x + x^3")
 X = UniPoly.x()
@@ -136,16 +136,6 @@ def test_w_expand_reconstruction_random():
         assert_canonical_ypoly(f)
 
 
-def _expand_by_division(f, w):
-    """Reference expansion: repeated division by w over Q(x)."""
-    rows = []
-    while True:
-        f, rem = divmod_w(f, w)
-        rows.append(tuple(rem.coeff(j) for j in range(w.deg_y)))
-        if f.is_zero():
-            return tuple(rows)
-
-
 def _random_fraction_ypoly(rng, max_deg_y=9):
     """Random element of Q(x)[y] with fractional coefficients; may be zero."""
     dens = (UniPoly.one(), X, X**2 + 1, UniPoly([1, 1]), UniPoly([Fraction(1, 3), 2]))
@@ -170,10 +160,10 @@ def test_w_expand_matches_iterated_division():
     for w in divisors:
         for e in range(12):
             f = YPoly.monomial(e)
-            assert w_expand(f, w).rows == _expand_by_division(f, w)
+            assert w_expand(f, w).rows == expand_by_division(f, w)
         for _ in range(30):
             f = _random_fraction_ypoly(rng)
-            assert w_expand(f, w).rows == _expand_by_division(f, w)
+            assert w_expand(f, w).rows == expand_by_division(f, w)
 
 
 def test_w_expand_numeric_reconstruction():
