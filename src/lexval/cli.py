@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 from typing import NamedTuple
@@ -283,12 +284,21 @@ def main(argv=None) -> int:
         # ValueError covers ExprError, ConfigError and InvalidSpecError.
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.json:
-        echoed = {k: str(getattr(args, k)) for k in args.echo}
-        print(json.dumps({**echoed, **out.payload}, indent=2, sort_keys=True))
-    else:
-        for line in out.text if out.text is not None else _fields(out.payload):
-            print(line)
+    try:
+        if args.json:
+            echoed = {k: str(getattr(args, k)) for k in args.echo}
+            print(json.dumps({**echoed, **out.payload}, indent=2, sort_keys=True))
+        else:
+            for line in out.text if out.text is not None else _fields(out.payload):
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early.  Python flushes stdout once more at
+        # exit; with stdout on the null device that flush stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return out.code
 
 

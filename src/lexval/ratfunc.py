@@ -296,6 +296,12 @@ def _zmul(a, b) -> list[int]:
     if len(b) == 1:
         b0 = b[0]
         return [c * b0 for c in a]
+    if not b[0]:
+        # b = x^s * b': a shift, and a scaling when b is a monomial.
+        s = 1
+        while not b[s]:
+            s += 1
+        return [0] * s + _zmul(a, b[s:])
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -492,8 +498,12 @@ class RatFunc:
         other = _as_ratfunc(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den.degree == 0 and other.den.degree == 0:
+        if self.is_polynomial() and other.is_polynomial():
             return RatFunc._canonical(self.num * other.num, _ONE)
+        # A nonzero constant c keeps the other side reduced: c * p/q = (c*p)/q.
+        for c, r in ((other, self), (self, other)):
+            if c.is_polynomial() and len(c.num.ints) == 1:
+                return RatFunc._canonical(c.num * r.num, r.den)
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__

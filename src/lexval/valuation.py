@@ -148,10 +148,6 @@ class LeadTerm:
         return -self.exp.residue(self.i, self.j) / other.exp.residue(other.i, other.j)
 
 
-def _cell_value(spec: ValuationSpec, i: int, j: int, order: int) -> ValuePair:
-    return (-order * spec.m + j * spec.n) * spec.alpha + i * spec.beta
-
-
 def lead_term(spec: ValuationSpec, f: YPoly) -> LeadTerm:
     """The unique cell of the expansion of f attaining value(f).
 
@@ -161,23 +157,32 @@ def lead_term(spec: ValuationSpec, f: YPoly) -> LeadTerm:
     if f.is_zero():
         raise ValueError("zero polynomial has no lead term")
     exp = spec.divisor.expand(f)
+    m, n = spec.m, spec.n
+    a0, a1 = spec.alpha.a, spec.alpha.b
+    b0, b1 = spec.beta.a, spec.beta.b
+    dd, dh = len(exp.den), len(spec.divisor.h) - 1
+    # A cell N / (den * H^k) has -order = deg N - deg den - k * deg H, and
+    # value (-order * m + j * n) * alpha + i * beta, ranked as an integer
+    # pair: tuples compare as ValuePair does.
     best = None
     ties = 0
     for i, row in enumerate(exp.grid):
-        for j, (n, _) in enumerate(row):
-            if not n:
+        ib0, ib1 = i * b0, i * b1
+        for j, (num, k) in enumerate(row):
+            if not num:
                 continue
-            val = _cell_value(spec, i, j, exp.order(i, j))
-            if best is None or val < best:
-                best, cell, ties = val, (i, j), 1
-            elif val == best:
+            c = (len(num) - dd - k * dh) * m + j * n
+            key = (c * a0 + ib0, c * a1 + ib1)
+            if best is None or key < best:
+                best, cell, ties = key, (i, j), 1
+            elif key == best:
                 ties += 1
     if ties != 1:
         # Impossible for a validated bundle (non-commensurable alpha, beta
         # and coprime m, n force a unique minimizer); reaching this means
         # corrupted state, not a domain error.
         raise RuntimeError("minimizing expansion cell is not unique")
-    return LeadTerm(*cell, best, exp)
+    return LeadTerm(*cell, ValuePair(*best), exp)
 
 
 def value(spec: ValuationSpec, f: YPoly) -> ExtValue:

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratfunc import RatFunc, UniPoly, uni_divmod
+from .ratfunc import _ONE, RatFunc, UniPoly, _raw, uni_divmod
 from .valgroup import INF, ValuePair, decompose, monoid_member, quotient_class
 from .valuation import LeadTerm, ValuationSpec, lead_term, value
 from .ypoly import YPoly, YPowerTable, denominator_clearer, ypower_table
@@ -235,7 +235,9 @@ def _random_terms(rng: random.Random, exponents) -> YPoly:
     for _ in range(rng.randint(1, 6)):
         a, b = exponents()
         terms.setdefault(b, {})[a] = _nonzero_scalar(rng)
-    return YPoly({b: RatFunc(UniPoly([xs.get(e, 0) for e in range(max(xs) + 1)])) for b, xs in terms.items()})
+    # Integer coefficients whose top entry is nonzero are already canonical.
+    coeffs = {b: _raw(tuple([xs.get(e, 0) for e in range(max(xs) + 1)]), 1) for b, xs in terms.items()}
+    return YPoly({b: RatFunc._canonical(p, _ONE) for b, p in coeffs.items()})
 
 
 def random_rational_poly(rng: random.Random, max_deg_x: int, max_deg_y: int) -> YPoly:

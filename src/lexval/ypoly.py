@@ -241,6 +241,8 @@ def denominator_clearer(w: YPoly) -> UniPoly:
 
 def _clear_denominators(f: YPoly) -> tuple[list[int], dict[int, list[int]]]:
     """Integer lists den and P_e with f = sum_e P_e y^e / den, all in Z[x]."""
+    if all(c.num.denom == 1 and c.is_polynomial() for c in f.terms.values()):
+        return [1], {e: list(c.num.ints) for e, c in f.terms.items()}
     # The monic lcm's integer coefficients h are primitive, so each (monic)
     # denominator's D divides h in Z[x].  A coefficient (N/nd) / (D/dd)
     # times h is N * (h/D) * dd/nd; s clears the nd.
@@ -300,13 +302,9 @@ class Divisor:
         N / (den * H^k), N in Z[x]; subtracting a multiple of w brings the
         smaller of two exponents up by a power of H.
         """
-        m, neg_a = self.m, self.neg_a
+        m, neg_a, hpower = self.m, self.neg_a, self.hpower
         # With H = 1 every exponent stays 0 and nothing is ever lifted.
         step = 0 if self.h == [1] else 1
-
-        def lift(p: list[int], k: int) -> list[int]:
-            return _zmul(p, self.hpower(k)) if k and p else p
-
         den, fnums = _clear_denominators(f)
         cur = [(fnums.get(e, []), 0) for e in range(f.deg_y + 1 if f.terms else 0)]
         grid = []
@@ -321,8 +319,15 @@ class Divisor:
                 for j, a in neg_a:
                     t = d - m + j
                     r, kt = cur[t]
-                    top = max(k, kt) if r else k
-                    cur[t] = (_zadd(lift(r, top - kt), lift(_zmul(q, a), top - k)), top)
+                    p = _zmul(q, a)
+                    if not r:
+                        cur[t] = (p, k)
+                    elif kt == k:
+                        cur[t] = (_zadd(r, p), k)
+                    elif kt < k:
+                        cur[t] = (_zadd(_zmul(r, hpower(k - kt)), p), k)
+                    else:
+                        cur[t] = (_zadd(r, _zmul(p, hpower(kt - k))), kt)
             grid.append(cur[:m])
             cur = cur[m:]
         grid.append(cur + [([], 0)] * (m - len(cur)))

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -446,3 +450,21 @@ def test_degree_bounds_follow_m(tmp_path, capsys, monkeypatch):
                  "--dmax = 66 exceeds its bound 65")
     _check_bound(capsys, ["target", "--i", "1", "--j", "65", *spec],
                  ["target", "--i", "2", "--j", "65", *spec], "--i + --j = 67 exceeds its bound 66")
+
+
+def test_closed_stdout_ends_without_traceback():
+    # The JSON table (about 140 kB) outgrows a pipe's buffer, so the command
+    # is still writing when the reader closes the pipe after 50 bytes.
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lexval.cli", "ypower", "--spec", "ex55", "--emax", "40", "--json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    head = proc.stdout.read(50)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert head.startswith(b"{")
+    assert err == b""

@@ -183,6 +183,19 @@ def test_canonical_closure_random():
             assert_canonical_ratfunc(out)
 
 
+def test_constant_factor_matches_reducing_product():
+    # A constant factor scales the other side's numerator and takes no gcd;
+    # the reducing constructor must agree on every field.
+    rng = random.Random(59)
+    for _ in range(300):
+        a = _random_ratfunc(rng, allow_zero=True)
+        c = RatFunc(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        want = RatFunc(a.num * c.num, a.den * c.den)
+        for out in (a * c, c * a):
+            assert_canonical_ratfunc(out)
+            assert (out.num.ints, out.num.denom, out.den.ints) == (want.num.ints, want.num.denom, want.den.ints)
+
+
 def test_unipoly_str_roundtrip_through_fraction_eval():
     # printing is exercised against the parser in test_exprs; here we spot-check forms
     assert str(X**3 - X) == "x^3 - x"

@@ -211,6 +211,49 @@ def test_lead_term_matches_reduced_expansion():
     assert cancelled > 0
 
 
+def _lead_from_orders(spec, f):
+    """(i, j, value) of the unique minimal cell, each value built from exp.order."""
+    exp = spec.divisor.expand(f)
+    cells = [
+        ((-exp.order(i, j) * spec.m + j * spec.n) * spec.alpha + i * spec.beta, i, j)
+        for i, row in enumerate(exp.grid)
+        for j, (n, _) in enumerate(row)
+        if n
+    ]
+    best = min(cells, key=lambda cell: cell[0])
+    assert [cell[0] for cell in cells].count(best[0]) == 1
+    return best[1], best[2], best[0]
+
+
+def test_lead_term_ranks_cells_by_order(ex55, ex52):
+    # lead_term ranks cells by integer keys; the reference builds each
+    # ValuePair from the cell's order.  The divisors have H = x, H = 1,
+    # H = x + 1, the constant H = 6, and m = 3.
+    divisors = (
+        ex55.w,
+        ex52.w,
+        parse_poly("y^2 + y/(x+1) + x^3"),
+        parse_poly("y^2 + 2y/3 + x^3/2"),
+        parse_poly("y^3 + x*y/(2*x^2 + 2) + 3*x^2/2"),
+    )
+    rng = random.Random(41)
+    corpus = [random_xy_poly(rng, 6) for _ in range(30)] + [_random_fraction_poly(rng) for _ in range(30)]
+    for w in divisors:
+        n = 3 if w.deg_y == 2 else 2
+        for preset in (ex55, ex52):
+            spec = make_spec(w.deg_y, n, w, preset.alpha, preset.beta)
+            for f in corpus:
+                t = lead_term(spec, f)
+                assert (t.i, t.j, t.value) == _lead_from_orders(spec, f)
+
+
+def test_lead_term_tie_raises(ex55):
+    # With beta = 3*alpha, the cells y and w of y + w have the same value.
+    spec = replace(ex55, beta=3 * ex55.alpha)
+    with pytest.raises(RuntimeError, match="not unique"):
+        lead_term(spec, parse_poly("y") + ex55.w)
+
+
 def _refuse_reduction(self, i, j):
     raise AssertionError(f"cell ({i}, {j}) was reduced")
 

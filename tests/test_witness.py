@@ -1,5 +1,7 @@
 """Witness constructions: bounded builders, chain reduction, image sampling."""
 
+import random
+
 import pytest
 
 from lexval import (
@@ -23,7 +25,7 @@ from lexval import (
     witness_for_value,
     ypower_table,
 )
-from lexval.witness import _bounded_monic, _class_witnesses, denominator_clearer
+from lexval.witness import _bounded_monic, _class_witnesses, _random_terms, denominator_clearer
 
 from conftest import expand_by_division
 
@@ -306,3 +308,27 @@ def test_sequence_beats_any_ceiling(ex55):
     assert values == sorted(values)
     assert len(set(values)) == len(values)
     assert values[-1] == ValuePair(-1, 7)
+
+
+def _random_terms_reference(rng, exponents):
+    """_random_terms through the validating UniPoly and RatFunc constructors."""
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        a, b = exponents()
+        terms.setdefault(b, {})[a] = rng.choice((-3, -2, -1, 1, 2, 3))
+    return YPoly({b: RatFunc(UniPoly([xs.get(e, 0) for e in range(max(xs) + 1)])) for b, xs in terms.items()})
+
+
+def test_random_terms_match_validating_constructors():
+    for seed in range(200):
+        draws = []
+        for build in (_random_terms, _random_terms_reference):
+            rng = random.Random(seed)
+            f = build(rng, lambda: (rng.randint(0, 5), rng.randint(0, 4)))
+            draws.append((f, rng.random()))
+        (f, after), (ref, ref_after) = draws
+        assert f == ref and after == ref_after
+        for e, c in f.terms.items():
+            r = ref.terms[e]
+            for p, q in ((c.num, r.num), (c.den, r.den)):
+                assert (p.ints, p.denom) == (q.ints, q.denom)

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from lexval import RatFunc, UniPoly, YPoly, divmod_w, parse_poly, w_expand, ypower_table
-from lexval.ypoly import Divisor
+from lexval import RatFunc, UniPoly, YPoly, divmod_w, parse_poly, random_xy_poly, w_expand, ypower_table
+from lexval.ypoly import Divisor, _clear_denominators
 
 from conftest import assert_canonical_ypoly, expand_by_division
 
@@ -298,3 +298,20 @@ def test_divisor_hpower_shared_across_threads():
 def test_ypower_table_clears_w_once(w, cleared):
     ypower_table(w, 8)
     assert [f is w for f in cleared] == [True] + [False] * 9
+
+
+def test_clearing_integer_polynomials_matches_general_path():
+    # An element with integer polynomial coefficients is cleared without the
+    # lcm machinery.  Dividing it by 7 or by x - 11 sends it down the general
+    # path, which must give the same numerators over den = 7 or den = x - 11.
+    # Neither divides a coefficient: their nonzero entries lie in -3 .. 3.
+    rng = random.Random(17)
+    corpus = [parse_poly(s) for s in ("1", "-3*y^4", "x^5*y + 2", "y^3 - x*y + 3*x^2")]
+    corpus += [random_xy_poly(rng, 6) for _ in range(60)]
+    for f in corpus:
+        den, nums = _clear_denominators(f)
+        assert den == [1]
+        assert nums == {e: list(c.num.ints) for e, c in f.terms.items()}
+        assert _clear_denominators(f.scale(Fraction(1, 7))) == ([7], nums)
+        assert _clear_denominators(f.scale(RatFunc(1, X - 11))) == ([-11, 1], nums)
+        assert all(type(n) is list for n in nums.values())
