@@ -3,7 +3,7 @@
 A `UniPoly` is stored the way FLINT stores an `fmpq_poly`: a tuple of
 integer coefficients `ints` (no trailing zeros) over one positive integer
 `denom`, in lowest terms, so that sums, products and scalings are integer
-loops.  Its `coeffs` are the same coefficients as `fractions.Fraction`s.  A
+loops.  Its `coeffs` gives the same coefficients as `fractions.Fraction`s.  A
 `RatFunc` is a reduced quotient num/den with monic denominator.  Its gcds
 are taken over Z[x] by the heuristic GCDHEU (Char, Geddes & Gonnet,
 J. Symbolic Comput. 7, 1989), which also returns both cofactors, with
@@ -37,7 +37,7 @@ class UniPoly:
     equal fields.
     """
 
-    __slots__ = ("ints", "denom", "_coeffs")
+    __slots__ = ("ints", "denom")
 
     def __init__(self, coeffs=()):
         cs = list(coeffs)
@@ -79,13 +79,8 @@ class UniPoly:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        """The coefficients as Fractions, lowest degree first."""
-        try:
-            return self._coeffs
-        except AttributeError:
-            cs = tuple(Fraction(c, self.denom) for c in self.ints)
-            _set(self, "_coeffs", cs)
-            return cs
+        """The coefficients as Fractions, lowest degree first, built on each read."""
+        return tuple(Fraction(c, self.denom) for c in self.ints)
 
     @property
     def degree(self):
@@ -189,33 +184,33 @@ class UniPoly:
         return acc / self.denom
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        pieces = []
-        for e in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[e]
-            if c == 0:
-                continue
-            if e == 0:
-                pieces.append(str(c))
-            else:
-                var = "x" if e == 1 else f"x^{e}"
-                if c == 1:
-                    pieces.append(var)
-                elif c == -1:
-                    pieces.append(f"-{var}")
-                else:
-                    pieces.append(f"{c}*{var}")
-        text = pieces[0]
-        for piece in pieces[1:]:
-            if piece.startswith("-"):
-                text += f" - {piece[1:]}"
-            else:
-                text += f" + {piece}"
-        return text
+        d = self.denom
+        terms = [(str(c if d == 1 else Fraction(c, d)), e) for e, c in enumerate(self.ints) if c]
+        return _join_terms("x", reversed(terms))
 
     def __repr__(self) -> str:
         return f"UniPoly({str(self)!r})"
+
+
+def _join_terms(var: str, terms) -> str:
+    """The sum of (coefficient text, exponent) terms in var, highest first.
+
+    A unit coefficient before a power of var is dropped, a term whose text
+    starts with a minus sign is subtracted, and the empty sum is "0".
+    """
+    text = ""
+    for c, e in terms:
+        piece = c
+        if e:
+            mono = var if e == 1 else f"{var}^{e}"
+            piece = mono if c == "1" else f"-{mono}" if c == "-1" else f"{c}*{mono}"
+        if not text:
+            text = piece
+        elif piece.startswith("-"):
+            text += f" - {piece[1:]}"
+        else:
+            text += f" + {piece}"
+    return text or "0"
 
 
 def _raw(ints: tuple[int, ...], denom: int) -> UniPoly:

@@ -13,7 +13,10 @@ from dataclasses import dataclass
 from math import gcd
 
 
-@dataclass(frozen=True)
+# The generated comparisons, like __add__, return NotImplemented for anything
+# but a pair, so `pair < INF` and `pair + INF` are answered by Infinity's
+# reflected methods.
+@dataclass(frozen=True, order=True)
 class ValuePair:
     """An element (a, b) of Z (+) Z, ordered lexicographically."""
 
@@ -21,6 +24,8 @@ class ValuePair:
     b: int
 
     def __add__(self, other: "ValuePair") -> "ValuePair":
+        if not isinstance(other, ValuePair):
+            return NotImplemented
         return ValuePair(self.a + other.a, self.b + other.b)
 
     def __sub__(self, other: "ValuePair") -> "ValuePair":
@@ -31,34 +36,6 @@ class ValuePair:
 
     def __rmul__(self, k: int) -> "ValuePair":
         return ValuePair(k * self.a, k * self.b)
-
-    def __lt__(self, other):
-        if isinstance(other, ValuePair):
-            return (self.a, self.b) < (other.a, other.b)
-        if isinstance(other, Infinity):
-            return True
-        return NotImplemented
-
-    def __le__(self, other):
-        if isinstance(other, ValuePair):
-            return (self.a, self.b) <= (other.a, other.b)
-        if isinstance(other, Infinity):
-            return True
-        return NotImplemented
-
-    def __gt__(self, other):
-        if isinstance(other, ValuePair):
-            return (self.a, self.b) > (other.a, other.b)
-        if isinstance(other, Infinity):
-            return False
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, ValuePair):
-            return (self.a, self.b) >= (other.a, other.b)
-        if isinstance(other, Infinity):
-            return False
-        return NotImplemented
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0

@@ -308,12 +308,15 @@ def sample_image(spec: ValuationSpec, corpus_spec: CorpusSpec, mode: str) -> Ima
     )
 
 
+# Seeded random polynomials that the "corpus" census family adds.
+_CENSUS_RANDOM_COUNT = 120
+
+
 def quotient_census(
     spec: ValuationSpec,
     ell: int,
     family: str = "h_family",
     seed: int = 0,
-    random_count: int = 120,
 ) -> int:
     """Count distinct quotient classes attained by y-degree <= ell elements.
 
@@ -325,7 +328,7 @@ def quotient_census(
         raise ValueError("ell must be nonnegative")
     items = _class_witnesses(spec, ell)
     if family == "corpus":
-        items += _seeded_corpus(random.Random(seed), 4, ell, random_count)
+        items += _seeded_corpus(random.Random(seed), 4, ell, _CENSUS_RANDOM_COUNT)
     elif family != "h_family":
         raise ValueError(f"unknown family {family!r}")
     classes = set()

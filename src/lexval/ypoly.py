@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .ratfunc import _ONE, NEG_INF, RatFunc, UniPoly, _poly, _zdiv_exact, _zmul, as_ratfunc, poly_gcd
+from .ratfunc import _ONE, NEG_INF, RatFunc, UniPoly, _join_terms, _poly, _zdiv_exact, _zmul, as_ratfunc, poly_gcd
 
 
 class YPoly:
@@ -67,13 +67,8 @@ class YPoly:
     def coeff(self, e: int) -> RatFunc:
         return self.terms.get(e, RatFunc.zero())
 
-    def lead_coeff_y(self) -> RatFunc:
-        if self.is_zero():
-            return RatFunc.zero()
-        return self.terms[max(self.terms)]
-
     def is_monic_in_y(self) -> bool:
-        return not self.is_zero() and self.lead_coeff_y() == RatFunc.one()
+        return not self.is_zero() and self.terms[max(self.terms)] == RatFunc.one()
 
     def as_ratfunc(self) -> RatFunc:
         """The y-free content; raises if deg_y > 0."""
@@ -168,31 +163,13 @@ class YPoly:
         return total
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
+        terms = []
         for e in sorted(self.terms, reverse=True):
             c = self.terms[e]
-            if e == 0:
-                pieces.append(str(c))
-                continue
-            ypart = "y" if e == 1 else f"y^{e}"
-            if c == RatFunc.one():
-                pieces.append(ypart)
-            elif c == -RatFunc.one():
-                pieces.append(f"-{ypart}")
-            else:
-                cs = str(c)
-                if c.is_polynomial() and " " in cs:
-                    cs = f"({cs})"
-                pieces.append(f"{cs}*{ypart}")
-        text = pieces[0]
-        for piece in pieces[1:]:
-            if piece.startswith("-"):
-                text += f" - {piece[1:]}"
-            else:
-                text += f" + {piece}"
-        return text
+            text = str(c)
+            # A polynomial sum before a power of y is parenthesized.
+            terms.append((f"({text})" if e and c.is_polynomial() and " " in text else text, e))
+        return _join_terms("y", terms)
 
     def __repr__(self) -> str:
         return f"YPoly({str(self)!r})"

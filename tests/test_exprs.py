@@ -229,6 +229,14 @@ def test_print_forms():
     assert str(parse_poly("-y")) == "-y"
     assert str(parse_poly("(x^3+1)*y^2")) == "(x^3 + 1)*y^2"
     assert str(parse_poly("x^6 - x")) == "x^6 - x"
+    assert str(parse_poly("-x^3")) == "-x^3"
+    assert str(parse_poly("y/x")) == "1/x*y"
+    assert str(parse_poly("-y^5/(x^2+1)")) == "-1/(x^2 + 1)*y^5"
+    assert str(parse_poly("(1-x)*y")) == "(-x + 1)*y"
+    assert str(parse_poly("-2*y + 1")) == "-2*y + 1"
+    assert str(parse_poly("(x^3+1)*y^2 - (2/3)*y")) == "(x^3 + 1)*y^2 - 2/3*y"
+    assert str(parse_poly("-y^2/(2*x+1) - 1/2")) == "-1/2/(x + 1/2)*y^2 - 1/2"
+    assert str(parse_poly("-(x+1)/(3*x^2)*y^3 + x^2")) == "(-1/3*x - 1/3)/x^2*y^3 + x^2"
 
 
 def test_roundtrip_fixed_cases():

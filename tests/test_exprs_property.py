@@ -114,3 +114,5 @@ def test_parse_matches_ypoly_reference(tree):
             parse_poly(src)
         return
     assert parse_poly(src) == expected, src
+    # The printer's output parses back to the same element.
+    assert parse_poly(str(expected)) == expected, str(expected)

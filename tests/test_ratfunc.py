@@ -203,6 +203,11 @@ def test_unipoly_str_roundtrip_through_fraction_eval():
     assert str(UniPoly.zero()) == "0"
     assert str(RatFunc(1, X)) == "1/x"
     assert str(RatFunc(UniPoly((1, 0, 0, 0, 0, -2)), X**3)) == "(-2*x^5 + 1)/x^3"
+    assert str(UniPoly((Fraction(1, 3), Fraction(2, 3)))) == "2/3*x + 1/3"
+    assert str(UniPoly((-1,))) == "-1"
+    assert str(UniPoly((0, 0, Fraction(-1, 2)))) == "-1/2*x^2"
+    assert str(-(X**3)) == "-x^3"
+    assert str(UniPoly((Fraction(3, 4), 0, -1, Fraction(-5, 6)))) == "-5/6*x^3 - x^2 + 3/4"
 
 
 # ---------------------------------------------------------------------------

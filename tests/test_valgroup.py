@@ -33,6 +33,18 @@ def test_infinity_is_maximum():
     assert INF > ValuePair(10**9, -(10**9))
     assert ValuePair(0, 0) < INF
     assert INF + ValuePair(1, 1) == INF
+    assert ValuePair(1, 1) + INF == INF
+    assert INF + INF == INF
+    u = ValuePair(-3, 7)
+    assert (u < INF, u <= INF, u > INF, u >= INF) == (True, True, False, False)
+    assert (INF < u, INF <= u, INF > u, INF >= u) == (False, False, True, True)
+    mixed = [INF, ValuePair(2, -1), u, INF, ValuePair(-3, 6)]
+    assert min(mixed) == ValuePair(-3, 6)
+    assert max(mixed) == INF
+    assert max(mixed[1:3]) == ValuePair(2, -1)
+    assert sorted(mixed) == [ValuePair(-3, 6), u, ValuePair(2, -1), INF, INF]
+    with pytest.raises(TypeError):
+        ValuePair(0, 0) < 0
 
 
 def test_pair_arithmetic():
