@@ -15,7 +15,6 @@ from .ratfunc import (
     RatFunc,
     UniPoly,
     as_ratfunc,
-    corrector,
     poly_gcd,
     residue_at_inf,
     uni_divmod,
@@ -63,7 +62,7 @@ from .witness import (
     structure_checks,
     witness_for_value,
 )
-from .ypoly import WExpansion, YPoly, YPowerTable, divmod_w, w_expand, ypower_table
+from .ypoly import WExpansion, YPoly, YPowerTable, w_expand, ypower_table
 
 __version__ = "0.1.0"
 
@@ -97,9 +96,7 @@ __all__ = [
     "check_axioms",
     "class_witness",
     "commensurable",
-    "corrector",
     "decompose",
-    "divmod_w",
     "increasing_value_sequence",
     "is_indivisible",
     "lead_term",

@@ -211,9 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--json", action="store_true", help="emit JSON instead of text")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized corpora")
-    # `load` turns --spec into the handler's first argument; `echo` names the
-    # arguments the JSON payload repeats.
-    common.set_defaults(load=load_spec, echo=())
+    # `echo` names the arguments the JSON payload repeats.
+    common.set_defaults(echo=())
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -252,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_census, echo=("ell", "family"))
 
     p = sub.add_parser("spec-check", parents=[common], help="validate valuation parameters")
-    p.set_defaults(func=_cmd_spec_check, load=load_config)
+    p.set_defaults(func=_cmd_spec_check)
 
     p = sub.add_parser("ypower", parents=[common], help="expansion table of pure y-powers")
     p.add_argument("--emax", type=_count, required=True)
@@ -278,8 +277,11 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    # --spec becomes the handler's first argument.  The loader is named here,
+    # not stored in the cached parser, so a rebinding of it is seen.
+    load = load_config if args.command == "spec-check" else load_spec
     try:
-        out = args.func(args.load(args.spec), args)
+        out = args.func(load(args.spec), args)
     except (ValueError, RuntimeError, ZeroDivisionError, OSError) as exc:
         # ValueError covers ExprError, ConfigError and InvalidSpecError.
         print(f"error: {exc}", file=sys.stderr)

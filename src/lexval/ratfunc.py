@@ -8,9 +8,8 @@ loops.  Its `coeffs` gives the same coefficients as `fractions.Fraction`s.  A
 are taken over Z[x] by the heuristic GCDHEU (Char, Geddes & Gonnet,
 J. Symbolic Comput. 7, 1989), which also returns both cofactors, with
 Euclid's algorithm as the fallback.  On top of the field arithmetic this
-module provides the degree valuation at infinity `v_inf`, its leading
-residue, and the `corrector` that shifts a rational function into the
-strictly proper range by a unique polynomial.
+module provides the degree valuation at infinity `v_inf` and its leading
+residue.
 
 Zero's degree (of a `UniPoly`, or in y of a `YPoly`) is `NEG_INF` =
 `-math.inf`, its `v_inf` is `math.inf`, and its lex `value` is `valgroup.INF`.
@@ -467,11 +466,6 @@ class RatFunc:
         a, b, c, d = self.num, self.den, other.num, other.den
         if b == d:
             return RatFunc(a + c, b)
-        # With one denominator 1, say b: gcd(a*d + c, d) = gcd(c, d) = 1.
-        if b.degree == 0:
-            return RatFunc._canonical(a * d + c, d)
-        if d.degree == 0:
-            return RatFunc._canonical(c * b + a, b)
         # b = B/lc(B) and d = D/lc(D) with B = G*B1 and D = G*D1 in Z[x], so
         # a/b + c/d = (a*lc(B)*D1 + c*lc(D)*B1) / (B*D1).
         _, b1, d1 = _zgcd(b.ints, d.ints)
@@ -590,13 +584,3 @@ def residue_at_inf(h: RatFunc) -> Fraction:
     if h.is_zero():
         raise ValueError("residue of zero is undefined")
     return h.num.lc() / h.den.lc()
-
-
-def corrector(h: RatFunc) -> UniPoly:
-    """The unique polynomial f with v_inf(f + h) > 0.
-
-    Concretely f = -q where num = q*den + r; the leftover r/den is strictly
-    proper.
-    """
-    q, _ = uni_divmod(h.num, h.den)
-    return -q

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ratfunc import _ONE, RatFunc, UniPoly, _raw, uni_divmod
-from .valgroup import INF, ValuePair, decompose, monoid_member, quotient_class
+from .valgroup import INF, ExtValue, ValuePair, decompose, monoid_member, quotient_class
 from .valuation import LeadTerm, ValuationSpec, lead_term, value
 from .ypoly import YPoly, YPowerTable, denominator_clearer, ypower_table
 
@@ -83,23 +83,15 @@ def _bounded_monic(table: YPowerTable, dm: int) -> YPoly:
 
 def reduce_past_chain(
     spec: ValuationSpec, f: YPoly, chain: WitnessChain
-) -> tuple[YPoly, list[tuple[int, Fraction]]]:
+) -> tuple[YPoly, list[tuple[int, Fraction]], ExtValue]:
     """Add scalar multiples of chain elements until the value exceeds the chain.
 
-    Returns (g, steps) with g = f + sum lambda * chain.polys[i] over the
-    recorded steps and value(g) > chain.values[-1].  If f lies in the scalar
-    span of the chain the reduction lands exactly on zero (value INF), which
-    still satisfies the postcondition.  Each step expands the current
-    element once; each chain element used is expanded once per call.
+    Returns (g, steps, value(g)) with g = f + sum lambda * chain.polys[i] over
+    the recorded steps and value(g) > chain.values[-1].  If f lies in the
+    scalar span of the chain the reduction lands exactly on zero, with value
+    INF, which still satisfies the postcondition.  Each step expands the
+    current element once; each chain element used is expanded once per call.
     """
-    g, steps, _ = _reduce_past_chain(spec, f, chain)
-    return g, steps
-
-
-def _reduce_past_chain(
-    spec: ValuationSpec, f: YPoly, chain: WitnessChain
-) -> tuple[YPoly, list[tuple[int, Fraction]], LeadTerm | None]:
-    """reduce_past_chain, also returning the lead term of g (None for g = 0)."""
     h = f
     steps: list[tuple[int, Fraction]] = []
     chain_leads: dict[int, LeadTerm] = {}
@@ -110,7 +102,7 @@ def _reduce_past_chain(
         if not lead.value >= chain.values[0]:
             raise ValueError(f"value {lead.value} of input is below the chain start {chain.values[0]}")
         if lead.value > chain.values[-1]:
-            break
+            return h, steps, lead.value
         try:
             idx = chain.values.index(lead.value)
         except ValueError:
@@ -124,8 +116,7 @@ def _reduce_past_chain(
         steps.append((idx, lam))
         if len(steps) > cap:
             raise RuntimeError("reduction exceeded its iteration cap")
-    # A reduction that lands on zero leaves the previous step's lead behind.
-    return h, steps, None if h.is_zero() else lead
+    return h, steps, INF
 
 
 def increasing_value_sequence(spec: ValuationSpec, d_max: int) -> list[tuple[YPoly, ValuePair]]:
@@ -146,8 +137,7 @@ def increasing_value_sequence(spec: ValuationSpec, d_max: int) -> list[tuple[YPo
     chain = WitnessChain((f0,), (v0,))
     for d in range(1, d_max + 1):
         raw = _bounded_monic(table, (d + 1) * spec.m)
-        g, _, lead = _reduce_past_chain(spec, raw, chain)
-        vg = INF if lead is None else lead.value
+        g, _, vg = reduce_past_chain(spec, raw, chain)
         out.append((g, vg))
         chain = chain.extended(g, vg)
     return out
@@ -326,11 +316,11 @@ def quotient_census(
     """
     if ell < 0:
         raise ValueError("ell must be nonnegative")
+    if family not in ("h_family", "corpus"):
+        raise ValueError(f"unknown family {family!r}")
     items = _class_witnesses(spec, ell)
     if family == "corpus":
         items += _seeded_corpus(random.Random(seed), 4, ell, _CENSUS_RANDOM_COUNT)
-    elif family != "h_family":
-        raise ValueError(f"unknown family {family!r}")
     classes = set()
     for f in items:
         classes.add(quotient_class(value(spec, f), spec.m, spec.alpha, spec.beta))

@@ -1,10 +1,10 @@
 """Polynomials in y over the rational function field Q(x).
 
-A `YPoly` is a sparse map y-exponent -> RatFunc.  The module implements
-division by a monic divisor w, which a `Divisor` holds with its
-denominators cleared over Z[x], the resulting grid expansion
-f = sum_{i,j} f[i][j] * y^j * w^i with 0 <= j < deg_y(w), and the table of
-such expansions for the pure powers y^e.
+A `YPoly` is a sparse map y-exponent -> RatFunc.  Division by a monic
+divisor w has one route: a `Divisor` holds w with its denominators cleared
+over Z[x] and gives the grid expansion f = sum_{i,j} f[i][j] * y^j * w^i
+with 0 <= j < deg_y(w), and the table of such expansions for the pure
+powers y^e is built from it.
 """
 
 from __future__ import annotations
@@ -143,9 +143,6 @@ class YPoly:
     def __pow__(self, k: int) -> "YPoly":
         if k < 0:
             raise ValueError("negative power of a y-polynomial")
-        if len(self.terms) == 1:
-            ((e, c),) = self.terms.items()
-            return YPoly({e * k: c**k})
         result = YPoly.one()
         base = self
         while k:
@@ -181,28 +178,6 @@ def _as_ypoly(value):
     if isinstance(value, (int, Fraction, UniPoly, RatFunc)):
         return YPoly({0: value})
     return NotImplemented
-
-
-def _require_monic_divisor(w: YPoly) -> int:
-    m = w.deg_y
-    if m < 1:
-        raise ValueError("divisor must have y-degree at least 1")
-    if not w.is_monic_in_y():
-        raise ValueError("divisor must be monic in y")
-    return m
-
-
-def divmod_w(f: YPoly, w: YPoly) -> tuple[YPoly, YPoly]:
-    """Division in y: f = q*w + r with deg_y r < deg_y w; w monic."""
-    m = _require_monic_divisor(w)
-    q: dict[int, RatFunc] = {}
-    r = f
-    while not r.is_zero() and r.deg_y >= m:
-        d = r.deg_y
-        c = r.coeff(d)
-        q[d - m] = c
-        r = r - YPoly.monomial(d - m, c) * w
-    return YPoly(q), r
 
 
 def denominator_clearer(w: YPoly) -> UniPoly:
@@ -256,7 +231,11 @@ class Divisor:
     """
 
     def __init__(self, w: YPoly):
-        self.m = _require_monic_divisor(w)
+        if w.deg_y < 1:
+            raise ValueError("divisor must have y-degree at least 1")
+        if not w.is_monic_in_y():
+            raise ValueError("divisor must be monic in y")
+        self.m = w.deg_y
         self.h, nums = _clear_denominators(w)
         self.neg_a = [(j, [-c for c in nums[j]]) for j in range(self.m) if j in nums]
         # k -> H^k, only ever filled by setdefault: threads racing to fill an
@@ -330,23 +309,11 @@ class WExpansion:
     def m(self) -> int:
         return self.divisor.m
 
-    @property
-    def ell(self) -> int:
-        return len(self.grid) - 1
-
-    def order(self, i: int, j: int) -> int:
-        """v_inf of the nonzero cell (i, j): deg den + k*deg H - deg N.
-
-        Cancelling a common factor lowers the degrees of N and of
-        den * H^k alike, so this is also v_inf of the reduced cell.
-        """
-        n, k = self.grid[i][j]
-        return len(self.den) + k * (len(self.divisor.h) - 1) - len(n)
-
     def residue(self, i: int, j: int) -> Fraction:
         """residue_at_inf of the nonzero cell (i, j): lc(N) / lc(den * H^k).
 
-        Like the order, it is the same for the reduced cell.
+        A common factor divides both leading coefficients alike, so it is
+        also the residue of the reduced cell.
         """
         n, k = self.grid[i][j]
         return Fraction(n[-1], self.den[-1] * self.divisor.h[-1] ** k)
@@ -366,22 +333,6 @@ class WExpansion:
     def rows(self) -> tuple[tuple[RatFunc, ...], ...]:
         """The grid with every cell reduced."""
         return tuple(tuple(self.cell(i, j) for j in range(self.m)) for i in range(len(self.grid)))
-
-    def nonzero_cells(self):
-        for i, row in enumerate(self.rows):
-            for j, c in enumerate(row):
-                if not c.is_zero():
-                    yield i, j, c
-
-    def reconstruct(self, w: YPoly) -> YPoly:
-        total = YPoly.zero()
-        wpow = YPoly.one()
-        for row in self.rows:
-            for j, c in enumerate(row):
-                if not c.is_zero():
-                    total = total + YPoly.monomial(j, c) * wpow
-            wpow = wpow * w
-        return total
 
 
 def w_expand(f: YPoly, w: YPoly) -> WExpansion:

@@ -1,6 +1,6 @@
 import pytest
 
-from lexval import RatFunc, UniPoly, YPoly, divmod_w, load_spec, poly_gcd
+from lexval import RatFunc, UniPoly, YPoly, load_spec, poly_gcd, uni_divmod
 
 
 @pytest.fixture(scope="session")
@@ -47,6 +47,20 @@ def assert_canonical_ypoly(f: YPoly) -> None:
         assert_canonical_ratfunc(c)
 
 
+def divmod_w(f: YPoly, w: YPoly) -> tuple[YPoly, YPoly]:
+    """Reference division in y over Q(x): f = q*w + r with deg_y r < deg_y w; w monic."""
+    m = w.deg_y
+    assert m >= 1 and w.is_monic_in_y()
+    q: dict[int, RatFunc] = {}
+    r = f
+    while not r.is_zero() and r.deg_y >= m:
+        d = r.deg_y
+        c = r.coeff(d)
+        q[d - m] = c
+        r = r - YPoly.monomial(d - m, c) * w
+    return YPoly(q), r
+
+
 def expand_by_division(f: YPoly, w: YPoly) -> tuple[tuple[RatFunc, ...], ...]:
     """Reference w-expansion of f: repeated division by w over Q(x)."""
     rows = []
@@ -55,3 +69,25 @@ def expand_by_division(f: YPoly, w: YPoly) -> tuple[tuple[RatFunc, ...], ...]:
         rows.append(tuple(rem.coeff(j) for j in range(w.deg_y)))
         if f.is_zero():
             return tuple(rows)
+
+
+def reconstruct(exp, w: YPoly) -> YPoly:
+    """The sum of cell(i, j) * y^j * w^i over the reduced cells of a WExpansion."""
+    total = YPoly.zero()
+    wpow = YPoly.one()
+    for row in exp.rows:
+        for j, c in enumerate(row):
+            if not c.is_zero():
+                total = total + YPoly.monomial(j, c) * wpow
+        wpow = wpow * w
+    return total
+
+
+def corrector(h: RatFunc) -> UniPoly:
+    """The unique polynomial f with v_inf(f + h) > 0.
+
+    Concretely f = -q where num = q*den + r; the leftover r/den is strictly
+    proper.
+    """
+    q, _ = uni_divmod(h.num, h.den)
+    return -q

@@ -330,6 +330,26 @@ def test_consecutive_main_calls_match_fresh_calls(capsys):
         assert cli._parser.cache_info().misses == 1
 
 
+def test_main_looks_up_spec_loader_on_each_call(capsys, monkeypatch):
+    # The cached parser holds no loader, so a rebinding of cli.load_spec (or
+    # cli.load_config) after the parser is built is the one main calls.
+    cli._parser()
+    loaded = []
+
+    def counted(load):
+        def wrapper(source):
+            loaded.append((load.__name__, source))
+            return load(source)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "load_spec", counted(load_spec))
+    monkeypatch.setattr(cli, "load_config", counted(load_config))
+    assert run_cli(capsys, "value", "--spec", "ex52", "y")[:2] == (0, "(-3,-3)\n")
+    assert run_cli(capsys, "spec-check", "--spec", "ex55")[0] == 0
+    assert loaded == [("load_spec", "ex52"), ("load_config", "ex55")]
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["census"])  # missing required --ell

@@ -6,9 +6,9 @@ from math import gcd, inf
 
 import pytest
 
-from lexval import RatFunc, UniPoly, corrector, poly_gcd, residue_at_inf, uni_divmod, v_inf
+from lexval import RatFunc, UniPoly, poly_gcd, residue_at_inf, uni_divmod, v_inf
 
-from conftest import assert_canonical_ratfunc
+from conftest import assert_canonical_ratfunc, corrector
 
 X = UniPoly.x()
 

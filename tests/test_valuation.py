@@ -159,7 +159,9 @@ def _reference_lead(spec, f):
     """(i, j, coeff, value) of the lex-minimal cell of the reduced expansion."""
     cells = [
         (i, j, c, (-v_inf(c) * spec.m + j * spec.n) * spec.alpha + i * spec.beta)
-        for i, j, c in w_expand(f, spec.w).nonzero_cells()
+        for i, row in enumerate(w_expand(f, spec.w).rows)
+        for j, c in enumerate(row)
+        if not c.is_zero()
     ]
     return min(cells, key=lambda cell: cell[3])
 
@@ -212,10 +214,10 @@ def test_lead_term_matches_reduced_expansion():
 
 
 def _lead_from_orders(spec, f):
-    """(i, j, value) of the unique minimal cell, each value built from exp.order."""
+    """(i, j, value) of the unique minimal cell, each value built from the reduced cell's v_inf."""
     exp = spec.divisor.expand(f)
     cells = [
-        ((-exp.order(i, j) * spec.m + j * spec.n) * spec.alpha + i * spec.beta, i, j)
+        ((-v_inf(exp.cell(i, j)) * spec.m + j * spec.n) * spec.alpha + i * spec.beta, i, j)
         for i, row in enumerate(exp.grid)
         for j, (n, _) in enumerate(row)
         if n

@@ -14,7 +14,6 @@ from lexval import (
     YPoly,
     build_bounded_monic,
     class_witness,
-    corrector,
     increasing_value_sequence,
     parse_poly,
     quotient_census,
@@ -27,7 +26,7 @@ from lexval import (
 )
 from lexval.witness import _bounded_monic, _class_witnesses, _random_terms, denominator_clearer
 
-from conftest import expand_by_division
+from conftest import corrector, expand_by_division
 
 A = ValuePair(-1, -1)
 
@@ -70,8 +69,9 @@ def test_reduce_past_chain_first_step(ex55):
     f0 = parse_poly("y^2 + x^3")
     chain = WitnessChain((f0,), (value(ex55, f0),))
     raw = build_bounded_monic(ex55, 2)
-    g, steps = reduce_past_chain(ex55, raw, chain)
-    assert value(ex55, g) > ValuePair(-1, -1)
+    g, steps, v = reduce_past_chain(ex55, raw, chain)
+    assert v == value(ex55, g)
+    assert v > ValuePair(-1, -1)
     rebuilt = raw
     for idx, lam in steps:
         rebuilt = rebuilt + chain.polys[idx].scale(lam)
@@ -81,7 +81,8 @@ def test_reduce_past_chain_first_step(ex55):
 def test_reduce_past_chain_noop_when_already_above(ex55):
     f0 = parse_poly("y^2 + x^3")
     chain = WitnessChain((f0,), (value(ex55, f0),))
-    g, steps = reduce_past_chain(ex55, ex55.w, chain)  # value (0,1) > (-1,-1)
+    g, steps, v = reduce_past_chain(ex55, ex55.w, chain)  # value (0,1) > (-1,-1)
+    assert v == value(ex55, g) == ValuePair(0, 1)
     assert steps == []
     assert g == ex55.w
 
@@ -91,9 +92,9 @@ def test_reduce_past_chain_span_lands_on_zero(ex55):
     # still exceeds the chain end
     f0 = parse_poly("y^2 + x^3")
     chain = WitnessChain((f0,), (value(ex55, f0),))
-    g, steps = reduce_past_chain(ex55, f0 + f0, chain)
+    g, steps, v = reduce_past_chain(ex55, f0 + f0, chain)
     assert g.is_zero()
-    assert value(ex55, g) == INF
+    assert v == value(ex55, g) == INF
     assert steps == [(0, -2)]
 
 
@@ -102,6 +103,28 @@ def test_reduce_past_chain_precondition(ex55):
     chain = WitnessChain((f0,), (value(ex55, f0),))
     with pytest.raises(ValueError):
         reduce_past_chain(ex55, parse_poly("y^4"), chain)  # value (-12,-12)
+    # The zero element has value INF, past every chain, and takes no step.
+    g, steps, v = reduce_past_chain(ex55, YPoly.zero(), chain)
+    assert g.is_zero() and steps == [] and v == value(ex55, g) == INF
+
+
+def test_increasing_value_sequence_calls_public_reduce_past_chain(ex55, monkeypatch):
+    # The sequence reduces through the module-level reduce_past_chain, so a
+    # rebinding of that name (as by a tracer) sees every reduction.
+    import lexval.witness as witness_mod
+
+    results = []
+
+    def counted(spec, f, chain):
+        out = reduce_past_chain(spec, f, chain)
+        results.append(out)
+        return out
+
+    monkeypatch.setattr(witness_mod, "reduce_past_chain", counted)
+    seq = increasing_value_sequence(ex55, 5)
+    monkeypatch.undo()
+    assert len(results) == 5
+    assert [(g, v) for g, _, v in results] == seq[1:]
 
 
 def test_increasing_value_sequence_exact(ex55):
@@ -282,6 +305,17 @@ def test_quotient_census_rejects(ex55):
         quotient_census(ex55, -1)
     with pytest.raises(ValueError):
         quotient_census(ex55, 2, family="bogus")
+
+
+def test_quotient_census_checks_family_before_building(ex55, monkeypatch):
+    import lexval.witness as witness_mod
+
+    def refuse(*args):
+        raise AssertionError("census built witnesses for an unknown family")
+
+    monkeypatch.setattr(witness_mod, "_class_witnesses", refuse)
+    with pytest.raises(ValueError, match="unknown family"):
+        quotient_census(ex55, 200, family="bogus")
 
 
 def test_structure_checks_presets(ex55, ex52):

@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from lexval import RatFunc, UniPoly, YPoly, divmod_w, parse_poly, random_xy_poly, w_expand, ypower_table
+from lexval import RatFunc, UniPoly, YPoly, parse_poly, random_xy_poly, w_expand, ypower_table
 from lexval.ypoly import Divisor, _clear_denominators
 
-from conftest import assert_canonical_ypoly, expand_by_division
+from conftest import assert_canonical_ypoly, divmod_w, expand_by_division, reconstruct
 
 W55 = parse_poly("y^2 + y/x + x^3")
 X = UniPoly.x()
@@ -68,29 +68,33 @@ def test_divmod_w_y4_quotient():
     assert r.deg_y < W55.deg_y
 
 
-def test_divmod_w_rejects_bad_divisors():
+def test_divisor_rejects_bad_divisors():
+    # A divisor must be monic in y and of y-degree at least 1.
+    for bad in ("2y^2 + x", "x^3", "1"):
+        with pytest.raises(ValueError):
+            Divisor(parse_poly(bad))
+        with pytest.raises(ValueError):
+            w_expand(YPoly.y(), parse_poly(bad))
     with pytest.raises(ValueError):
-        divmod_w(YPoly.y(), parse_poly("2y^2 + x"))
-    with pytest.raises(ValueError):
-        divmod_w(YPoly.y(), parse_poly("x^3"))
+        ypower_table(parse_poly("2y^2 + x"), 3)
 
 
 def test_w_expand_y4_grid():
     exp = w_expand(parse_poly("y^4"), W55)
     assert exp.m == 2
-    assert exp.ell == 2
+    assert len(exp.grid) == 3
     assert exp.cell(0, 0) == rf("x^6 - x")
     assert exp.cell(0, 1) == rf("2x^2 - 1/x^3")
     assert exp.cell(1, 0) == rf("1/x^2 - 2x^3")
     assert exp.cell(1, 1) == rf("-2/x")
     assert exp.cell(2, 0) == RatFunc.one()
     assert exp.cell(2, 1).is_zero()
-    assert exp.reconstruct(W55) == parse_poly("y^4")
+    assert reconstruct(exp, W55) == parse_poly("y^4")
 
 
 def test_w_expand_constant():
     exp = w_expand(YPoly.const(Fraction(5, 3)), W55)
-    assert exp.ell == 0
+    assert len(exp.grid) == 1
     assert exp.cell(0, 0) == RatFunc(Fraction(5, 3))
     assert exp.cell(0, 1).is_zero()
 
@@ -104,7 +108,7 @@ def test_w_expand_of_y2_plus_x3():
 
 def test_w_expand_zero():
     exp = w_expand(YPoly.zero(), W55)
-    assert exp.ell == 0
+    assert len(exp.grid) == 1
     assert all(c.is_zero() for c in exp.rows[0])
 
 
@@ -127,8 +131,8 @@ def test_w_expand_reconstruction_random():
         w = rng.choice(divisors)
         f = _random_ypoly(rng)
         exp = w_expand(f, w)
-        assert exp.reconstruct(w) == f
-        assert exp.ell * w.deg_y <= max(f.deg_y, 0)
+        assert reconstruct(exp, w) == f
+        assert (len(exp.grid) - 1) * w.deg_y <= max(f.deg_y, 0)
         for row in exp.rows:
             assert len(row) == w.deg_y
         if not f.is_zero():
