@@ -71,6 +71,10 @@ class ConfigError(ValueError):
     pass
 
 
+# The config keys, in the order their types are checked, with those types.
+_KINDS = {"name": str, "m": int, "n": int, "w": str, "alpha": tuple, "beta": tuple}
+
+
 def _parse_value(raw: str, key: str, lineno: int):
     raw = raw.strip()
     if raw.startswith('"') and raw.endswith('"') and len(raw) >= 2:
@@ -104,23 +108,16 @@ def parse_config_text(text: str) -> SpecConfig:
         if key in fields:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         fields[key] = _parse_value(raw, key, lineno)
-    missing = {"name", "m", "n", "w", "alpha", "beta"} - fields.keys()
+    missing = _KINDS.keys() - fields.keys()
     if missing:
         raise ConfigError(f"missing keys: {', '.join(sorted(missing))}")
-    extra = fields.keys() - {"name", "m", "n", "w", "alpha", "beta"}
+    extra = fields.keys() - _KINDS.keys()
     if extra:
         raise ConfigError(f"unknown keys: {', '.join(sorted(extra))}")
-    for key, kind in (("name", str), ("m", int), ("n", int), ("w", str), ("alpha", tuple), ("beta", tuple)):
+    for key, kind in _KINDS.items():
         if not isinstance(fields[key], kind):
             raise ConfigError(f"{key} has the wrong type")
-    return SpecConfig(
-        name=fields["name"],
-        m=fields["m"],
-        n=fields["n"],
-        w=fields["w"],
-        alpha=fields["alpha"],
-        beta=fields["beta"],
-    )
+    return SpecConfig(**fields)
 
 
 def bundled_config_path(name: str) -> Path:

@@ -72,10 +72,6 @@ class UniPoly:
             raise ValueError("monomial exponent must be nonnegative")
         return cls((0,) * e + (c,))
 
-    @classmethod
-    def const(cls, c) -> "UniPoly":
-        return cls((c,))
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients as Fractions, lowest degree first, built on each read."""
@@ -92,9 +88,6 @@ class UniPoly:
     def lc(self) -> Fraction:
         """Leading coefficient (of the zero polynomial: 0)."""
         return Fraction(self.ints[-1], self.denom) if self.ints else Fraction(0)
-
-    def coeff(self, e: int) -> Fraction:
-        return Fraction(self.ints[e], self.denom) if 0 <= e < len(self.ints) else Fraction(0)
 
     def monic(self) -> "UniPoly":
         if not self.ints or self.ints[-1] == self.denom:
@@ -133,9 +126,6 @@ class UniPoly:
     __radd__ = __add__
 
     def __sub__(self, other) -> "UniPoly":
-        other = _as_unipoly(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other) -> "UniPoly":
@@ -154,14 +144,7 @@ class UniPoly:
     def __pow__(self, k: int) -> "UniPoly":
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        result = _ONE
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, _ONE)
 
     def __divmod__(self, other):
         other = _as_unipoly(other)
@@ -235,6 +218,17 @@ def _poly(ints: list[int], denom: int = 1) -> UniPoly:
 
 _ZERO = _raw((), 1)
 _ONE = _raw((1,), 1)
+
+
+def _power(base, k: int, one):
+    """base**k for k >= 0 by square-and-multiply, starting from the unit one."""
+    result = one
+    while k:
+        if k & 1:
+            result = result * base
+        base = base * base
+        k >>= 1
+    return result
 
 
 def _as_unipoly(value):
@@ -475,9 +469,6 @@ class RatFunc:
     __radd__ = __add__
 
     def __sub__(self, other) -> "RatFunc":
-        other = _as_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other) -> "RatFunc":

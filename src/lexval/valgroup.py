@@ -10,6 +10,7 @@ quotient classes modulo the subgroup Z*(m*alpha).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import total_ordering
 from math import gcd
 
 
@@ -44,6 +45,7 @@ class ValuePair:
         return f"({self.a},{self.b})"
 
 
+@total_ordering
 class Infinity:
     """The value of zero; strictly greater than every ValuePair."""
 
@@ -56,15 +58,6 @@ class Infinity:
 
     def __lt__(self, other):
         return False
-
-    def __le__(self, other):
-        return other is self
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
 
     def __eq__(self, other):
         return other is self
@@ -144,11 +137,15 @@ class QuotClass:
     t: int
 
 
-def quotient_class(gamma: ValuePair, m: int, alpha: ValuePair, beta: ValuePair) -> QuotClass:
-    """Class of gamma modulo Z*(m*alpha), for a unimodular basis (alpha, beta)."""
+def _check_unimodular(alpha: ValuePair, beta: ValuePair) -> None:
     det = basis_det(alpha, beta)
     if det not in (1, -1):
         raise ValueError(f"basis is not unimodular (determinant {det})")
+
+
+def quotient_class(gamma: ValuePair, m: int, alpha: ValuePair, beta: ValuePair) -> QuotClass:
+    """Class of gamma modulo Z*(m*alpha), for a unimodular basis (alpha, beta)."""
+    _check_unimodular(alpha, beta)
     s, t = decompose(gamma, alpha, beta)
     return QuotClass(s % m, t)
 

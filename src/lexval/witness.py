@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ratfunc import _ONE, RatFunc, UniPoly, _raw, uni_divmod
-from .valgroup import INF, ExtValue, ValuePair, decompose, monoid_member, quotient_class
+from .valgroup import INF, ExtValue, ValuePair, _check_unimodular, decompose, monoid_member, quotient_class
 from .valuation import LeadTerm, ValuationSpec, lead_term, value
 from .ypoly import YPoly, YPowerTable, denominator_clearer, ypower_table
 
@@ -78,7 +78,7 @@ def _bounded_monic(table: YPowerTable, dm: int) -> YPoly:
             if num and coeffs[s]:
                 acc = acc - uni_divmod(coeffs[s] * num, den)[0]
         coeffs[t] = acc
-    return YPoly({t: RatFunc(p) for t, p in coeffs.items() if p})
+    return YPoly(coeffs)
 
 
 def reduce_past_chain(
@@ -103,12 +103,9 @@ def reduce_past_chain(
             raise ValueError(f"value {lead.value} of input is below the chain start {chain.values[0]}")
         if lead.value > chain.values[-1]:
             return h, steps, lead.value
-        try:
-            idx = chain.values.index(lead.value)
-        except ValueError:
-            # The chain is a run of immediate successors, so a value that is
-            # neither past the end nor on the chain cannot occur.
-            raise RuntimeError(f"value {lead.value} is inside the chain range but not on the chain")
+        # The chain values are consecutive, so chain.values[k] is
+        # chain.values[0] + (0, k).
+        idx = lead.value.b - chain.values[0].b
         if idx not in chain_leads:
             chain_leads[idx] = lead_term(spec, chain.polys[idx])
         lam = lead.cancel_scalar(chain_leads[idx])
@@ -281,6 +278,7 @@ def sample_image(spec: ValuationSpec, corpus_spec: CorpusSpec, mode: str) -> Ima
     mode "ex55" tests membership in {(0,0)} union (Z_{>0} alpha + Z_{>=0} beta);
     mode "cone" tests membership in Z_{>=0} alpha + Z_{>=0} beta.
     """
+    _check_unimodular(spec.alpha, spec.beta)
     attained = set()
     violations = []
     rng = random.Random(corpus_spec.seed)
@@ -314,6 +312,7 @@ def quotient_census(
     "corpus" adds x,y-monomials and seeded random polynomials.  The count
     can never exceed ell + 1.
     """
+    _check_unimodular(spec.alpha, spec.beta)
     if ell < 0:
         raise ValueError("ell must be nonnegative")
     if family not in ("h_family", "corpus"):
@@ -360,11 +359,9 @@ def _in_nonneg_alpha(spec: ValuationSpec, v: ValuePair) -> bool:
 def structure_checks(spec: ValuationSpec, corpus_spec: CorpusSpec) -> StructureReport:
     """Audit the structural containments of the attained image."""
     low_violations = []
-    low_checked = 0
     rng = random.Random(corpus_spec.seed)
-
-    for f in _seeded_corpus(rng, corpus_spec.max_deg_x, spec.m - 1, corpus_spec.random_count):
-        low_checked += 1
+    low_corpus = _seeded_corpus(rng, corpus_spec.max_deg_x, spec.m - 1, corpus_spec.random_count)
+    for f in low_corpus:
         v = value(spec, f)
         if not _in_nonneg_alpha(spec, v):
             low_violations.append((f, v))
@@ -373,20 +370,18 @@ def structure_checks(spec: ValuationSpec, corpus_spec: CorpusSpec) -> StructureR
     divisor_escapes = not _in_nonneg_alpha(spec, v_w)
 
     rational_violations = []
-    rational_checked = 0
     for _ in range(corpus_spec.random_count):
         f = random_rational_poly(rng, corpus_spec.max_deg_x, corpus_spec.max_deg_y)
-        rational_checked += 1
         v = value(spec, f)
         sol = decompose(v, spec.alpha, spec.beta)
         if sol is None or sol[1] < 0:
             rational_violations.append((f, v))
 
     return StructureReport(
-        low_degree_checked=low_checked,
+        low_degree_checked=len(low_corpus),
         low_degree_violations=tuple(low_violations),
         divisor_value=v_w,
         divisor_escapes=divisor_escapes,
-        rational_checked=rational_checked,
+        rational_checked=corpus_spec.random_count,
         rational_violations=tuple(rational_violations),
     )

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .ratfunc import _ONE, NEG_INF, RatFunc, UniPoly, _join_terms, _poly, _zdiv_exact, _zmul, as_ratfunc, poly_gcd
+from .ratfunc import _ONE, NEG_INF, RatFunc, UniPoly, _join_terms, _poly, _power, _zdiv_exact, _zmul, as_ratfunc, poly_gcd
 
 
 class YPoly:
@@ -76,9 +76,6 @@ class YPoly:
             raise ValueError("polynomial is not y-free")
         return self.coeff(0)
 
-    def has_polynomial_coeffs(self) -> bool:
-        return all(c.is_polynomial() for c in self.terms.values())
-
     def items(self):
         return sorted(self.terms.items())
 
@@ -110,9 +107,6 @@ class YPoly:
     __radd__ = __add__
 
     def __sub__(self, other) -> "YPoly":
-        other = _as_ypoly(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other) -> "YPoly":
@@ -143,14 +137,7 @@ class YPoly:
     def __pow__(self, k: int) -> "YPoly":
         if k < 0:
             raise ValueError("negative power of a y-polynomial")
-        result = YPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, YPoly.one())
 
     def __call__(self, x_val, y_val) -> Fraction:
         """Exact evaluation at a rational point (x_val, y_val)."""

@@ -406,6 +406,12 @@ def test_config_errors(tmp_path):
         parse_config_text(PRESETS["ex55"].to_text() + "m = 2\n")
     with pytest.raises(ConfigError, match="integer pair"):
         parse_config_text(PRESETS["ex55"].to_text().replace("[0, 1]", "[a, b]"))
+    with pytest.raises(ConfigError, match="m has the wrong type"):
+        parse_config_text(PRESETS["ex55"].to_text().replace("m = 2", 'm = "2"'))
+    with pytest.raises(ConfigError, match="exactly two integers"):
+        parse_config_text(PRESETS["ex55"].to_text().replace("[-1, -1]", "[1, 2, 3]"))
+    with pytest.raises(ConfigError, match="cannot parse value 'x' for n"):
+        parse_config_text(PRESETS["ex55"].to_text().replace("n = 3", "n = x"))
 
 
 class _Reached(Exception):

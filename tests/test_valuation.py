@@ -365,3 +365,55 @@ def test_triangle_direct_random(ex55):
         assert vs >= min(vf, vg)
         if vf != vg:
             assert vs == min(vf, vg)
+
+
+def _audit_pairs(spec, corpus, pair_budget, seed):
+    """Replay check_axioms' pair draws: the equal-value pairs, and how many of
+    the sums it values are zero (valued INF with no expansion)."""
+    rng = random.Random(seed)
+    equal = zero_sums = 0
+    for _ in range(pair_budget):
+        f, g = rng.choice(corpus), rng.choice(corpus)
+        zero_sums += (f + g).is_zero()
+        if value(spec, f) == value(spec, g):
+            equal += 1
+            lam = cancel_lambda(spec, f, g)
+            zero_sums += sum((f + g.scale(s)).is_zero() for s in (lam, lam + 1, lam - 1))
+    return equal, zero_sums
+
+
+def test_check_axioms_reads_lambda_off_stored_lead_terms(ex52, monkeypatch):
+    import lexval.valuation as valuation_mod
+
+    corpus = _corpus(103, 30)
+    assert _audit_pairs(ex52, corpus, 80, 103)[0] > 0
+    expected = check_axioms(ex52, corpus, 80, seed=103)
+
+    def refuse(*args):
+        raise AssertionError("the audit expanded f and g again for lambda")
+
+    monkeypatch.setattr(valuation_mod, "cancel_lambda", refuse)
+    assert check_axioms(ex52, corpus, 80, seed=103) == expected
+
+
+# Seed 107 draws one pair whose sum, valued INF, needs no expansion.
+@pytest.mark.parametrize("seed, zero_sums", [(100, 0), (107, 1)])
+def test_check_axioms_expands_each_question_once(ex52, monkeypatch, seed, zero_sums):
+    # One expansion per corpus element, two per pair (f*g and f+g), three
+    # per equal-value pair (lambda and lambda +- 1) and one per x-pair.
+    import lexval.valuation as valuation_mod
+
+    corpus = _corpus(seed, 30)
+    equal, zeros = _audit_pairs(ex52, corpus, 80, seed)
+    assert equal > 0 and zeros == zero_sums
+    calls = []
+
+    def counted(spec, f):
+        calls.append(f)
+        return lead_term(spec, f)
+
+    monkeypatch.setattr(valuation_mod, "lead_term", counted)
+    report = check_axioms(ex52, corpus, 80, seed=seed)
+    assert report.ok
+    expected = len(corpus) + 2 * report.pairs_checked + 3 * equal + report.x_pairs_checked
+    assert len(calls) == expected - zero_sums

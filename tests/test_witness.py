@@ -15,6 +15,7 @@ from lexval import (
     build_bounded_monic,
     class_witness,
     increasing_value_sequence,
+    make_spec,
     parse_poly,
     quotient_census,
     reduce_past_chain,
@@ -51,7 +52,7 @@ def test_build_bounded_monic_bound_and_shape(ex55, ex52):
             f = build_bounded_monic(spec, d)
             assert f.deg_y == d * spec.m
             assert f.is_monic_in_y()
-            assert f.has_polynomial_coeffs()
+            assert all(c.is_polynomial() for c in f.terms.values())
             assert value(spec, f) >= bound
 
 
@@ -132,7 +133,7 @@ def test_increasing_value_sequence_exact(ex55):
     for d, (f, v) in enumerate(seq):
         assert f.deg_y == 2 * (d + 1)
         assert v == ValuePair(-1, d - 1)
-        assert f.has_polynomial_coeffs()
+        assert all(c.is_polynomial() for c in f.terms.values())
     assert seq[0][0] == parse_poly("y^2 + x^3")
 
 
@@ -183,7 +184,7 @@ def test_increasing_value_sequence_reduces_no_question_cell(ex55, monkeypatch):
     seq = increasing_value_sequence(ex55, 5)
     target = witness_for_value(ex55, 3, 2)
     monkeypatch.undo()
-    assert f4.deg_y == 8 and f4.has_polynomial_coeffs()
+    assert f4.deg_y == 8 and all(c.is_polynomial() for c in f4.terms.values())
     assert [v for _, v in seq] == [ValuePair(-1, d - 1) for d in range(6)]
     assert value(ex55, target) == ValuePair(-3, -1)
 
@@ -366,3 +367,30 @@ def test_random_terms_match_validating_constructors():
             r = ref.terms[e]
             for p, q in ((c.num, r.num), (c.den, r.den)):
                 assert (p.ints, p.denom) == (q.ints, q.denom)
+
+
+def test_reduce_past_chain_steps_on_an_inner_chain_element(ex55):
+    seq = increasing_value_sequence(ex55, 2)
+    chain = WitnessChain(*zip(*seq))
+    assert len(chain.polys) == 3
+    g, steps, v = reduce_past_chain(ex55, chain.polys[1].scale(3), chain)
+    assert steps == [(1, -3)]
+    assert g.is_zero() and v == INF
+
+
+def test_image_and_census_refuse_a_non_unimodular_basis_before_algebra(monkeypatch):
+    import lexval.witness as witness_mod
+
+    # A valid bundle whose basis has determinant 3.
+    probe = make_spec(2, 3, parse_poly("y^2 + x^3"), ValuePair(-1, -1), ValuePair(1, -2))
+
+    def refuse(*args):
+        raise AssertionError("algebra started before the basis was checked")
+
+    monkeypatch.setattr(witness_mod, "value", refuse)
+    monkeypatch.setattr(witness_mod, "_class_witnesses", refuse)
+    with pytest.raises(ValueError, match=r"not unimodular \(determinant 3\)"):
+        sample_image(probe, CorpusSpec(random_count=5), "cone")
+    for family in ("h_family", "corpus"):
+        with pytest.raises(ValueError, match=r"not unimodular \(determinant 3\)"):
+            quotient_census(probe, 3, family=family)

@@ -319,3 +319,35 @@ def test_clearing_integer_polynomials_matches_general_path():
         assert _clear_denominators(f.scale(Fraction(1, 7))) == ([7], nums)
         assert _clear_denominators(f.scale(RatFunc(1, X - 11))) == ([-11, 1], nums)
         assert all(type(n) is list for n in nums.values())
+
+
+# One element of each ring, from the integers up to Q(x)[y].
+RING_ELEMENTS = [
+    5,
+    Fraction(-2, 3),
+    UniPoly((1, Fraction(1, 2), 3)),
+    RatFunc(X + 2, X**2 + 1),
+    parse_poly("y^2/(x+1) - 3x*y + 1/2"),
+]
+
+
+@pytest.mark.parametrize("a", RING_ELEMENTS, ids=lambda a: type(a).__name__)
+@pytest.mark.parametrize("b", RING_ELEMENTS, ids=lambda b: type(b).__name__)
+def test_subtraction_is_addition_of_the_negation(a, b):
+    assert a - b == a + (-b)
+    assert b - a == b + (-a)
+
+
+def test_subtraction_of_a_foreign_object_raises():
+    with pytest.raises(TypeError):
+        X - object()
+    with pytest.raises(TypeError):
+        object() - X
+
+
+@pytest.mark.parametrize("p", RING_ELEMENTS[2:], ids=lambda p: type(p).__name__)
+def test_power_is_repeated_product(p):
+    product = 1
+    for k in range(7):
+        assert p**k == product
+        product = product * p
