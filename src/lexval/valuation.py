@@ -246,8 +246,8 @@ def check_axioms(
       * value(f*g) == value(f) + value(g)
       * value(f+g) >= min(value(f), value(g))
       * equality above whenever value(f) != value(g)
-      * when value(f) == value(g): the cancellation scalar lambda, read off
-        the stored lead terms, strictly raises the value and lambda +- 1 do not
+      * when value(f) == value(g): lambda = -residue(f) / residue(g) of the
+        lead cells strictly raises the value, and lambda +- 1 do not
     and, on pairs (p, g) with p free of y, the scaling law
     value(p*g) == value(p) + value(g).
 
@@ -260,13 +260,13 @@ def check_axioms(
         if f.is_zero():
             raise ValueError("corpus must consist of nonzero polynomials")
     rng = random.Random(seed)
-    leads = {f: lead_term(spec, f) for f in corpus}
+    leads = {f: (t.value, t.exp.residue(t.i, t.j)) for f in corpus for t in [lead_term(spec, f)]}
 
     for _ in range(pair_budget):
         f = rng.choice(corpus)
         g = rng.choice(corpus)
-        vf = leads[f].value
-        vg = leads[g].value
+        vf, rf = leads[f]
+        vg, rg = leads[g]
         report.pairs_checked += 1
 
         if value(spec, f * g) != vf + vg:
@@ -280,7 +280,7 @@ def check_axioms(
             report.record("strict_triangle", f"value(f+g) != min for f={f}, g={g}")
 
         if vf == vg:
-            lam = leads[f].cancel_scalar(leads[g])
+            lam = -rf / rg
             if not value(spec, f + g.scale(lam)) > vf:
                 report.record("lambda_raises", f"lambda={lam} fails to raise for f={f}, g={g}")
             for other in (lam + 1, lam - 1):
@@ -295,6 +295,6 @@ def check_axioms(
             p = rng.choice(pure_x)
             g = rng.choice(corpus)
             report.x_pairs_checked += 1
-            if value(spec, p * g) != leads[p].value + leads[g].value:
+            if value(spec, p * g) != leads[p][0] + leads[g][0]:
                 report.record("x_scaling", f"value(pg) != value(p)+value(g) for p={p}, g={g}")
     return report

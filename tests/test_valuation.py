@@ -417,3 +417,30 @@ def test_check_axioms_expands_each_question_once(ex52, monkeypatch, seed, zero_s
     assert report.ok
     expected = len(corpus) + 2 * report.pairs_checked + 3 * equal + report.x_pairs_checked
     assert len(calls) == expected - zero_sums
+
+
+def test_check_axioms_keeps_no_expansion_of_its_corpus(ex52, monkeypatch):
+    # Of each corpus element the audit keeps the value and the lead residue,
+    # not the expansion, so its memory does not grow with corpus x expansion.
+    import gc
+
+    import lexval.valuation as valuation_mod
+
+    corpus = _corpus(103, 30)
+
+    def live_expansions():
+        gc.collect()
+        return sum(isinstance(o, WExpansion) for o in gc.get_objects())
+
+    before = live_expansions()
+    during = []
+
+    def first_pair_value(spec, f):
+        # The first value call of the pair loop: every corpus lead term is built.
+        if not during:
+            during.append(live_expansions())
+        return value(spec, f)
+
+    monkeypatch.setattr(valuation_mod, "value", first_pair_value)
+    assert check_axioms(ex52, corpus, 80, seed=103).ok
+    assert during == [before]

@@ -1,13 +1,14 @@
-"""Statements of src/lexval/ that the benchmark workloads never execute.
+"""Lines of src/lexval/ that the benchmark workloads never execute.
 
-Runs the command lines of each workload in bench/workloads.py, for seeds
-0 .. N-1, through `lexval.cli.main`, under a `sys.settrace` line tracer
-limited to src/lexval/, and prints for each module the statements that
-never ran.  Docstrings are not counted as statements.  Importing lexval is
-traced too, so module-level statements count as run.
+Runs the command lines of every workload in bench/workloads.py, for seeds
+0 .. N-1, through `lexval.cli.main` (by bench/run.py's `run_command`), under
+the stdlib `trace` line counter, and prints for each module the executable
+lines that never ran, consecutive ones as one span.  Executable lines are
+those of the module's compiled code.  No docstring is listed: a function's
+compiles to no code, and a module's or a class's runs with its body.
+Importing lexval is counted too, so module-level lines count as run.
 
     python3 tools/traffic_lines.py --seeds 2
-    python3 tools/traffic_lines.py --seeds 1 --workload audit_ex52
 
 Run it from anywhere in a checkout.  It reads bench/ and writes no file:
 bytecode caching is switched off before bench/ is imported.  The exit
@@ -17,11 +18,8 @@ status is 0 whatever it finds.
 from __future__ import annotations
 
 import argparse
-import ast
-import io
-import os
 import sys
-from contextlib import redirect_stderr, redirect_stdout
+import trace
 from pathlib import Path
 
 sys.dont_write_bytecode = True
@@ -29,102 +27,73 @@ ROOT = Path(__file__).resolve().parent.parent
 PKG = ROOT / "src" / "lexval"
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-# Statements that run no code of their own: a try runs its body, global and
-# nonlocal compile to nothing.
-_NO_CODE = (ast.Try, getattr(ast, "TryStar", ast.Try), ast.Global, ast.Nonlocal)
+
+def executable_lines(path: Path) -> list[int]:
+    """The lines that carry bytecode in the compiled module, nested code included."""
+    lines, todo = set(), [compile(path.read_text(), str(path), "exec")]
+    while todo:
+        code = todo.pop()
+        lines.update(line for _, _, line in code.co_lines() if line)
+        todo.extend(c for c in code.co_consts if hasattr(c, "co_lines"))
+    return sorted(lines)
 
 
-def statements(path: Path) -> list[tuple[int, int]]:
-    """The (first, last) lines of each statement of a module, docstrings left out.
+def run_workloads(seeds: int) -> int:
+    """Import lexval, run every workload's commands for seeds 0 .. seeds-1 and
+    return how many of them failed."""
+    import lexval.cli
+    from run import run_command
+    from workloads import WORKLOADS
 
-    A compound statement (def, class, if, for, while, with) counts its header
-    lines only; its body's statements are counted on their own.
-    """
-    out = []
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        if not isinstance(node, ast.stmt) or isinstance(node, _NO_CODE):
-            continue
-        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant) and isinstance(node.value.value, str):
-            continue
-        first = _first_line(node)
-        body = getattr(node, "body", None)
-        last = node.end_lineno if not body else max(first, _first_line(body[0]) - 1)
-        out.append((first, last))
-    return sorted(out)
-
-
-def _first_line(node: ast.stmt) -> int:
-    """A statement's first line: that of its first decorator, if it has one."""
-    return min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
-
-
-def line_tracer() -> tuple[dict[str, set[int]], object]:
-    """A sys.settrace function limited to src/lexval/, and the lines it hits, per file."""
-    prefix = str(PKG) + os.sep
-    hit: dict[str, set[int]] = {}
-
-    def on_call(frame, event, arg):
-        path = frame.f_code.co_filename
-        if not path.startswith(prefix):
-            return None
-        lines = hit.setdefault(path, set())
-
-        def on_line(frame, event, arg):
-            if event == "line":
-                lines.add(frame.f_lineno)
-            return on_line
-
-        return on_line
-
-    return hit, on_call
+    failed = 0
+    for name in sorted(WORKLOADS):
+        for seed in range(seeds):
+            for cmd in WORKLOADS[name].commands(seed):
+                failed += run_command(lexval.cli, cmd).error is not None
+    return failed
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, default=1, help="run seeds 0 .. SEEDS-1 (default 1)")
-    parser.add_argument("--workload", action="append", help="a workload to run (default: all of them)")
     args = parser.parse_args(argv)
     if args.seeds < 1:
         parser.error("--seeds must be at least 1")
 
-    # Tracing starts before lexval is imported, so its module-level statements count.
-    hit, on_call = line_tracer()
-    sys.settrace(on_call)
-    try:
-        import lexval.cli
-        from workloads import WORKLOADS
+    # Counting starts before lexval is imported, so its module-level lines count.
+    # No ignoredirs: `trace` caches what it ignores by module base name, so an
+    # ignored stdlib __init__ would hide lexval/__init__.py as well.
+    tracer = trace.Trace(count=1, trace=0)
+    failed = tracer.runfunc(run_workloads, args.seeds)
+    import lexval
 
-        names = args.workload or sorted(WORKLOADS)
-        unknown = [n for n in names if n not in WORKLOADS]
-        if unknown:
-            parser.error(f"unknown workload(s) {', '.join(unknown)}; choose from {', '.join(sorted(WORKLOADS))}")
-        sink = io.StringIO()
-        for name in names:
-            for seed in range(args.seeds):
-                for cmd in WORKLOADS[name].commands(seed):
-                    with redirect_stdout(sink), redirect_stderr(sink):
-                        lexval.cli.main(cmd)
-                    sink.seek(0)
-                    sink.truncate()
-    finally:
-        sys.settrace(None)
     if not str(Path(lexval.__file__).resolve()).startswith(str(PKG)):
         raise SystemExit(f"lexval was imported from {lexval.__file__}, not from {PKG}")
+    ran: dict[Path, set[int]] = {}
+    for path, line in tracer.results().counts:
+        ran.setdefault(Path(path), set()).add(line)
 
-    print(f"# workloads: {', '.join(names)}; seeds 0..{args.seeds - 1}")
+    print(f"# workloads: all in bench/workloads.py; seeds 0..{args.seeds - 1}; {failed} commands failed")
     total = never = 0
     for path in sorted(PKG.glob("*.py")):
-        lines = hit.get(str(path), set())
         source = path.read_text().splitlines()
-        stmts = statements(path)
-        missed = [(a, b) for a, b in stmts if not lines.intersection(range(a, b + 1))]
-        total += len(stmts)
+        lines = executable_lines(path)
+        hit = ran.get(path, set())
+        missed = [line for line in lines if line not in hit]
+        total += len(lines)
         never += len(missed)
-        print(f"{path.relative_to(ROOT)}: {len(missed)} of {len(stmts)} statements never ran")
-        for a, b in missed:
+        print(f"{path.relative_to(ROOT)}: {len(missed)} of {len(lines)} lines never ran")
+        # Missed lines with no executable line between them make one span.
+        spans, index = [], {line: k for k, line in enumerate(lines)}
+        for line in missed:
+            if spans and index[line] == index[spans[-1][1]] + 1:
+                spans[-1][1] = line
+            else:
+                spans.append([line, line])
+        for a, b in spans:
             span = f"{a}" if a == b else f"{a}-{b}"
             print(f"  {span:>9}  {source[a - 1].strip()}")
-    print(f"# total: {never} of {total} statements never ran")
+    print(f"# total: {never} of {total} lines never ran")
     return 0
 
 
