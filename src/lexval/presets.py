@@ -1,22 +1,19 @@
 """Parameter presets and the key-value config file format.
 
-Config files are a small TOML subset:
+Config files are a small TOML subset: one `key = value` line for each of
+`name` and `w` (quoted strings), `m` and `n` (integers), and `alpha` and
+`beta` (integer pairs `[a, b]`); blank lines and `#` comments are skipped.
 
-    name = "ex55"
-    m = 2
-    n = 3
-    w = "y^2 + y/x + x^3"
-    alpha = [-1, -1]
-    beta = [0, 1]
-
-Two presets ship with the package (resolvable by bare name or as bundled
-files): ex55, whose attained image is nonpositive yet has no largest-element
-property, and ex52, whose attained image is a reversely well-ordered cone.
+The presets are the config files bundled in `lexval/data/`, read at import
+into `PRESETS` by file name: ex55, whose attained image is nonpositive yet has
+no largest-element property, and ex52, whose attained image is a reversely
+well-ordered cone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -46,25 +43,10 @@ class SpecConfig:
             "beta": ValuePair(*self.beta),
         }
 
-    def build(self) -> ValuationSpec:
-        """Validate and construct the valuation parameters."""
+    @cached_property
+    def spec(self) -> ValuationSpec:
+        """The validated valuation parameters, built on first use and kept."""
         return make_spec(**self.bundle())
-
-    def to_text(self) -> str:
-        return (
-            f'name = "{self.name}"\n'
-            f"m = {self.m}\n"
-            f"n = {self.n}\n"
-            f'w = "{self.w}"\n'
-            f"alpha = [{self.alpha[0]}, {self.alpha[1]}]\n"
-            f"beta = [{self.beta[0]}, {self.beta[1]}]\n"
-        )
-
-
-PRESETS = {
-    "ex55": SpecConfig(name="ex55", m=2, n=3, w="y^2 + y/x + x^3", alpha=(-1, -1), beta=(0, 1)),
-    "ex52": SpecConfig(name="ex52", m=2, n=3, w="y^2 + x^3", alpha=(-1, -1), beta=(0, -1)),
-}
 
 
 class ConfigError(ValueError):
@@ -125,6 +107,14 @@ def bundled_config_path(name: str) -> Path:
     return Path(resources.files("lexval").joinpath("data", f"{name}.toml"))
 
 
+# Traversable reads, so that a zipped install works too.
+PRESETS = {
+    f.name.removesuffix(".toml"): parse_config_text(f.read_text())
+    for f in sorted(resources.files("lexval").joinpath("data").iterdir(), key=lambda f: f.name)
+    if f.name.endswith(".toml")
+}
+
+
 def load_config(source: str) -> SpecConfig:
     """Load a config by preset name or file path."""
     if source in PRESETS:
@@ -136,5 +126,5 @@ def load_config(source: str) -> SpecConfig:
 
 
 def load_spec(source: str) -> ValuationSpec:
-    """Load and validate valuation parameters by preset name or file path."""
-    return load_config(source).build()
+    """Valuation parameters by preset name (built once) or file path (read on every call)."""
+    return load_config(source).spec

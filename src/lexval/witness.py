@@ -122,17 +122,20 @@ def increasing_value_sequence(spec: ValuationSpec, d_max: int) -> list[tuple[YPo
     f_0 is the bounded monic builder's degree-m output; each later element
     reduces a fresh higher-degree builder output past the chain built so
     far.  For the ex55 preset this yields deg_y(f_d) = 2(d+1) and
-    value(f_d) = (-1, d-1) exactly.  All builder outputs share one y-power
-    table.
+    value(f_d) = (-1, d-1) exactly.  f_0 and f_1 share a y-power table to
+    y^2m; the later outputs share one to y^((d_max+1)m), built only once f_1
+    has passed the chain's consecutiveness check.
     """
     if d_max < 0:
         raise ValueError("d_max must be nonnegative")
-    table = ypower_table(spec.w, (d_max + 1) * spec.m)
+    table = ypower_table(spec.w, 2 * spec.m)
     f0 = _bounded_monic(table, spec.m)
     v0 = value(spec, f0)
     out = [(f0, v0)]
     chain = WitnessChain((f0,), (v0,))
     for d in range(1, d_max + 1):
+        if d == 2:
+            table = ypower_table(spec.w, (d_max + 1) * spec.m)
         raw = _bounded_monic(table, (d + 1) * spec.m)
         g, _, vg = reduce_past_chain(spec, raw, chain)
         out.append((g, vg))

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from lexval import bundled_config_path, load_config, load_spec, parse_poly
+from lexval import InvalidSpecError, ValuePair, bundled_config_path, load_config, load_spec, parse_poly
 from lexval import cli
 from lexval.cli import main
 from lexval.presets import PRESETS, ConfigError, parse_config_text
@@ -227,7 +227,7 @@ def test_axioms_json_shape(capsys):
 
 
 def test_spec_check_invalid_config(tmp_path, capsys):
-    bad = PRESETS["ex55"].to_text().replace("[0, 1]", "[0, 2]")
+    bad = bundled_config_path("ex55").read_text().replace("[0, 1]", "[0, 2]")
     path = tmp_path / "bad.toml"
     path.write_text(bad)
     code, out, err = run_cli(capsys, "spec-check", "--spec", str(path))
@@ -391,27 +391,71 @@ def test_bundled_configs_match_presets():
 
 def test_config_loading_from_file(tmp_path):
     path = tmp_path / "ex55.toml"
-    path.write_text(PRESETS["ex55"].to_text())
+    path.write_text(bundled_config_path("ex55").read_text())
     assert load_config(str(path)) == PRESETS["ex55"]
     spec = load_spec(str(path))
     assert spec == load_spec("ex55")
 
 
 def test_config_errors(tmp_path):
+    text = bundled_config_path("ex55").read_text()
+    assert parse_config_text("# a comment\n\n" + text) == PRESETS["ex55"]
+    with pytest.raises(ConfigError, match="line 7: expected key = value"):
+        parse_config_text(text + "m 2\n")
     with pytest.raises(ConfigError, match="missing keys"):
         parse_config_text("name = \"x\"\n")
     with pytest.raises(ConfigError, match="unknown keys"):
-        parse_config_text(PRESETS["ex55"].to_text() + "extra = 3\n")
+        parse_config_text(text + "extra = 3\n")
     with pytest.raises(ConfigError, match="duplicate"):
-        parse_config_text(PRESETS["ex55"].to_text() + "m = 2\n")
+        parse_config_text(text + "m = 2\n")
     with pytest.raises(ConfigError, match="integer pair"):
-        parse_config_text(PRESETS["ex55"].to_text().replace("[0, 1]", "[a, b]"))
+        parse_config_text(text.replace("[0, 1]", "[a, b]"))
     with pytest.raises(ConfigError, match="m has the wrong type"):
-        parse_config_text(PRESETS["ex55"].to_text().replace("m = 2", 'm = "2"'))
+        parse_config_text(text.replace("m = 2", 'm = "2"'))
     with pytest.raises(ConfigError, match="exactly two integers"):
-        parse_config_text(PRESETS["ex55"].to_text().replace("[-1, -1]", "[1, 2, 3]"))
+        parse_config_text(text.replace("[-1, -1]", "[1, 2, 3]"))
     with pytest.raises(ConfigError, match="cannot parse value 'x' for n"):
-        parse_config_text(PRESETS["ex55"].to_text().replace("n = 3", "n = x"))
+        parse_config_text(text.replace("n = 3", "n = x"))
+
+
+def test_presets_are_the_bundled_files():
+    # test_bundled_configs_match_presets passes on an empty PRESETS.
+    assert sorted(PRESETS) == ["ex52", "ex55"]
+    for name, cfg in PRESETS.items():
+        assert cfg.name == name
+        assert load_config(name) is cfg
+
+
+def test_preset_spec_is_built_once(capsys, cleared):
+    assert load_spec("ex55") is load_spec("ex55")
+    w = load_spec("ex55").w
+    for _ in range(2):
+        assert main(["value", "--spec", "ex55", "y^3/(x+2) + x"]) == 0
+    assert capsys.readouterr().out == "(-7,-7)\n" * 2
+    assert sum(f == w for f in cleared) <= 1
+
+
+def test_edited_config_file_is_read_again(tmp_path):
+    path = tmp_path / "spec.toml"
+    path.write_text(bundled_config_path("ex55").read_text())
+    assert load_spec(str(path)).beta == ValuePair(0, 1)
+    path.write_text(bundled_config_path("ex52").read_text())
+    assert load_spec(str(path)).beta == ValuePair(0, -1)
+
+
+def test_invalid_config_lists_every_violation_on_every_use(tmp_path, capsys):
+    path = tmp_path / "bad.toml"
+    path.write_text('name = "bad"\nm = 2\nn = 4\nw = "2y^2 + x^3"\nalpha = [-2, -2]\nbeta = [0, 2]\n')
+    names = ["m_n_not_coprime", "w_not_monic_in_y", "alpha_divisible", "beta_divisible"]
+    for _ in range(2):
+        assert run_cli(capsys, "spec-check", "--spec", str(path)) == (
+            1, "valid = false\n" + "".join(f"violation: {v}\n" for v in names), ""
+        )
+    cfg = load_config(str(path))
+    for _ in range(2):
+        with pytest.raises(InvalidSpecError) as err:
+            cfg.spec
+        assert list(err.value.violations) == names
 
 
 class _Reached(Exception):

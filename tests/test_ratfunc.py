@@ -109,6 +109,15 @@ def test_ratfunc_pow_negative():
     h = RatFunc(X, X**2 + 1)
     assert h**-1 == RatFunc(X**2 + 1, X)
     assert h**0 == RatFunc.one()
+    with pytest.raises(ZeroDivisionError, match="negative power of zero"):
+        RatFunc.zero() ** -1
+
+
+def test_ratfunc_evaluation_at_a_pole():
+    h = RatFunc(X + 1, X**2 - 1)  # reduces to 1/(x - 1)
+    assert h(3) == Fraction(1, 2)
+    with pytest.raises(ZeroDivisionError, match="denominator vanishes at 1"):
+        h(1)
 
 
 def test_v_inf_examples():

@@ -13,6 +13,7 @@ from lexval import (
     UniPoly,
     ValuePair,
     YPoly,
+    bundled_config_path,
     cancel_lambda,
     check_axioms,
     lead_term,
@@ -31,9 +32,12 @@ from lexval.valuation import (
     V_BETA_DIVISIBLE,
     V_BETA_TOO_LOW,
     V_COMMENSURABLE,
+    V_M_NOT_POSITIVE,
+    V_N_NOT_POSITIVE,
     V_NOT_COPRIME,
     V_W0_MISMATCH,
     V_W_COEFF_TOO_LOW,
+    V_W_DEGREE,
     V_W_NOT_MONIC,
 )
 from lexval.ypoly import WExpansion
@@ -50,6 +54,9 @@ def test_make_spec_accepts_presets(ex55, ex52):
 
 def test_make_spec_rejections_carry_named_violations():
     cases = [
+        (V_M_NOT_POSITIVE, (0, 3, "y^2 + y/x + x^3", A, B55)),
+        (V_N_NOT_POSITIVE, (2, 0, "y^2 + y/x + x^3", A, B55)),
+        (V_W_DEGREE, (3, 2, "y^2 + y/x + x^3", A, B55)),
         (V_NOT_COPRIME, (2, 4, "y^2 + x^4", A, B55)),
         (V_W_NOT_MONIC, (2, 3, "2y^2 + x^3", A, B55)),
         (V_ALPHA_NOT_NEGATIVE, (2, 3, "y^2 + y/x + x^3", ValuePair(1, 1), B55)),
@@ -293,9 +300,13 @@ def test_lead_reduces_one_cell(ex55, monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def test_values_clear_w_once(cleared):
-    # The spec's divisor is built on the first question and kept.
-    spec = load_spec("ex55")
+def test_values_clear_w_once(cleared, tmp_path):
+    # The spec's divisor is built on the first question and kept.  A spec
+    # loaded from a copy of the bundled file is new, so its divisor is
+    # built here, not by an earlier user of the preset.
+    path = tmp_path / "ex55.toml"
+    path.write_text(bundled_config_path("ex55").read_text())
+    spec = load_spec(str(path))
     for e in range(20):
         value(spec, parse_poly(f"y^{e + 1}/(x+2) + x"))
     assert [f is spec.w for f in cleared] == [True] + [False] * 20
@@ -336,6 +347,17 @@ def test_check_axioms_flags_corrupted_alpha(ex55):
     report = check_axioms(corrupted, _corpus(101, 60), 300, seed=101)
     assert not report.ok
     assert report.violations.get("multiplicativity")
+
+
+def test_check_axioms_records_lambda_unique_and_x_scaling(ex55, monkeypatch):
+    # The audit reads its leads off lead_term and every other value through
+    # the module's value, looked up at call time.  A value of INF for every
+    # sum and product lets lambda +- 1 raise too and breaks the scaling law.
+    import lexval.valuation as valuation_mod
+
+    monkeypatch.setattr(valuation_mod, "value", lambda spec, f: INF)
+    report = check_axioms(ex55, [parse_poly("1")], 10)
+    assert report.counts() == {"lambda_unique": 20, "multiplicativity": 10, "x_scaling": 4}
 
 
 def test_check_axioms_negated_beta_is_still_a_valuation(ex55):

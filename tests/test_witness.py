@@ -394,3 +394,65 @@ def test_image_and_census_refuse_a_non_unimodular_basis_before_algebra(monkeypat
     for family in ("h_family", "corpus"):
         with pytest.raises(ValueError, match=r"not unimodular \(determinant 3\)"):
             quotient_census(probe, 3, family=family)
+
+
+def test_increasing_value_sequence_refuses_before_the_full_table(monkeypatch):
+    import lexval.witness as witness_mod
+
+    # A valid bundle whose chain values are not consecutive: value(f_0) is
+    # (1,-2) and value(f_1) is (2,-4).
+    probe = make_spec(2, 3, parse_poly("y^2 + x^3"), ValuePair(-1, -1), ValuePair(1, -2))
+    sizes = []
+
+    def recorded(w, e_max):
+        sizes.append(e_max)
+        return ypower_table(w, e_max)
+
+    monkeypatch.setattr(witness_mod, "ypower_table", recorded)
+    with pytest.raises(ValueError, match=r"chain values not consecutive: \(1,-2\) then \(2,-4\)"):
+        increasing_value_sequence(probe, 99)
+    assert sizes and max(sizes) <= 2 * probe.m
+
+
+def test_witness_cli_refusals(tmp_path, capsys):
+    from lexval.cli import main
+
+    path = tmp_path / "probe.toml"
+    path.write_text('name = "probe"\nm = 2\nn = 3\nw = "y^2 + x^3"\nalpha = [-1, -1]\nbeta = [1, -2]\n')
+    assert main(["witness", "--spec", str(path), "--dmax", "99"]) == 1
+    assert capsys.readouterr().err == "error: chain values not consecutive: (1,-2) then (2,-4)\n"
+    assert main(["witness", "--spec", str(path), "--dmax", "0"]) == 0
+    assert capsys.readouterr().out == "d=0 deg_y=2 value=(1,-2)\n"
+    assert main(["witness", "--spec", "ex52", "--dmax", "1"]) == 1
+    assert capsys.readouterr().err == "error: value (0,-2) of input is below the chain start (0,-1)\n"
+
+
+def test_reduce_past_chain_stops_at_its_iteration_cap(ex55, monkeypatch):
+    # A scalar of zero never raises the value; the cap ends the loop.
+    from lexval.valuation import LeadTerm
+
+    calls = []
+
+    def no_progress(self, other):
+        calls.append(other)
+        assert len(calls) < 1000, "reduction ran past its cap"
+        return 0
+
+    monkeypatch.setattr(LeadTerm, "cancel_scalar", no_progress)
+    f0 = parse_poly("y^2 + x^3")
+    chain = WitnessChain((f0,), (value(ex55, f0),))
+    with pytest.raises(RuntimeError, match="reduction exceeded its iteration cap"):
+        reduce_past_chain(ex55, f0, chain)
+    assert len(calls) == 4 * (1 + 2) + 1
+
+
+def test_structure_checks_records_violations(ex55, monkeypatch):
+    # -beta lies in neither Z_{>=0} alpha nor Z alpha + Z_{>=0} beta.
+    import lexval.witness as witness_mod
+
+    monkeypatch.setattr(witness_mod, "value", lambda spec, f: -spec.beta)
+    report = structure_checks(ex55, CorpusSpec(max_deg_x=2, max_deg_y=2, random_count=5, seed=1))
+    assert not report.ok
+    assert len(report.low_degree_violations) == report.low_degree_checked > 0
+    assert len(report.rational_violations) == report.rational_checked == 5
+    assert report.divisor_escapes

@@ -228,6 +228,17 @@ def test_ypower_table_structure():
             assert table.entry(e, t).is_zero()
 
 
+def test_ypower_table_range_errors():
+    table = ypower_table(W55, 3)
+    for e in (-1, 4):
+        with pytest.raises(ValueError, match=rf"power {e} outside table range 0\.\.3"):
+            table.entry(e, 0)
+    with pytest.raises(ValueError, match="negative cell index"):
+        table.entry(3, -1)
+    with pytest.raises(ValueError, match="e_max must be nonnegative"):
+        ypower_table(W55, -1)
+
+
 @pytest.mark.parametrize("w", [W55, W_X1, W_FRAC], ids=["ex55", "x_plus_1", "fractions"])
 def test_ypower_table_matches_expansions(w):
     table = ypower_table(w, 8)
