@@ -16,10 +16,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .exprs import parse_poly
 from .valgroup import ValuePair
 from .valuation import ValuationSpec, make_spec
+
+if TYPE_CHECKING:
+    from importlib.resources.abc import Traversable
 
 
 @dataclass(frozen=True)
@@ -102,9 +106,13 @@ def parse_config_text(text: str) -> SpecConfig:
     return SpecConfig(**fields)
 
 
-def bundled_config_path(name: str) -> Path:
-    """Filesystem path of a bundled preset config."""
-    return Path(resources.files("lexval").joinpath("data", f"{name}.toml"))
+def bundled_config_path(name: str) -> Traversable:
+    """A bundled preset config as a resource with `read_text` and `exists`.
+
+    In an unpacked install it is a `pathlib.Path`, a usable filesystem path;
+    in a zipped one it is a path inside the archive.
+    """
+    return resources.files("lexval").joinpath("data", f"{name}.toml")
 
 
 # Traversable reads, so that a zipped install works too.

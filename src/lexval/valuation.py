@@ -9,6 +9,14 @@ where f = sum f[i][j] y^j w^i is the expansion of f in the monic divisor w.
 `make_spec` validates the bundle against the conditions under which this map
 is multiplicative (hence a genuine valuation); `check_axioms` audits the
 valuation axioms empirically over a sampled corpus.
+
+For a valid bundle the map is MacLane's augmentation [v0; w -> beta] of the
+monomial valuation v0(sum c_e y^e) = min_e (-v_inf(c_e) * m + e * n) * alpha
+(MacLane 1936; Vaquie 2007), so every cell in row i has value at least
+LB_i = v0(f) + i * (beta - m*n*alpha), and LB_i rises strictly with i.
+`lead_term` builds the rows in order and stops once the best cell so far lies
+below the bound of the next row; a bundle that fails validation (one built
+around `make_spec`) has every row built.
 """
 
 from __future__ import annotations
@@ -62,6 +70,16 @@ class ValuationSpec:
     def divisor(self) -> Divisor:
         """w with its denominators cleared, built on first use."""
         return Divisor(self.w)
+
+    @cached_property
+    def row_step(self) -> tuple[int, int] | None:
+        """beta - m*n*alpha as an integer pair, the rise of the row bound LB_i
+        per row; None for a bundle that spec_violations rejects, for which
+        the bound is not known to hold."""
+        if spec_violations(self.m, self.n, self.w, self.alpha, self.beta):
+            return None
+        step = self.beta - (self.m * self.n) * self.alpha
+        return step.a, step.b
 
 
 def spec_violations(m: int, n: int, w: YPoly, alpha: ValuePair, beta: ValuePair) -> list[str]:
@@ -127,8 +145,11 @@ def make_spec(m: int, n: int, w: YPoly, alpha: ValuePair, beta: ValuePair) -> Va
 class LeadTerm:
     """The unique expansion cell realizing value(f), with that value.
 
-    `exp` is the unreduced expansion the cell comes from; the cell's
-    coefficient is reduced only when `coeff` is first read.
+    `exp` holds the unreduced rows the question built, rows 0 .. i' with
+    i' >= i: `lead_term` stops once the row bound proves the minimum, so it
+    need not be the whole expansion.  That is enough for `coeff` and
+    `cancel_scalar`, which read only the lead cell; the cell's coefficient
+    is reduced only when `coeff` is first read.
     """
 
     i: int
@@ -152,21 +173,34 @@ def lead_term(spec: ValuationSpec, f: YPoly) -> LeadTerm:
     """The unique cell of the expansion of f attaining value(f).
 
     Each cell's value needs only its order at infinity, which the unreduced
-    Z[x] expansion gives; no cell is reduced until `coeff` is read.
+    Z[x] expansion gives; no cell is reduced until `coeff` is read.  The rows
+    are built from row 0 up.  For a valid bundle the division stops after
+    row i once the best cell is below LB_(i+1) = v0(f) + (i+1) * row_step,
+    the least value of any cell in the rows after i, so the minimum and its
+    uniqueness are decided on the rows built.
     """
     if f.is_zero():
         raise ValueError("zero polynomial has no lead term")
-    exp = spec.divisor.expand(f)
+    divisor = spec.divisor
+    den, nums, rows = divisor.division(f)
     m, n = spec.m, spec.n
     a0, a1 = spec.alpha.a, spec.alpha.b
     b0, b1 = spec.beta.a, spec.beta.b
-    dd, dh = len(exp.den), len(spec.divisor.h) - 1
+    dd, dh = len(den), len(divisor.h) - 1
+    step = spec.row_step if f.deg_y >= m else None
+    if step is not None:
+        # v0(f): the key formula at i = 0 over f's own y-coefficients, whose
+        # minimum is at the largest c because alpha < 0.
+        c = max((len(p) - dd) * m + e * n for e, p in nums.items())
+        lb0, lb1 = c * a0, c * a1
     # A cell N / (den * H^k) has -order = deg N - deg den - k * deg H, and
     # value (-order * m + j * n) * alpha + i * beta, ranked as an integer
     # pair: tuples compare as ValuePair does.
+    grid = []
     best = None
     ties = 0
-    for i, row in enumerate(exp.grid):
+    for i, row in enumerate(rows):
+        grid.append(row)
         ib0, ib1 = i * b0, i * b1
         for j, (num, k) in enumerate(row):
             if not num:
@@ -177,12 +211,16 @@ def lead_term(spec: ValuationSpec, f: YPoly) -> LeadTerm:
                 best, cell, ties = key, (i, j), 1
             elif key == best:
                 ties += 1
+        if step is not None:
+            lb0, lb1 = lb0 + step[0], lb1 + step[1]
+            if best is not None and best < (lb0, lb1):
+                break
     if ties != 1:
         # Impossible for a validated bundle (non-commensurable alpha, beta
         # and coprime m, n force a unique minimizer); reaching this means
         # corrupted state, not a domain error.
         raise RuntimeError("minimizing expansion cell is not unique")
-    return LeadTerm(*cell, ValuePair(*best), exp)
+    return LeadTerm(*cell, ValuePair(*best), WExpansion(grid=grid, den=den, divisor=divisor))
 
 
 def value(spec: ValuationSpec, f: YPoly) -> ExtValue:

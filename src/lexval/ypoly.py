@@ -9,6 +9,7 @@ powers y^e is built from it.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -237,20 +238,26 @@ class Divisor:
             cache.setdefault(e + 1, _zmul(cache[e], self.h))
         return cache[k]
 
-    def expand(self, f: YPoly) -> "WExpansion":
-        """Expand f in powers of w over Z[x], reducing no cell.
+    def division(self, f: YPoly) -> tuple[list[int], dict[int, list[int]], Iterator[list]]:
+        """Divide f by w repeatedly over Z[x], reducing no cell.
 
-        The division takes no gcd.  With f = sum_e P_e y^e / den, every
-        intermediate coefficient is a pair (N, k) standing for
-        N / (den * H^k), N in Z[x]; subtracting a multiple of w brings the
-        smaller of two exponents up by a power of H.
+        Returns den and the numerators P_e with f = sum_e P_e y^e / den, and a
+        generator of the expansion's rows: row 0 (f mod w) first, then row 1,
+        and so on, deg_y(f) // m + 1 rows for f != 0.  A caller that needs only
+        the first rows stops drawing; the later divisions are never made.
+
+        The division takes no gcd.  Every intermediate coefficient is a pair
+        (N, k) standing for N / (den * H^k), N in Z[x]; subtracting a multiple
+        of w brings the smaller of two exponents up by a power of H.
         """
+        den, nums = _clear_denominators(f)
+        cur = [(nums.get(e, []), 0) for e in range(f.deg_y + 1 if f.terms else 0)]
+        return den, nums, self._rows(cur)
+
+    def _rows(self, cur: list[tuple[list[int], int]]) -> Iterator[list]:
         m, neg_a, hpower = self.m, self.neg_a, self.hpower
         # With H = 1 every exponent stays 0 and nothing is ever lifted.
         step = 0 if self.h == [1] else 1
-        den, fnums = _clear_denominators(f)
-        cur = [(fnums.get(e, []), 0) for e in range(f.deg_y + 1 if f.terms else 0)]
-        grid = []
         while len(cur) > m:
             # Position d >= m holds its quotient coefficient once reached: only
             # positions below d change afterwards.
@@ -271,10 +278,14 @@ class Divisor:
                         cur[t] = (_zadd(_zmul(r, hpower(k - kt)), p), k)
                     else:
                         cur[t] = (_zadd(r, _zmul(p, hpower(kt - k))), kt)
-            grid.append(cur[:m])
+            yield cur[:m]
             cur = cur[m:]
-        grid.append(cur + [([], 0)] * (m - len(cur)))
-        return WExpansion(grid=grid, den=den, divisor=self)
+        yield cur + [([], 0)] * (m - len(cur))
+
+    def expand(self, f: YPoly) -> "WExpansion":
+        """Expand f in powers of w over Z[x]: every row of `division`."""
+        den, _, rows = self.division(f)
+        return WExpansion(grid=list(rows), den=den, divisor=self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,8 +294,11 @@ class WExpansion:
 
     grid[i][j] is a pair (N, k) standing for the cell N / (den * H^k), with N
     and den in Z[x] as integer lists (no trailing zeros), H the divisor's and
-    N = [] the zero cell; a cell is reduced only when it is read.  The top row
-    is nonzero unless the expanded element is zero (a single all-zero row).
+    N = [] the zero cell; a cell is reduced only when it is read.  From
+    `Divisor.expand` the grid is whole and its top row is nonzero unless the
+    expanded element is zero (a single all-zero row).  A `LeadTerm` keeps
+    only the rows its question built, its first rows, so there the top row
+    may be zero and `rows` is not the whole expansion.
     """
 
     grid: list[list[tuple[list[int], int]]]

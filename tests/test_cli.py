@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import zipfile
 
 import pytest
 
@@ -387,6 +388,37 @@ def test_bundled_configs_match_presets():
         path = bundled_config_path(name)
         assert path.exists()
         assert parse_config_text(path.read_text()) == cfg
+
+
+def test_bundled_configs_read_from_a_zipped_install(tmp_path):
+    # A zip of the package on PYTHONPATH: the presets and bundled_config_path
+    # read the data files through the archive.
+    package = pathlib.Path(cli.__file__).resolve().parent
+    archive = tmp_path / "lexval.zip"
+    with zipfile.ZipFile(archive, "w") as z:
+        for path in sorted(package.rglob("*")):
+            if path.is_file() and "__pycache__" not in path.parts:
+                z.write(path, path.relative_to(package.parent))
+    script = (
+        "import lexval\n"
+        "from lexval.presets import parse_config_text\n"
+        f"assert lexval.__file__.startswith({str(archive)!r}), lexval.__file__\n"
+        "for name, cfg in sorted(lexval.PRESETS.items()):\n"
+        "    path = lexval.bundled_config_path(name)\n"
+        "    assert path.exists()\n"
+        "    assert parse_config_text(path.read_text()) == cfg\n"
+        "    print(name, lexval.load_spec(name).m)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(archive)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ex52 2\nex55 2\n"
 
 
 def test_config_loading_from_file(tmp_path):

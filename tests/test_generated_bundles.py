@@ -1,4 +1,4 @@
-"""Expansion, lead terms and the axiom audit over generated valid bundles."""
+"""Expansion, the row bound, lead terms and the axiom audit over generated valid bundles."""
 
 import random
 from fractions import Fraction
@@ -23,7 +23,7 @@ from lexval import (  # noqa: E402
     random_xy_poly,
     spec_violations,
 )
-from lexval.ratfunc import v_inf  # noqa: E402
+from lexval.ratfunc import residue_at_inf, v_inf  # noqa: E402
 
 from conftest import expand_by_division  # noqa: E402
 
@@ -60,6 +60,21 @@ def bundles(draw):
     return m, n, w, alpha, beta
 
 
+def _check_row_bound(spec, f, rows):
+    """Every nonzero cell of row i has value >= v0(f) + i * (beta - m*n*alpha).
+
+    v0 is the monomial valuation that the bundle's valuation augments
+    (MacLane): the cell formula at i = 0 over f's own y-coefficients.
+    """
+    v0 = min((-v_inf(c) * spec.m + e * spec.n) * spec.alpha for e, c in f.items())
+    step = spec.beta - (spec.m * spec.n) * spec.alpha
+    assert step > ValuePair(0, 0)
+    for i, row in enumerate(rows):
+        for j, c in enumerate(row):
+            if not c.is_zero():
+                assert (-v_inf(c) * spec.m + j * spec.n) * spec.alpha + i * spec.beta >= v0 + i * step
+
+
 def _reference_lead(spec, f):
     """The minimizing cell (i, j, coeff, value) over the division reference's cells."""
     cells = [
@@ -89,9 +104,12 @@ def test_generated_bundle(bundle, seed):
     corpus = [random_rational_poly(rng, 3, 2 * spec.m) for _ in range(4)]
     corpus += [random_xy_poly(rng, 4) for _ in range(8)] + [spec.w]
     for f in corpus:
-        assert spec.divisor.expand(f).rows == expand_by_division(f, spec.w)
+        rows = expand_by_division(f, spec.w)
+        assert spec.divisor.expand(f).rows == rows
+        _check_row_bound(spec, f, rows)
         lead = lead_term(spec, f)
         value, i, j, coeff = _reference_lead(spec, f)
         assert (lead.i, lead.j, lead.value, lead.coeff) == (i, j, value, coeff)
+        assert lead.exp.residue(i, j) == residue_at_inf(coeff)
     report = check_axioms(spec, corpus, 30, seed=seed)
     assert report.ok, report.violations

@@ -256,11 +256,54 @@ def test_lead_term_ranks_cells_by_order(ex55, ex52):
                 assert (t.i, t.j, t.value) == _lead_from_orders(spec, f)
 
 
+# Inputs near the degree budget, whose whole division by w takes 0.06-1.5 s
+# on ex55 and ex52; row 0 alone proves each value.
+BUDGET_INPUTS = [
+    ("ex55", "y^100", ValuePair(-300, -300)),
+    ("ex55", "y^200", ValuePair(-600, -600)),
+    ("ex55", "(x^200+3*x^7+1)*y^200", ValuePair(-1000, -1000)),
+    ("ex55", "y^200/(x^2+x+1)^50 + y^199/(x+2)^60", ValuePair(-477, -477)),
+    ("ex52", "y^200", ValuePair(-600, -600)),
+    ("ex52", "y^200/(x^2+x+1)^50 + y^199/(x+2)^60", ValuePair(-477, -477)),
+]
+
+
+@pytest.mark.parametrize(
+    "preset, text, expected", BUDGET_INPUTS, ids=[f"{p}:{t}" for p, t, _ in BUDGET_INPUTS]
+)
+def test_budget_inputs_build_one_row(preset, text, expected, capsys):
+    from lexval.cli import main
+
+    spec = load_spec(preset)
+    f = parse_poly(text)
+    t = lead_term(spec, f)
+    assert len(t.exp.grid) == 1
+    assert (t.i, t.j, t.value) == _lead_from_orders(spec, f)
+    assert t.value == expected
+    assert main(["value", "--spec", preset, text]) == 0
+    assert capsys.readouterr().out == f"{expected}\n"
+    assert main(["lead", "--spec", preset, text]) == 0
+    assert capsys.readouterr().out.endswith(f"value = {expected}\n")
+
+
 def test_lead_term_tie_raises(ex55):
     # With beta = 3*alpha, the cells y and w of y + w have the same value.
     spec = replace(ex55, beta=3 * ex55.alpha)
     with pytest.raises(RuntimeError, match="not unique"):
         lead_term(spec, parse_poly("y") + ex55.w)
+
+
+def test_lead_term_builds_every_row_for_an_invalid_spec(ex55):
+    # The row bound holds for valid bundles only.  A spec built around
+    # make_spec that spec_violations rejects has every row built, and its
+    # lead term is still the minimum over the whole expansion.
+    corrupted = replace(ex55, alpha=-ex55.alpha)
+    assert ex55.row_step == (6, 7) and corrupted.row_step is None
+    rng = random.Random(43)
+    for f in [random_xy_poly(rng, 8) for _ in range(20)] + [parse_poly("y^9 + x")]:
+        t = lead_term(corrupted, f)
+        assert len(t.exp.grid) == f.deg_y // 2 + 1
+        assert (t.i, t.j, t.value) == _lead_from_orders(corrupted, f)
 
 
 def _refuse_reduction(self, i, j):

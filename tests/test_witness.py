@@ -142,7 +142,7 @@ def test_increasing_value_sequence_values_each_element_once(ex55, monkeypatch):
     # it is not expanded again.  The sequence itself is unchanged.
     import lexval.witness as witness_mod
 
-    calls = {"expand": 0, "value": 0}
+    calls = {"division": 0, "value": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -151,9 +151,9 @@ def test_increasing_value_sequence_values_each_element_once(ex55, monkeypatch):
 
         return wrapper
 
-    # Question expansions are those over the spec's divisor; the shared y-power
+    # Question divisions are those over the spec's divisor; the shared y-power
     # table expands over a divisor of its own.
-    monkeypatch.setattr(ex55.divisor, "expand", counted("expand", ex55.divisor.expand))
+    monkeypatch.setattr(ex55.divisor, "division", counted("division", ex55.divisor.division))
     monkeypatch.setattr(witness_mod, "value", counted("value", witness_mod.value))
     seq = increasing_value_sequence(ex55, 7)
     monkeypatch.undo()
@@ -162,7 +162,7 @@ def test_increasing_value_sequence_values_each_element_once(ex55, monkeypatch):
     # d = 5..7 take one step: lead terms of the builder output, of the chain
     # element it cancels against, and of the result.  Valuing every result
     # again would make 7 more expansions.
-    assert calls == {"expand": 1 + 4 * 1 + 3 * 3, "value": 1}
+    assert calls == {"division": 1 + 4 * 1 + 3 * 3, "value": 1}
     for d, (f, v) in enumerate(seq):
         assert v == value(ex55, f) == ValuePair(-1, d - 1)
         assert f.deg_y == 2 * (d + 1)
