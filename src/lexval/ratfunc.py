@@ -283,7 +283,7 @@ def _zmul(a, b) -> list[int]:
     """Product in Z[x] of two nonzero coefficient lists."""
     if len(b) == 1:
         b0 = b[0]
-        return [c * b0 for c in a]
+        return list(a) if b0 == 1 else [c * b0 for c in a]
     if not b[0]:
         # b = x^s * b': a shift, and a scaling when b is a monomial.
         s = 1

@@ -20,8 +20,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .ratfunc import _ONE, RatFunc, UniPoly, _raw, uni_divmod
+from .ratfunc import _ONE, RatFunc, UniPoly, _poly, _raw, _zmul, uni_divmod
 from .valgroup import INF, ExtValue, ValuePair, _check_unimodular, decompose, monoid_member, quotient_class
 from .valuation import LeadTerm, ValuationSpec, lead_term, value
 from .ypoly import YPoly, YPowerTable, denominator_clearer, ypower_table
@@ -66,18 +67,24 @@ def build_bounded_monic(spec: ValuationSpec, d: int) -> YPoly:
 def _bounded_monic(table: YPowerTable, dm: int) -> YPoly:
     """The corrector recursion of build_bounded_monic at y-degree dm <= table.e_max.
 
-    A fraction's polynomial part is Q-linear and unchanged by reduction, so
-    coefficient t sums quotients off the unreduced y-power cells.
+    Coefficient t is minus the polynomial part of sum_s c_s * cell t of y^s
+    over s > t.  That part is Q-linear, so the unreduced cells N_s / H^(k_s)
+    are summed in Z[x], at the largest k_s and over the lcm of the c_s
+    denominators, and divided once.
     """
+    divisor = table.powers[0].divisor
     coeffs: dict[int, UniPoly] = {dm: UniPoly.one()}
     for t in range(dm - 1, -1, -1):
-        cell = divmod(t, table.m)
-        acc = UniPoly.zero()
+        i, j = divmod(t, table.m)
+        denom = lcm(*(coeffs[s].denom for s in range(t + 1, dm + 1)))
+        acc = ([], 0)
         for s in range(t + 1, dm + 1):
-            num, den = table.powers[s].fraction(*cell)
-            if num and coeffs[s]:
-                acc = acc - uni_divmod(coeffs[s] * num, den)[0]
-        coeffs[t] = acc
+            n, k = table.powers[s].grid[i][j]
+            c = coeffs[s]
+            if n and c:
+                acc = divisor._plus(acc, _zmul(_zmul(c.ints, n), (denom // c.denom,)), k)
+        n, k = acc
+        coeffs[t] = -uni_divmod(_poly(n, denom), _poly(list(divisor.hpower(k))))[0]
     return YPoly(coeffs)
 
 

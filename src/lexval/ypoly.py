@@ -3,8 +3,10 @@
 A `YPoly` is a sparse map y-exponent -> RatFunc.  Division by a monic
 divisor w has one route: a `Divisor` holds w with its denominators cleared
 over Z[x] and gives the grid expansion f = sum_{i,j} f[i][j] * y^j * w^i
-with 0 <= j < deg_y(w), and the table of such expansions for the pure
-powers y^e is built from it.
+with 0 <= j < deg_y(w).  The table of such expansions for the pure powers
+y^e divides nothing: the grid of y^(e+1) is that of y^e shifted one place,
+with a carry through y^m = w - sum_k A_k y^k / H (the step of MacLane's
+augmentation).
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import add
 
 from .ratfunc import _ONE, NEG_INF, RatFunc, UniPoly, _join_terms, _poly, _power, _zdiv_exact, _zmul, as_ratfunc, poly_gcd
 
@@ -202,9 +205,8 @@ def _zadd(a: list[int], b: list[int]) -> list[int]:
     """Sum in Z[x], with trailing zeros stripped."""
     if len(a) < len(b):
         a, b = b, a
-    out = a[:]
-    for i, bi in enumerate(b):
-        out[i] += bi
+    out = list(map(add, a, b))
+    out += a[len(b):]
     while out and not out[-1]:
         out.pop()
     return out
@@ -226,6 +228,9 @@ class Divisor:
         self.m = w.deg_y
         self.h, nums = _clear_denominators(w)
         self.neg_a = [(j, [-c for c in nums[j]]) for j in range(self.m) if j in nums]
+        # Dividing by w raises a cell's exponent of H by this much; with H = 1
+        # every exponent stays 0 and nothing is ever lifted.
+        self.step = 0 if self.h == [1] else 1
         # k -> H^k, only ever filled by setdefault: threads racing to fill an
         # entry compute equal values and all read the first one stored.
         self._hpow = {0: [1], 1: self.h}
@@ -254,10 +259,19 @@ class Divisor:
         cur = [(nums.get(e, []), 0) for e in range(f.deg_y + 1 if f.terms else 0)]
         return den, nums, self._rows(cur)
 
+    def _plus(self, cell: tuple[list[int], int], p: list[int], k: int) -> tuple[list[int], int]:
+        """The cell N / H^kc plus p / H^k, at the larger of the two exponents."""
+        r, kc = cell
+        if not r:
+            return p, k
+        if kc == k:
+            return _zadd(r, p), k
+        if kc < k:
+            return _zadd(_zmul(r, self.hpower(k - kc)), p), k
+        return _zadd(r, _zmul(p, self.hpower(kc - k))), kc
+
     def _rows(self, cur: list[tuple[list[int], int]]) -> Iterator[list]:
-        m, neg_a, hpower = self.m, self.neg_a, self.hpower
-        # With H = 1 every exponent stays 0 and nothing is ever lifted.
-        step = 0 if self.h == [1] else 1
+        m, neg_a, plus, step = self.m, self.neg_a, self._plus, self.step
         while len(cur) > m:
             # Position d >= m holds its quotient coefficient once reached: only
             # positions below d change afterwards.
@@ -268,19 +282,31 @@ class Divisor:
                 k += step
                 for j, a in neg_a:
                     t = d - m + j
-                    r, kt = cur[t]
-                    p = _zmul(q, a)
-                    if not r:
-                        cur[t] = (p, k)
-                    elif kt == k:
-                        cur[t] = (_zadd(r, p), k)
-                    elif kt < k:
-                        cur[t] = (_zadd(_zmul(r, hpower(k - kt)), p), k)
-                    else:
-                        cur[t] = (_zadd(r, _zmul(p, hpower(kt - k))), kt)
+                    cur[t] = plus(cur[t], _zmul(q, a), k)
             yield cur[:m]
             cur = cur[m:]
         yield cur + [([], 0)] * (m - len(cur))
+
+    def times_y(self, grid: list[list]) -> list[list]:
+        """The grid of y*f from the whole unreduced grid of f, over the same den.
+
+        Cell (i, j) moves to (i, j+1).  The top column folds back through
+        y^m = w - sum_k A_k y^k / H: a top cell N / H^k adds itself to cell
+        (i+1, 0) and N * (-A_k) / H^(k+1) to cell (i, k).  No division is made.
+        """
+        out = [[([], 0)] + row[:-1] for row in grid]
+        out.append([([], 0)] * self.m)
+        for i, row in enumerate(grid):
+            q, k = row[-1]
+            if not q:
+                continue
+            out[i + 1][0] = (q, k)
+            k += self.step
+            for j, a in self.neg_a:
+                out[i][j] = self._plus(out[i][j], _zmul(q, a), k)
+        if not any(n for n, _ in out[-1]):
+            out.pop()
+        return out
 
     def expand(self, f: YPoly) -> "WExpansion":
         """Expand f in powers of w over Z[x]: every row of `division`."""
@@ -345,8 +371,9 @@ def w_expand(f: YPoly, w: YPoly) -> WExpansion:
 class YPowerTable:
     """The w-expansions of the pure powers y^0 .. y^e_max, unreduced.
 
-    powers[e] expands y^e.  entry(e, t) is its cell (t div m, t mod m),
-    reduced when it is read; it is 1 on the diagonal t = e and 0 for t > e.
+    powers[e] expands y^e over den = 1.  entry(e, t) is its cell
+    (t div m, t mod m), reduced when it is read; it is 1 on the diagonal
+    t = e and 0 for t > e.
     """
 
     w: YPoly
@@ -365,9 +392,13 @@ class YPowerTable:
 
 
 def ypower_table(w: YPoly, e_max: int) -> YPowerTable:
-    """Expand y^0 .. y^e_max in powers of w, reducing no cell."""
-    divisor = Divisor(w)
+    """Expand y^0 .. y^e_max in powers of w: each by multiplying the last by y."""
     if e_max < 0:
         raise ValueError("e_max must be nonnegative")
-    powers = tuple(divisor.expand(YPoly.monomial(e)) for e in range(e_max + 1))
-    return YPowerTable(w=w, m=divisor.m, e_max=e_max, powers=powers)
+    divisor = Divisor(w)
+    grid = [[([1], 0)] + [([], 0)] * (divisor.m - 1)]
+    powers = [WExpansion(grid=grid, den=[1], divisor=divisor)]
+    for _ in range(e_max):
+        grid = divisor.times_y(grid)
+        powers.append(WExpansion(grid=grid, den=[1], divisor=divisor))
+    return YPowerTable(w=w, m=divisor.m, e_max=e_max, powers=tuple(powers))

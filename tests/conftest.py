@@ -91,3 +91,17 @@ def corrector(h: RatFunc) -> UniPoly:
     """
     q, _ = uni_divmod(h.num, h.den)
     return -q
+
+
+def bounded_monic_reference(w, dm, powers):
+    """The corrector recursion over Q(x): coefficient t corrects the RatFunc
+    sum of coeff_s times cell t of y^s, with powers[s] the expansion of y^s."""
+    m = w.deg_y
+    coeffs = {dm: UniPoly.one()}
+    for t in range(dm - 1, -1, -1):
+        i, j = divmod(t, m)
+        acc = RatFunc.zero()
+        for s in range(t + 1, dm + 1):
+            acc = acc + RatFunc(coeffs[s]) * powers[s][i][j]
+        coeffs[t] = corrector(acc)
+    return YPoly({t: RatFunc(p) for t, p in coeffs.items()})

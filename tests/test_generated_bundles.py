@@ -22,10 +22,12 @@ from lexval import (  # noqa: E402
     random_rational_poly,
     random_xy_poly,
     spec_violations,
+    ypower_table,
 )
 from lexval.ratfunc import residue_at_inf, v_inf  # noqa: E402
+from lexval.witness import _bounded_monic  # noqa: E402
 
-from conftest import expand_by_division  # noqa: E402
+from conftest import bounded_monic_reference, expand_by_division  # noqa: E402
 
 X = UniPoly.x()
 # Shared denominators of w's lower coefficients: none, a power of x, and
@@ -113,3 +115,10 @@ def test_generated_bundle(bundle, seed):
         assert lead.exp.residue(i, j) == residue_at_inf(coeff)
     report = check_axioms(spec, corpus, 30, seed=seed)
     assert report.ok, report.violations
+    # The y-power table, built by multiplying by y, against division, and the
+    # bounded-monic builder over it against the recursion over Q(x).
+    table = ypower_table(spec.w, 3 * spec.m)
+    powers = [expand_by_division(YPoly.monomial(e), spec.w) for e in range(table.e_max + 1)]
+    assert [p.rows for p in table.powers] == powers
+    for dm in range(2 * spec.m + 1):
+        assert _bounded_monic(table, dm) == bounded_monic_reference(spec.w, dm, powers)

@@ -27,7 +27,7 @@ from lexval import (
 )
 from lexval.witness import _bounded_monic, _class_witnesses, _random_terms, denominator_clearer
 
-from conftest import corrector, expand_by_division
+from conftest import bounded_monic_reference, expand_by_division
 
 A = ValuePair(-1, -1)
 
@@ -189,20 +189,6 @@ def test_increasing_value_sequence_reduces_no_question_cell(ex55, monkeypatch):
     assert value(ex55, target) == ValuePair(-3, -1)
 
 
-def _bounded_monic_reference(w, dm, powers):
-    """The corrector recursion over Q(x): coefficient t corrects the RatFunc
-    sum of coeff_s times cell t of y^s, with powers[s] the expansion of y^s."""
-    m = w.deg_y
-    coeffs = {dm: UniPoly.one()}
-    for t in range(dm - 1, -1, -1):
-        i, j = divmod(t, m)
-        acc = RatFunc.zero()
-        for s in range(t + 1, dm + 1):
-            acc = acc + RatFunc(coeffs[s]) * powers[s][i][j]
-        coeffs[t] = corrector(acc)
-    return YPoly({t: RatFunc(p) for t, p in coeffs.items()})
-
-
 def test_bounded_monic_matches_corrector_reference(ex55, ex52):
     divisors = (
         ex55.w,
@@ -214,7 +200,7 @@ def test_bounded_monic_matches_corrector_reference(ex55, ex52):
     for w in divisors:
         powers = [expand_by_division(YPoly.monomial(e), w) for e in range(9)]
         for dm in range(9):
-            assert _bounded_monic(ypower_table(w, dm), dm) == _bounded_monic_reference(w, dm, powers)
+            assert _bounded_monic(ypower_table(w, dm), dm) == bounded_monic_reference(w, dm, powers)
 
 
 def test_denominator_clearer(ex55, ex52):

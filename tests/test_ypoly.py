@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from lexval import RatFunc, UniPoly, YPoly, parse_poly, random_xy_poly, w_expand, ypower_table
+from lexval.ratfunc import residue_at_inf
 from lexval.ypoly import Divisor, _clear_denominators
 
 from conftest import assert_canonical_ypoly, divmod_w, expand_by_division, reconstruct
@@ -237,19 +238,31 @@ def test_ypower_table_range_errors():
         table.entry(3, -1)
     with pytest.raises(ValueError, match="e_max must be nonnegative"):
         ypower_table(W55, -1)
+    # e_max is refused before w is read as a divisor.
+    with pytest.raises(ValueError, match="e_max must be nonnegative"):
+        ypower_table(parse_poly("2y^2 + x"), -1)
 
 
-@pytest.mark.parametrize("w", [W55, W_X1, W_FRAC], ids=["ex55", "x_plus_1", "fractions"])
+@pytest.mark.parametrize(
+    "w",
+    [W55, W_X1, W_FRAC, parse_poly("y + x"), parse_poly("y^3 + y^2/x + x^2"), parse_poly("y^2 + 2y/3 + x^3/2")],
+    ids=["ex55", "x_plus_1", "fractions", "m1", "m3", "constant_h"],
+)
 def test_ypower_table_matches_expansions(w):
-    table = ypower_table(w, 8)
-    m = w.deg_y
-    for e in range(9):
-        exp = w_expand(YPoly.monomial(e), w)
-        for i, row in enumerate(exp.rows):
+    # Multiplying by y gives the whole grid that division gives: the same
+    # rows, the same reduced cells and the same residues of the unreduced ones.
+    table = ypower_table(w, 40)
+    divisor = Divisor(w)
+    for e in range(41):
+        built = table.powers[e]
+        exp = divisor.expand(YPoly.monomial(e))
+        rows = expand_by_division(YPoly.monomial(e), w)
+        assert len(built.grid) == len(exp.grid) == len(rows)
+        assert built.rows == exp.rows == rows
+        for i, row in enumerate(rows):
             for j, c in enumerate(row):
-                t = i * m + j
-                if t <= e:
-                    assert table.entry(e, t) == c
+                if not c.is_zero():
+                    assert built.residue(i, j) == exp.residue(i, j) == residue_at_inf(c)
 
 
 def test_ypower_table_recursion_identity():
@@ -311,8 +324,9 @@ def test_divisor_hpower_shared_across_threads():
 
 @pytest.mark.parametrize("w", [W55, W_X1, W_FRAC], ids=["ex55", "x_plus_1", "fractions"])
 def test_ypower_table_clears_w_once(w, cleared):
+    # The table multiplies by y and divides nothing, so w is all it clears.
     ypower_table(w, 8)
-    assert [f is w for f in cleared] == [True] + [False] * 9
+    assert [f is w for f in cleared] == [True]
 
 
 def test_clearing_integer_polynomials_matches_general_path():
