@@ -22,10 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .ratfunc import _ONE, RatFunc, UniPoly, _poly, _raw, _zmul, uni_divmod
+from .ratfunc import RatFunc, UniPoly, _poly, _zmul, uni_divmod
 from .valgroup import INF, ExtValue, ValuePair, _check_unimodular, decompose, monoid_member, quotient_class
 from .valuation import LeadTerm, ValuationSpec, lead_term, value
-from .ypoly import YPoly, YPowerTable, denominator_clearer, ypower_table
+from .ypoly import YPoly, YPowerTable, _monomial_sum, denominator_clearer, ypower_table
 
 
 @dataclass(frozen=True)
@@ -232,9 +232,7 @@ def _random_terms(rng: random.Random, exponents) -> YPoly:
     for _ in range(rng.randint(1, 6)):
         a, b = exponents()
         terms.setdefault(b, {})[a] = _nonzero_scalar(rng)
-    # Integer coefficients whose top entry is nonzero are already canonical.
-    coeffs = {b: _raw(tuple([xs.get(e, 0) for e in range(max(xs) + 1)]), 1) for b, xs in terms.items()}
-    return YPoly({b: RatFunc._canonical(p, _ONE) for b, p in coeffs.items()})
+    return _monomial_sum(terms)
 
 
 def random_rational_poly(rng: random.Random, max_deg_x: int, max_deg_y: int) -> YPoly:

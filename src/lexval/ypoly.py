@@ -41,6 +41,13 @@ class YPoly:
         raise AttributeError("YPoly is immutable")
 
     @classmethod
+    def _canonical(cls, terms: dict[int, RatFunc]) -> "YPoly":
+        """terms, which must map nonnegative exponents to nonzero RatFuncs."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "terms", terms)
+        return f
+
+    @classmethod
     def zero(cls) -> "YPoly":
         return cls()
 
@@ -169,6 +176,19 @@ def _as_ypoly(value):
     if isinstance(value, (int, Fraction, UniPoly, RatFunc)):
         return YPoly({0: value})
     return NotImplemented
+
+
+def _monomial_sum(terms: dict[int, dict[int, int]]) -> YPoly:
+    """The sum of the terms c*x^a*y^b given as {b: {a: c}} with integers c."""
+    out = {}
+    for b, row in terms.items():
+        ints = [0] * (max(row, default=-1) + 1)
+        for a, c in row.items():
+            ints[a] = c
+        p = _poly(ints)
+        if p:
+            out[b] = RatFunc._canonical(p, _ONE)
+    return YPoly._canonical(out)
 
 
 def denominator_clearer(w: YPoly) -> UniPoly:

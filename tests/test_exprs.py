@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from lexval import ExprError, RatFunc, UniPoly, YPoly, parse_poly
+from lexval import ExprError, RatFunc, UniPoly, YPoly, exprs, parse_poly
 from lexval.exprs import MAX_BITS, MAX_DEGREE, MAX_NESTING
 from lexval.witness import random_rational_poly, random_xy_poly
 
@@ -67,6 +67,7 @@ def test_syntax_error_offsets():
         assert err.value.offset == MAX_NESTING
     depth = MAX_NESTING - 1
     assert parse_poly("(" * depth + "-x" + ")" * depth) == -parse_poly("x")
+    assert parse_poly("(" * depth + "-3x" + ")" * depth) == parse_poly("-3*x")
     # x-degree and y-degree are bounded by MAX_DEGREE: a power is refused at
     # its exponent before it is computed; a product, quotient or sum just
     # after its operator (at the right operand of a juxtaposition).
@@ -185,6 +186,17 @@ ERROR_GOLDENS = [
     ("-" * 3000 + "x", "expression nested too deeply", 100),
     ("(-" * 1500 + "x" + ")" * 1500, "expression nested too deeply", 100),
     (" " * 7 + "(" * 101 + "x", "expression nested too deeply", 107),
+    # Inside a run of monomials, recorded before runs were multiplied and
+    # summed as integers: the same operator and offset as in ring arithmetic.
+    ("x^150*x^51", "degree too large", 6),
+    ("y^100 y^100 y", "degree too large", 12),
+    ("3 + 2*x^199*x^2", "degree too large", 12),
+    ("-y^201", "degree too large", 3),
+    ("2x^100 x^101", "degree too large", 7),
+    ("x^199 y^3 x^2", "degree too large", 10),
+    ("3x^200y^200 - 2x^100 x^100 x", "degree too large", 27),
+    ("0x^200 x^200 + x^201", "degree too large", 17),
+    ("(" * 100 + "-3x" + ")" * 100, "expression nested too deeply", 100),
 ]
 
 
@@ -193,6 +205,32 @@ def test_error_goldens(src, message, offset):
     with pytest.raises(ExprError) as err:
         parse_poly(src)
     assert (str(err.value), err.value.offset) == (f"{message} at offset {offset}", offset)
+
+
+def test_monomial_runs_need_no_ring_arithmetic(monkeypatch):
+    # A run of monomials is multiplied and summed as integers, a polynomial
+    # times a monomial is a shift, and sums of integer polynomials go into
+    # one map: parsing these multiplies and adds no UniPoly and rescans no
+    # degree or bit length.
+    rng = random.Random(16)
+    rows = [[rng.randint(-3, 3) for _ in range(6)] + [rng.choice((-3, -2, -1, 1, 2, 3))] for _ in range(17)]
+    dense = " + ".join(
+        "(" + " + ".join(f"{c}*x^{a}" for a, c in enumerate(row) if c) + f")*y^{b}" for b, row in enumerate(rows)
+    )
+    cases = {
+        "3*x^2*y + 2x - y^3 + 7": YPoly({3: -1, 1: 3 * X**2, 0: 2 * X + 7}),
+        dense: YPoly({b: UniPoly(row) for b, row in enumerate(rows)}),
+    }
+
+    def refuse(*args):
+        raise AssertionError("ring arithmetic or a degree rescan in a monomial run")
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        monkeypatch.setattr(UniPoly, name, refuse)
+    monkeypatch.setattr(exprs, "_max_degree", refuse)
+    monkeypatch.setattr(exprs, "_max_bits", refuse)
+    for src, expected in cases.items():
+        assert parse_poly(src) == expected, src
 
 
 def test_every_unicode_space_separates_tokens():

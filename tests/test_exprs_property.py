@@ -116,3 +116,85 @@ def test_parse_matches_ypoly_reference(tree):
     assert parse_poly(src) == expected, src
     # The printer's output parses back to the same element.
     assert parse_poly(str(expected)) == expected, str(expected)
+
+
+def _power_text(base: str, k: int, sp: str) -> str:
+    return f"{base}{sp}^{sp}{k}"
+
+
+@st.composite
+def _atom_factor(draw, with_y: bool = True):
+    """An atom of a monomial run as (text, tree): an integer, x or y, or a power of x or y."""
+    kind = draw(st.sampled_from(["int", "x", "y"] if with_y else ["int", "x"]))
+    if kind == "int":
+        text = str(draw(st.integers(0, 12)))
+        return text, ("atom", text)
+    k = draw(st.one_of(st.none(), st.integers(0, 4)))
+    if k is None:
+        return kind, ("atom", kind)
+    sp = draw(SPACES)
+    return _power_text(kind, k, sp), ("^", ("atom", kind), k, sp)
+
+
+@st.composite
+def _bracketed_factor(draw, trees=TREES):
+    """A parenthesized tree, sometimes raised to a power, as (text, tree)."""
+    tree = draw(trees)
+    text = f"({_render(tree)})"
+    if draw(st.booleans()):
+        k = draw(st.integers(0, 3))
+        return _power_text(text, k, ""), ("^", tree, k, "")
+    return text, tree
+
+
+FACTORS = st.one_of(*[_atom_factor()] * 5, _bracketed_factor())
+DIVISORS = st.one_of(_atom_factor(with_y=False), _bracketed_factor(YFREE))
+
+
+@st.composite
+def _flat_term(draw):
+    """A product of factors joined by '*', '/' or juxtaposition, maybe negated at its start, as (text, tree)."""
+    text, tree = draw(FACTORS)
+    if draw(st.integers(0, 4)) == 0:
+        text, tree = "-" + text, ("neg", tree)
+    for _ in range(draw(st.integers(0, 4))):
+        op = draw(st.sampled_from(["*", "", "", "/"]))
+        right, rtree = draw(DIVISORS if op == "/" else FACTORS)
+        sp = draw(SPACES)
+        if op == "" and not sp and text[-1].isdigit() and right[0].isdigit():
+            sp = " "  # "x^2" "3" juxtaposed must not read as x^23
+        text = f"{text}{sp}{op}{draw(SPACES) if op else ''}{right}"
+        tree = (op, tree, rtree, sp)
+    return text, tree
+
+
+@st.composite
+def _flat_sum(draw):
+    """A sum of flat terms with no parentheses between them, as (text, tree)."""
+    text, tree = draw(_flat_term())
+    for _ in range(draw(st.integers(0, 5))):
+        op = draw(st.sampled_from(["+", "-"]))
+        right, rtree = draw(_flat_term())
+        text = f"{text}{draw(SPACES)}{op}{draw(SPACES)}{right}"
+        tree = (op, tree, rtree, "")
+    return text, tree
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_flat_sum())
+def test_flat_monomial_sums_match_ypoly_reference(case):
+    src, tree = case
+    assume(_degree_bound(tree) <= 40)
+    try:
+        expected = _reference(tree)
+    except ZeroDivisionError:
+        with pytest.raises(ExprError, match="division by zero"):
+            parse_poly(src)
+        return
+    assert parse_poly(src) == expected, src
