@@ -426,7 +426,7 @@ class RatFunc:
 
     @classmethod
     def zero(cls) -> "RatFunc":
-        return cls(UniPoly())
+        return _RF_ZERO  # shared: a RatFunc is immutable
 
     @classmethod
     def one(cls) -> "RatFunc":
@@ -525,6 +525,9 @@ class RatFunc:
 
     def __repr__(self) -> str:
         return f"RatFunc({str(self)!r})"
+
+
+_RF_ZERO = RatFunc._canonical(_ZERO, _ONE)
 
 
 def _reduced(num: UniPoly, den: UniPoly) -> tuple[UniPoly, UniPoly]:

@@ -14,9 +14,10 @@ For a valid bundle the map is MacLane's augmentation [v0; w -> beta] of the
 monomial valuation v0(sum c_e y^e) = min_e (-v_inf(c_e) * m + e * n) * alpha
 (MacLane 1936; Vaquie 2007), so every cell in row i has value at least
 LB_i = v0(f) + i * (beta - m*n*alpha), and LB_i rises strictly with i.
-`lead_term` builds the rows in order and stops once the best cell so far lies
-below the bound of the next row; a bundle that fails validation (one built
-around `make_spec`) has every row built.
+`value` and `lead_term` share one cell search: it builds the rows in order
+and stops once the best cell so far lies below the bound of the next row; a
+bundle that fails validation (one built around `make_spec`) has every row
+built.
 """
 
 from __future__ import annotations
@@ -169,18 +170,17 @@ class LeadTerm:
         return -self.exp.residue(self.i, self.j) / other.exp.residue(other.i, other.j)
 
 
-def lead_term(spec: ValuationSpec, f: YPoly) -> LeadTerm:
-    """The unique cell of the expansion of f attaining value(f).
+def _lead_cell(spec: ValuationSpec, f: YPoly) -> tuple[tuple[int, int], tuple[int, int], list, list[int]]:
+    """The search behind `lead_term` and `value`, for a nonzero f.
 
-    Each cell's value needs only its order at infinity, which the unreduced
-    Z[x] expansion gives; no cell is reduced until `coeff` is read.  The rows
-    are built from row 0 up.  For a valid bundle the division stops after
-    row i once the best cell is below LB_(i+1) = v0(f) + (i+1) * row_step,
-    the least value of any cell in the rows after i, so the minimum and its
-    uniqueness are decided on the rows built.
+    Returns the winning cell's value as an integer pair, the cell (i, j), the
+    rows built and den.  Each cell's value needs only its order at infinity,
+    which the unreduced Z[x] expansion gives.  The rows are built from row 0
+    up.  For a valid bundle the division stops after row i once the best
+    cell is below LB_(i+1) = v0(f) + (i+1) * row_step, the least value of any
+    cell in the rows after i, so the minimum and its uniqueness are decided
+    on the rows built.
     """
-    if f.is_zero():
-        raise ValueError("zero polynomial has no lead term")
     divisor = spec.divisor
     den, nums, rows = divisor.division(f)
     m, n = spec.m, spec.n
@@ -220,12 +220,25 @@ def lead_term(spec: ValuationSpec, f: YPoly) -> LeadTerm:
         # and coprime m, n force a unique minimizer); reaching this means
         # corrupted state, not a domain error.
         raise RuntimeError("minimizing expansion cell is not unique")
-    return LeadTerm(*cell, ValuePair(*best), WExpansion(grid=grid, den=den, divisor=divisor))
+    return best, cell, grid, den
+
+
+def lead_term(spec: ValuationSpec, f: YPoly) -> LeadTerm:
+    """The unique cell of the expansion of f attaining value(f).
+
+    No cell is reduced until `coeff` is read, and the expansion holds only
+    the rows the search built.
+    """
+    if f.is_zero():
+        raise ValueError("zero polynomial has no lead term")
+    key, cell, grid, den = _lead_cell(spec, f)
+    return LeadTerm(*cell, ValuePair(*key), WExpansion(grid=grid, den=den, divisor=spec.divisor))
 
 
 def value(spec: ValuationSpec, f: YPoly) -> ExtValue:
-    """Value of f; INF exactly for f = 0."""
-    return INF if f.is_zero() else lead_term(spec, f).value
+    """Value of f; INF exactly for f = 0.  The cell search of `lead_term`,
+    without building the expansion."""
+    return INF if f.is_zero() else ValuePair(*_lead_cell(spec, f)[0])
 
 
 def cancel_lambda(spec: ValuationSpec, f: YPoly, g: YPoly) -> Fraction:
@@ -298,13 +311,17 @@ def check_axioms(
         if f.is_zero():
             raise ValueError("corpus must consist of nonzero polynomials")
     rng = random.Random(seed)
-    leads = {f: (t.value, t.exp.residue(t.i, t.j)) for f in corpus for t in [lead_term(spec, f)]}
+    # Pairs are drawn as corpus indices: rng.choice(range(n)) makes the same
+    # draw as rng.choice(corpus), and no polynomial is hashed.
+    leads = [(t.value, t.exp.residue(t.i, t.j)) for t in (lead_term(spec, f) for f in corpus)]
+    indices = range(len(corpus))
 
     for _ in range(pair_budget):
-        f = rng.choice(corpus)
-        g = rng.choice(corpus)
-        vf, rf = leads[f]
-        vg, rg = leads[g]
+        a = rng.choice(indices)
+        b = rng.choice(indices)
+        f, g = corpus[a], corpus[b]
+        vf, rf = leads[a]
+        vg, rg = leads[b]
         report.pairs_checked += 1
 
         if value(spec, f * g) != vf + vg:
@@ -327,12 +344,13 @@ def check_axioms(
                         "lambda_unique", f"lambda'={other} also raises for f={f}, g={g}"
                     )
 
-    pure_x = [f for f in corpus if f.deg_y <= 0]
+    pure_x = [k for k in indices if corpus[k].deg_y <= 0]
     if pure_x:
         for _ in range(min(pair_budget, 4 * len(corpus))):
-            p = rng.choice(pure_x)
-            g = rng.choice(corpus)
+            a = rng.choice(pure_x)
+            b = rng.choice(indices)
+            p, g = corpus[a], corpus[b]
             report.x_pairs_checked += 1
-            if value(spec, p * g) != leads[p][0] + leads[g][0]:
+            if value(spec, p * g) != leads[a][0] + leads[b][0]:
                 report.record("x_scaling", f"value(pg) != value(p)+value(g) for p={p}, g={g}")
     return report

@@ -200,8 +200,11 @@ class CorpusSpec:
     seed: int = 0
 
 
+_SCALARS = (-3, -2, -1, 1, 2, 3)
+
+
 def _nonzero_scalar(rng: random.Random) -> int:
-    return rng.choice((-3, -2, -1, 1, 2, 3))
+    return rng.choice(_SCALARS)
 
 
 def random_unipoly(rng: random.Random, max_deg: int) -> UniPoly:
@@ -211,27 +214,51 @@ def random_unipoly(rng: random.Random, max_deg: int) -> UniPoly:
     return UniPoly(coeffs)
 
 
+def _below(rng: random.Random):
+    """below(n) = rng.randrange(n) for n >= 1, in one call per draw.
+
+    It is CPython's own draw (Random._randbelow_with_getrandbits): k random
+    bits, rejected until they are below n.  So randint(a, b) is
+    a + below(b - a + 1) and choice(t) is t[below(len(t))], with the same
+    stream and state afterwards.
+    """
+    getrandbits = rng.getrandbits
+
+    def below(n: int) -> int:
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    return below
+
+
 def random_xy_poly(rng: random.Random, max_total_deg: int) -> YPoly:
     """Random nonzero element of Q[x,y] of bounded total degree."""
+    below = _below(rng)
+    top = max_total_deg + 1
 
     def exponents():
-        a = rng.randint(0, max_total_deg)
-        return a, rng.randint(0, max_total_deg - a)
+        a = below(top)
+        return a, below(top - a)
 
     return _random_terms(rng, exponents)
 
 
 def random_bounded_poly(rng: random.Random, max_deg_x: int, max_deg_y: int) -> YPoly:
     """Random nonzero element of Q[x,y] with separate degree bounds."""
-    return _random_terms(rng, lambda: (rng.randint(0, max_deg_x), rng.randint(0, max_deg_y)))
+    below = _below(rng)
+    return _random_terms(rng, lambda: (below(max_deg_x + 1), below(max_deg_y + 1)))
 
 
 def _random_terms(rng: random.Random, exponents) -> YPoly:
     """Sum of 1 to 6 terms c*x^a*y^b, (a, b) drawn by exponents(), c a nonzero scalar."""
+    below = _below(rng)
     terms: dict[int, dict[int, int]] = {}
-    for _ in range(rng.randint(1, 6)):
+    for _ in range(1 + below(6)):
         a, b = exponents()
-        terms.setdefault(b, {})[a] = _nonzero_scalar(rng)
+        terms.setdefault(b, {})[a] = _SCALARS[below(6)]
     return _monomial_sum(terms)
 
 

@@ -18,7 +18,7 @@ from functools import cached_property
 from math import lcm
 from operator import add
 
-from .ratfunc import _ONE, NEG_INF, RatFunc, UniPoly, _join_terms, _poly, _power, _zdiv_exact, _zmul, as_ratfunc, poly_gcd
+from .ratfunc import _ONE, _RF_ZERO, NEG_INF, RatFunc, UniPoly, _join_terms, _poly, _power, _zdiv_exact, _zmul, as_ratfunc, poly_gcd
 
 
 class YPoly:
@@ -76,7 +76,8 @@ class YPoly:
         return not self.terms
 
     def coeff(self, e: int) -> RatFunc:
-        return self.terms.get(e, RatFunc.zero())
+        c = self.terms.get(e)
+        return _RF_ZERO if c is None else c
 
     def is_monic_in_y(self) -> bool:
         return not self.is_zero() and self.terms[max(self.terms)] == RatFunc.one()
@@ -103,7 +104,7 @@ class YPoly:
         return hash(tuple(self.items()))
 
     def __neg__(self) -> "YPoly":
-        return YPoly({e: -c for e, c in self.terms.items()})
+        return YPoly._canonical({e: -c for e, c in self.terms.items()})
 
     def __add__(self, other) -> "YPoly":
         other = _as_ypoly(other)
@@ -112,8 +113,13 @@ class YPoly:
         out = dict(self.terms)
         for e, c in other.terms.items():
             acc = out.get(e)
-            out[e] = c if acc is None else acc + c
-        return YPoly(out)
+            if acc is None:
+                out[e] = c
+            elif s := acc + c:
+                out[e] = s
+            else:
+                del out[e]
+        return YPoly._canonical(out)
 
     __radd__ = __add__
 
@@ -129,21 +135,36 @@ class YPoly:
         other = _as_ypoly(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[int, RatFunc] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        # f = sum P_e y^e / df and g = sum Q_e y^e / dg over Z[x]: the
+        # products are summed in Z[x] and each output coefficient is reduced
+        # once, over df * dg.
+        df, pf = _clear_denominators(self)
+        dg, pg = _clear_denominators(other)
+        acc: dict[int, list[int]] = {}
+        for e1, p in pf.items():
+            for e2, q in pg.items():
                 e = e1 + e2
-                prod = c1 * c2
-                acc = out.get(e)
-                out[e] = prod if acc is None else acc + prod
-        return YPoly(out)
+                pq = _zmul(p, q)
+                s = acc.get(e)
+                acc[e] = pq if s is None else _zadd(s, pq)
+        den = _zmul(df, dg)
+        if len(den) == 1:
+            d = den[0]
+            out = {e: RatFunc._canonical(_poly(n, d), _ONE) for e, n in acc.items() if n}
+        else:
+            dpoly = _poly(den)
+            out = {e: RatFunc(_poly(n), dpoly) for e, n in acc.items() if n}
+        return YPoly._canonical(out)
 
     __rmul__ = __mul__
 
     def scale(self, scalar) -> "YPoly":
         """Multiply every coefficient by a y-free scalar."""
         s = as_ratfunc(scalar)
-        return YPoly({e: c * s for e, c in self.terms.items()})
+        if not s:
+            return YPoly._canonical({})
+        # A product of nonzero elements of the field Q(x) is nonzero.
+        return YPoly._canonical({e: c * s for e, c in self.terms.items()})
 
     def __pow__(self, k: int) -> "YPoly":
         if k < 0:
@@ -204,8 +225,13 @@ def denominator_clearer(w: YPoly) -> UniPoly:
 
 def _clear_denominators(f: YPoly) -> tuple[list[int], dict[int, list[int]]]:
     """Integer lists den and P_e with f = sum_e P_e y^e / den, all in Z[x]."""
-    if all(c.num.denom == 1 and c.is_polynomial() for c in f.terms.values()):
-        return [1], {e: list(c.num.ints) for e, c in f.terms.items()}
+    nums = {}
+    for e, c in f.terms.items():
+        if c.num.denom != 1 or len(c.den.ints) != 1:
+            break
+        nums[e] = list(c.num.ints)
+    else:
+        return [1], nums
     # The monic lcm's integer coefficients h are primitive, so each (monic)
     # denominator's D divides h in Z[x].  A coefficient (N/nd) / (D/dd)
     # times h is N * (h/D) * dd/nd; s clears the nd.
@@ -407,7 +433,7 @@ class YPowerTable:
         if t < 0:
             raise ValueError("negative cell index")
         if t > e:
-            return RatFunc.zero()
+            return _RF_ZERO
         return self.powers[e].cell(*divmod(t, self.m))
 
 

@@ -22,6 +22,7 @@ from lexval import (  # noqa: E402
     random_rational_poly,
     random_xy_poly,
     spec_violations,
+    value,
     ypower_table,
 )
 from lexval.ratfunc import residue_at_inf, v_inf  # noqa: E402
@@ -122,3 +123,21 @@ def test_generated_bundle(bundle, seed):
     assert [p.rows for p in table.powers] == powers
     for dm in range(2 * spec.m + 1):
         assert _bounded_monic(table, dm) == bounded_monic_reference(spec.w, dm, powers)
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(bundles(), st.integers(0, 10**6))
+def test_generated_bundle_value_is_lead_term_value(bundle, seed):
+    # value runs lead_term's cell search and builds only the pair.
+    spec = make_spec(*bundle)
+    rng = random.Random(seed)
+    corpus = [random_rational_poly(rng, 3, 2 * spec.m) for _ in range(4)]
+    corpus += [random_xy_poly(rng, 4) for _ in range(8)] + [spec.w, spec.w * spec.w]
+    for f in corpus:
+        assert value(spec, f) == lead_term(spec, f).value

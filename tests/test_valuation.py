@@ -20,6 +20,8 @@ from lexval import (
     load_spec,
     make_spec,
     parse_poly,
+    random_bounded_poly,
+    random_rational_poly,
     random_xy_poly,
     value,
     value_fraction,
@@ -40,7 +42,7 @@ from lexval.valuation import (
     V_W_DEGREE,
     V_W_NOT_MONIC,
 )
-from lexval.ypoly import WExpansion
+from lexval.ypoly import Divisor, WExpansion
 
 A = ValuePair(-1, -1)
 B55 = ValuePair(0, 1)
@@ -293,6 +295,27 @@ def test_lead_term_tie_raises(ex55):
         lead_term(spec, parse_poly("y") + ex55.w)
 
 
+def test_value_tie_raises(ex55):
+    # value runs lead_term's cell search, tie check included.
+    spec = replace(ex55, beta=3 * ex55.alpha)
+    with pytest.raises(RuntimeError, match="not unique"):
+        value(spec, parse_poly("y") + ex55.w)
+
+
+@pytest.mark.parametrize("preset", ["ex52", "ex55"])
+def test_value_is_the_lead_term_value(preset, request):
+    # value builds only the pair; it must be the pair lead_term finds, over
+    # the audit and image corpora and over rational coefficients.
+    spec = request.getfixturevalue(preset)
+    rng = random.Random(17)
+    corpus = [random_xy_poly(rng, 5) for _ in range(60)]
+    corpus += [random_bounded_poly(rng, 4, 4 * spec.m) for _ in range(30)]
+    corpus += [random_rational_poly(rng, 3, 3 * spec.m) for _ in range(30)]
+    corpus += [spec.w, spec.w * spec.w + parse_poly("y")]
+    for f in corpus:
+        assert value(spec, f) == lead_term(spec, f).value
+
+
 def test_lead_term_builds_every_row_for_an_invalid_spec(ex55):
     # The row bound holds for valid bundles only.  A spec built around
     # make_spec that spec_violations rejects has every row built, and its
@@ -466,18 +489,17 @@ def test_check_axioms_reads_lambda_off_stored_lead_terms(ex52, monkeypatch):
 def test_check_axioms_expands_each_question_once(ex52, monkeypatch, seed, zero_sums):
     # One expansion per corpus element, two per pair (f*g and f+g), three
     # per equal-value pair (lambda and lambda +- 1) and one per x-pair.
-    import lexval.valuation as valuation_mod
-
     corpus = _corpus(seed, 30)
     equal, zeros = _audit_pairs(ex52, corpus, 80, seed)
     assert equal > 0 and zeros == zero_sums
     calls = []
+    division = Divisor.division
 
-    def counted(spec, f):
+    def counted(self, f):
         calls.append(f)
-        return lead_term(spec, f)
+        return division(self, f)
 
-    monkeypatch.setattr(valuation_mod, "lead_term", counted)
+    monkeypatch.setattr(Divisor, "division", counted)
     report = check_axioms(ex52, corpus, 80, seed=seed)
     assert report.ok
     expected = len(corpus) + 2 * report.pairs_checked + 3 * equal + report.x_pairs_checked

@@ -18,6 +18,8 @@ from lexval import (
     make_spec,
     parse_poly,
     quotient_census,
+    random_bounded_poly,
+    random_xy_poly,
     reduce_past_chain,
     sample_image,
     structure_checks,
@@ -353,6 +355,30 @@ def test_random_terms_match_validating_constructors():
             r = ref.terms[e]
             for p, q in ((c.num, r.num), (c.den, r.den)):
                 assert (p.ints, p.denom) == (q.ints, q.denom)
+
+
+def test_random_polys_match_randint_draws():
+    # The corpus generators draw with one getrandbits rejection loop per
+    # draw; the stream must be that of randint and choice, state included.
+    def xy_reference(rng, d):
+        def exponents():
+            a = rng.randint(0, d)
+            return a, rng.randint(0, d - a)
+
+        return _random_terms_reference(rng, exponents)
+
+    def bounded_reference(rng, dx, dy):
+        return _random_terms_reference(rng, lambda: (rng.randint(0, dx), rng.randint(0, dy)))
+
+    for seed in range(200):
+        cases = (
+            (random_xy_poly, xy_reference, (seed % 9,)),
+            (random_bounded_poly, bounded_reference, (seed % 5, seed % 7)),
+        )
+        for build, reference, args in cases:
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            f, ref = build(rng, *args), reference(ref_rng, *args)
+            assert f == ref and rng.random() == ref_rng.random()
 
 
 def test_reduce_past_chain_steps_on_an_inner_chain_element(ex55):
