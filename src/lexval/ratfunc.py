@@ -245,26 +245,11 @@ def uni_divmod(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
         raise ZeroDivisionError("division by the zero polynomial")
     if a.degree < b.degree:
         return _ZERO, a
-    # Over Z: with a = A/alpha and b = B/beta, the remainder is scaled up
-    # only when lc(B) does not divide its leading coefficient, so that at
-    # the end A*s = Q*B + R, q = Q*beta/(alpha*s) and r = R/(alpha*s).
-    rem = list(a.ints)
-    bi = b.ints
-    db = len(bi) - 1
-    lead = bi[-1]
-    q = [0] * (len(rem) - db)
-    s = 1
-    for i in range(len(rem) - 1, db - 1, -1):
-        if rem[i] % lead:
-            f = lead // gcd(rem[i], lead)
-            rem, q, s = [x * f for x in rem], [x * f for x in q], s * f
-        t = rem[i] // lead
-        if t:
-            q[i - db] = t
-            for j in range(db):
-                rem[i - db + j] -= t * bi[j]
+    # With a = A/alpha and b = B/beta: A*s = Q*B + R, so q = Q*beta/(alpha*s)
+    # and r = R/(alpha*s).
+    q, r, s = _zdivmod(a.ints, b.ints)
     den = a.denom * s
-    return _poly([x * b.denom for x in q], den), _poly(rem[:db], den)
+    return _poly([x * b.denom for x in q], den), _poly(r, den)
 
 
 def _euclid(a: UniPoly, b: UniPoly) -> UniPoly:
@@ -296,6 +281,34 @@ def _zmul(a, b) -> list[int]:
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
     return out
+
+
+def _zdivmod(a, b) -> tuple[list[int], list[int], int]:
+    """Division in Z[x] of a by the nonzero b: Q, R and s >= 1 with a*s = Q*b + R.
+
+    deg R < deg b, and R has no trailing zeros.  The remainder is scaled up
+    only when lc(b) does not divide its leading coefficient, so s = 1 when
+    lc(b) = +-1.  Only the nonzero lower coefficients of b are subtracted.
+    """
+    rem = list(a)
+    db = len(b) - 1
+    lead = b[-1]
+    low = [(j, c) for j, c in enumerate(b[:db]) if c]
+    q = [0] * max(len(rem) - db, 0)
+    s = 1
+    for i in range(len(rem) - 1, db - 1, -1):
+        if rem[i] % lead:
+            f = lead // gcd(rem[i], lead)
+            rem, q, s = [x * f for x in rem], [x * f for x in q], s * f
+        t = rem[i] // lead
+        if t:
+            q[i - db] = t
+            for j, c in low:
+                rem[i - db + j] -= t * c
+    del rem[db:]
+    while rem and not rem[-1]:
+        rem.pop()
+    return q, rem, s
 
 
 def _primitive(a) -> tuple[int, list[int]]:

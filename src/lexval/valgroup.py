@@ -158,9 +158,18 @@ def monoid_member(gamma: ValuePair, alpha: ValuePair, beta: ValuePair, mode: str
     """
     if commensurable(alpha, beta):
         raise ValueError("alpha and beta must not be commensurable")
+    _check_mode(mode)
+    return _in_monoid(decompose(gamma, alpha, beta), mode)
+
+
+def _check_mode(mode: str) -> None:
     if mode not in ("ex55", "cone"):
         raise ValueError(f"unknown mode {mode!r}")
-    sol = decompose(gamma, alpha, beta)
+
+
+def _in_monoid(sol: tuple[int, int] | None, mode: str) -> bool:
+    """monoid_member's rule on gamma's coordinates (s, t) in the basis, None
+    when gamma is not in the lattice, for a checked mode."""
     if sol is None:
         return False
     s, t = sol

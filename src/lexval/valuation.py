@@ -17,7 +17,8 @@ LB_i = v0(f) + i * (beta - m*n*alpha), and LB_i rises strictly with i.
 `value` and `lead_term` share one cell search: it builds the rows in order
 and stops once the best cell so far lies below the bound of the next row; a
 bundle that fails validation (one built around `make_spec`) has every row
-built.
+built.  The same key scan reads the lead term off a whole expansion that
+is already held, such as one summed cell by cell (`WExpansion.plus`).
 """
 
 from __future__ import annotations
@@ -148,9 +149,10 @@ class LeadTerm:
 
     `exp` holds the unreduced rows the question built, rows 0 .. i' with
     i' >= i: `lead_term` stops once the row bound proves the minimum, so it
-    need not be the whole expansion.  That is enough for `coeff` and
-    `cancel_scalar`, which read only the lead cell; the cell's coefficient
-    is reduced only when `coeff` is first read.
+    need not be the whole expansion (a lead read off a whole expansion
+    keeps all of it).  That is enough for `coeff` and `cancel_scalar`,
+    which read only the lead cell; the cell's coefficient is reduced only
+    when `coeff` is first read.
     """
 
     i: int
@@ -174,33 +176,47 @@ def _lead_cell(spec: ValuationSpec, f: YPoly) -> tuple[tuple[int, int], tuple[in
     """The search behind `lead_term` and `value`, for a nonzero f.
 
     Returns the winning cell's value as an integer pair, the cell (i, j), the
-    rows built and den.  Each cell's value needs only its order at infinity,
-    which the unreduced Z[x] expansion gives.  The rows are built from row 0
-    up.  For a valid bundle the division stops after row i once the best
-    cell is below LB_(i+1) = v0(f) + (i+1) * row_step, the least value of any
-    cell in the rows after i, so the minimum and its uniqueness are decided
-    on the rows built.
+    rows built and den.  The rows are built from row 0 up.  For a valid
+    bundle the division stops after row i once the best cell is below
+    LB_(i+1) = v0(f) + (i+1) * row_step, the least value of any cell in the
+    rows after i, so the minimum and its uniqueness are decided on the rows
+    built.
     """
     divisor = spec.divisor
     den, nums, rows = divisor.division(f)
+    bound = None
+    if f.deg_y >= spec.m and spec.row_step is not None:
+        # v0(f): the key formula at i = 0 over f's own y-coefficients, whose
+        # minimum is at the largest c because alpha < 0.
+        c = max((len(p) - len(den)) * spec.m + e * spec.n for e, p in nums.items())
+        bound = (c * spec.alpha.a, c * spec.alpha.b)
+    best, cell, grid = _least_cell(spec, rows, len(den), len(divisor.h) - 1, bound)
+    return best, cell, grid, den
+
+
+def _least_cell(spec: ValuationSpec, rows, dd: int, dh: int, bound=None):
+    """The key scan: the least cell of rows over a den with len(den) = dd and
+    an H of degree dh, as (key, (i, j), rows scanned); None when every cell is
+    zero.
+
+    Each cell's value needs only its order at infinity, which the unreduced
+    Z[x] cell gives.  With bound = v0(f) the scan stops after row i once the
+    best key is below v0(f) + (i+1) * row_step.
+    """
     m, n = spec.m, spec.n
     a0, a1 = spec.alpha.a, spec.alpha.b
     b0, b1 = spec.beta.a, spec.beta.b
-    dd, dh = len(den), len(divisor.h) - 1
-    step = spec.row_step if f.deg_y >= m else None
-    if step is not None:
-        # v0(f): the key formula at i = 0 over f's own y-coefficients, whose
-        # minimum is at the largest c because alpha < 0.
-        c = max((len(p) - dd) * m + e * n for e, p in nums.items())
-        lb0, lb1 = c * a0, c * a1
+    if bound is not None:
+        step = spec.row_step
+        lb0, lb1 = bound
     # A cell N / (den * H^k) has -order = deg N - deg den - k * deg H, and
     # value (-order * m + j * n) * alpha + i * beta, ranked as an integer
     # pair: tuples compare as ValuePair does.
-    grid = []
+    scanned = []
     best = None
     ties = 0
     for i, row in enumerate(rows):
-        grid.append(row)
+        scanned.append(row)
         ib0, ib1 = i * b0, i * b1
         for j, (num, k) in enumerate(row):
             if not num:
@@ -211,16 +227,28 @@ def _lead_cell(spec: ValuationSpec, f: YPoly) -> tuple[tuple[int, int], tuple[in
                 best, cell, ties = key, (i, j), 1
             elif key == best:
                 ties += 1
-        if step is not None:
+        if bound is not None:
             lb0, lb1 = lb0 + step[0], lb1 + step[1]
             if best is not None and best < (lb0, lb1):
                 break
+    if best is None:
+        return None
     if ties != 1:
         # Impossible for a validated bundle (non-commensurable alpha, beta
         # and coprime m, n force a unique minimizer); reaching this means
         # corrupted state, not a domain error.
         raise RuntimeError("minimizing expansion cell is not unique")
-    return best, cell, grid, den
+    return best, cell, scanned
+
+
+def _expansion_lead(spec: ValuationSpec, exp: WExpansion) -> LeadTerm | None:
+    """The lead term read off a whole expansion, None when it is zero: the
+    key scan of `lead_term` over every row, with no division."""
+    found = _least_cell(spec, exp.grid, len(exp.den), len(exp.divisor.h) - 1)
+    if found is None:
+        return None
+    key, cell, _ = found
+    return LeadTerm(*cell, ValuePair(*key), exp)
 
 
 def lead_term(spec: ValuationSpec, f: YPoly) -> LeadTerm:

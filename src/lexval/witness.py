@@ -20,12 +20,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
-from .ratfunc import RatFunc, UniPoly, _poly, _zmul, uni_divmod
-from .valgroup import INF, ExtValue, ValuePair, _check_unimodular, decompose, monoid_member, quotient_class
-from .valuation import LeadTerm, ValuationSpec, lead_term, value
-from .ypoly import YPoly, YPowerTable, _monomial_sum, denominator_clearer, ypower_table
+from .ratfunc import _ONE, RatFunc, UniPoly, _poly, _zdivmod, _zmul
+from .valgroup import INF, ExtValue, ValuePair, _check_mode, _check_unimodular, _in_monoid, decompose, quotient_class
+from .valuation import LeadTerm, ValuationSpec, _expansion_lead, value
+from .ypoly import WExpansion, YPoly, YPowerTable, _monomial_sum, denominator_clearer, ypower_table
 
 
 @dataclass(frozen=True)
@@ -65,27 +64,44 @@ def build_bounded_monic(spec: ValuationSpec, d: int) -> YPoly:
 
 
 def _bounded_monic(table: YPowerTable, dm: int) -> YPoly:
-    """The corrector recursion of build_bounded_monic at y-degree dm <= table.e_max.
+    """The corrector recursion of build_bounded_monic at y-degree dm <= table.e_max."""
+    return _bounded_monic_expansion(table, dm)[0]
 
-    Coefficient t is minus the polynomial part of sum_s c_s * cell t of y^s
-    over s > t.  That part is Q-linear, so the unreduced cells N_s / H^(k_s)
-    are summed in Z[x], at the largest k_s and over the lcm of the c_s
-    denominators, and divided once.
+
+def _bounded_monic_expansion(table: YPowerTable, dm: int) -> tuple[YPoly, WExpansion]:
+    """The output of the corrector recursion at y-degree dm and its whole
+    unreduced w-expansion.
+
+    Coefficient t is minus the polynomial part of S_t, the sum of c_s * cell t
+    of y^s over s > t, so cell t of the output, S_t + c_t, is the remainder of
+    that division; the top cell is 1.  The c_s are integer lists over one
+    running integer den, so S_t is summed in Z[x] at the largest power of H,
+    one product per term, and divided once.
     """
     divisor = table.powers[0].divisor
-    coeffs: dict[int, UniPoly] = {dm: UniPoly.one()}
+    den = 1
+    ints: dict[int, list[int]] = {dm: [1]}  # c_s = ints[s] / den
+    cells: dict[int, tuple[list[int], int]] = {dm: ([1], 0)}  # cell s over den
     for t in range(dm - 1, -1, -1):
         i, j = divmod(t, table.m)
-        denom = lcm(*(coeffs[s].denom for s in range(t + 1, dm + 1)))
         acc = ([], 0)
         for s in range(t + 1, dm + 1):
             n, k = table.powers[s].grid[i][j]
-            c = coeffs[s]
+            c = ints[s]
             if n and c:
-                acc = divisor._plus(acc, _zmul(_zmul(c.ints, n), (denom // c.denom,)), k)
+                acc = divisor._plus(acc, _zmul(c, n), k)
         n, k = acc
-        coeffs[t] = -uni_divmod(_poly(n, denom), _poly(list(divisor.hpower(k))))[0]
-    return YPoly(coeffs)
+        q, r, scale = _zdivmod(n, divisor.hpower(k))
+        if scale != 1:
+            den *= scale
+            ints = {s: [x * scale for x in c] for s, c in ints.items()}
+            cells = {s: ([x * scale for x in c], kc) for s, (c, kc) in cells.items()}
+        ints[t] = [-x for x in q]
+        cells[t] = (r, k)
+    poly = YPoly._canonical({s: RatFunc._canonical(_poly(c, den), _ONE) for s, c in ints.items() if c})
+    m = table.m
+    grid = [[cells.get(i * m + j, ([], 0)) for j in range(m)] for i in range(dm // m + 1)]
+    return poly, WExpansion(grid=grid, den=[den], divisor=divisor)
 
 
 def reduce_past_chain(
@@ -96,31 +112,50 @@ def reduce_past_chain(
     Returns (g, steps, value(g)) with g = f + sum lambda * chain.polys[i] over
     the recorded steps and value(g) > chain.values[-1].  If f lies in the
     scalar span of the chain the reduction lands exactly on zero, with value
-    INF, which still satisfies the postcondition.  Each step expands the
-    current element once; each chain element used is expanded once per call.
+    INF, which still satisfies the postcondition.  f is expanded once, and
+    each chain element used once per call; the steps divide nothing.
+    """
+    leads: dict[int, LeadTerm] = {}
+
+    def chain_lead(idx: int) -> LeadTerm:
+        if idx not in leads:
+            leads[idx] = _expansion_lead(spec, spec.divisor.expand(chain.polys[idx]))
+        return leads[idx]
+
+    g, steps, lead = _reduce(spec, f, spec.divisor.expand(f), chain, chain_lead)
+    return g, steps, INF if lead is None else lead.value
+
+
+def _reduce(spec: ValuationSpec, f: YPoly, exp: WExpansion, chain: WitnessChain, chain_lead):
+    """reduce_past_chain from the whole expansion exp of f, with the lead term
+    of g at the end (None for g = 0) in place of its value.
+
+    chain_lead(idx) is the lead term of chain.polys[idx] over its whole
+    expansion.  A step h <- h + lambda * chain.polys[idx] sets
+    E(h) <- E(h) + lambda * E(chain.polys[idx]) and reads the new lead term
+    off that sum.
     """
     h = f
+    lead = _expansion_lead(spec, exp)
     steps: list[tuple[int, Fraction]] = []
-    chain_leads: dict[int, LeadTerm] = {}
     cap = 4 * (len(chain.polys) + 2)
-    while not h.is_zero():
-        lead = lead_term(spec, h)
+    while lead is not None:
         # Each step raises the value, so only the input can fail this check.
         if not lead.value >= chain.values[0]:
             raise ValueError(f"value {lead.value} of input is below the chain start {chain.values[0]}")
         if lead.value > chain.values[-1]:
-            return h, steps, lead.value
+            return h, steps, lead
         # The chain values are consecutive, so chain.values[k] is
         # chain.values[0] + (0, k).
         idx = lead.value.b - chain.values[0].b
-        if idx not in chain_leads:
-            chain_leads[idx] = lead_term(spec, chain.polys[idx])
-        lam = lead.cancel_scalar(chain_leads[idx])
+        other = chain_lead(idx)
+        lam = lead.cancel_scalar(other)
         h = h + chain.polys[idx].scale(lam)
         steps.append((idx, lam))
         if len(steps) > cap:
             raise RuntimeError("reduction exceeded its iteration cap")
-    return h, steps, INF
+        lead = _expansion_lead(spec, lead.exp.plus(lam, other.exp))
+    return h, steps, None
 
 
 def increasing_value_sequence(spec: ValuationSpec, d_max: int) -> list[tuple[YPoly, ValuePair]]:
@@ -129,24 +164,29 @@ def increasing_value_sequence(spec: ValuationSpec, d_max: int) -> list[tuple[YPo
     f_0 is the bounded monic builder's degree-m output; each later element
     reduces a fresh higher-degree builder output past the chain built so
     far.  For the ex55 preset this yields deg_y(f_d) = 2(d+1) and
-    value(f_d) = (-1, d-1) exactly.  f_0 and f_1 share a y-power table to
-    y^2m; the later outputs share one to y^((d_max+1)m), built only once f_1
-    has passed the chain's consecutiveness check.
+    value(f_d) = (-1, d-1) exactly.  Every element is valued and reduced
+    from the builder's expansion and those kept for the chain, with no
+    division by w.  f_0 and f_1 share a y-power table to y^2m, which is
+    extended to y^((d_max+1)m) only once f_1 has passed the chain's
+    consecutiveness check.
     """
     if d_max < 0:
         raise ValueError("d_max must be nonnegative")
     table = ypower_table(spec.w, 2 * spec.m)
-    f0 = _bounded_monic(table, spec.m)
-    v0 = value(spec, f0)
-    out = [(f0, v0)]
-    chain = WitnessChain((f0,), (v0,))
+    f0, exp0 = _bounded_monic_expansion(table, spec.m)
+    lead0 = _expansion_lead(spec, exp0)
+    out = [(f0, lead0.value)]
+    chain = WitnessChain((f0,), (lead0.value,))
+    leads = [lead0]
     for d in range(1, d_max + 1):
         if d == 2:
-            table = ypower_table(spec.w, (d_max + 1) * spec.m)
-        raw = _bounded_monic(table, (d + 1) * spec.m)
-        g, _, vg = reduce_past_chain(spec, raw, chain)
+            table = table.extended((d_max + 1) * spec.m)
+        raw, exp = _bounded_monic_expansion(table, (d + 1) * spec.m)
+        g, _, lead = _reduce(spec, raw, exp, chain, leads.__getitem__)
+        vg = INF if lead is None else lead.value
         out.append((g, vg))
         chain = chain.extended(g, vg)
+        leads.append(lead)
     return out
 
 
@@ -313,7 +353,10 @@ def sample_image(spec: ValuationSpec, corpus_spec: CorpusSpec, mode: str) -> Ima
     mode "ex55" tests membership in {(0,0)} union (Z_{>0} alpha + Z_{>=0} beta);
     mode "cone" tests membership in Z_{>=0} alpha + Z_{>=0} beta.
     """
+    # A unimodular basis is not commensurable, so each value needs only its
+    # coordinates and the membership rule.
     _check_unimodular(spec.alpha, spec.beta)
+    _check_mode(mode)
     attained = set()
     violations = []
     rng = random.Random(corpus_spec.seed)
@@ -321,7 +364,7 @@ def sample_image(spec: ValuationSpec, corpus_spec: CorpusSpec, mode: str) -> Ima
     for f in _seeded_corpus(rng, dx, dy, corpus_spec.random_count, total_degree=True):
         v = value(spec, f)
         attained.add(v)
-        if not monoid_member(v, spec.alpha, spec.beta, mode):
+        if not _in_monoid(decompose(v, spec.alpha, spec.beta), mode):
             violations.append((f, v))
     classes = {quotient_class(v, spec.m, spec.alpha, spec.beta) for v in attained}
     return ImageReport(

@@ -15,6 +15,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import zip_longest
 from math import lcm
 from operator import add
 
@@ -407,6 +408,37 @@ class WExpansion:
         """The grid with every cell reduced."""
         return tuple(tuple(self.cell(i, j) for j in range(self.m)) for i in range(len(self.grid)))
 
+    def plus(self, lam: Fraction, other: "WExpansion") -> "WExpansion":
+        """The expansion of f + lam*g from the whole grids of f (self) and g.
+
+        The expansion is Q(x)-linear, so this is a cell-by-cell sum and no
+        division.  Integer dens combine by their lcm, polynomial ones by their
+        product (no gcd).  Top rows that cancel are dropped, so f + lam*g = 0
+        gives a single all-zero row.
+        """
+        if not lam:
+            return self
+        p, q = lam.numerator, lam.denominator
+        a, b = self.den, other.den
+        if len(a) == 1 and len(b) == 1:
+            d = lcm(a[0], b[0] * q)
+            den, ma, mb = [d], (d // a[0],), (d // (b[0] * q) * p,)
+        else:
+            mb = _zmul(a, (p,))
+            ma = _zmul(b, (q,))
+            den = _zmul(a, ma)
+        plus = self.divisor._plus
+        grid = []
+        for ra, rb in zip_longest(self.grid, other.grid, fillvalue=[([], 0)] * self.m):
+            row = []
+            for (na, ka), (nb, kb) in zip(ra, rb):
+                cell = (_zmul(na, ma), ka) if na else ([], 0)
+                row.append(plus(cell, _zmul(nb, mb), kb) if nb else cell)
+            grid.append(row)
+        while len(grid) > 1 and not any(n for n, _ in grid[-1]):
+            grid.pop()
+        return WExpansion(grid=grid, den=den, divisor=self.divisor)
+
 
 def w_expand(f: YPoly, w: YPoly) -> WExpansion:
     """Expand f in powers of the monic divisor w by iterated division over Z[x]."""
@@ -427,6 +459,16 @@ class YPowerTable:
     e_max: int
     powers: tuple[WExpansion, ...]
 
+    def extended(self, e_max: int) -> "YPowerTable":
+        """The table to y^e_max >= self.e_max, continued from its last power by
+        multiplying by y; the powers it holds are not built again."""
+        powers = list(self.powers)
+        grid, divisor = powers[-1].grid, powers[-1].divisor
+        for _ in range(e_max - self.e_max):
+            grid = divisor.times_y(grid)
+            powers.append(WExpansion(grid=grid, den=[1], divisor=divisor))
+        return YPowerTable(w=self.w, m=self.m, e_max=len(powers) - 1, powers=tuple(powers))
+
     def entry(self, e: int, t: int) -> RatFunc:
         if not 0 <= e <= self.e_max:
             raise ValueError(f"power {e} outside table range 0..{self.e_max}")
@@ -442,9 +484,5 @@ def ypower_table(w: YPoly, e_max: int) -> YPowerTable:
     if e_max < 0:
         raise ValueError("e_max must be nonnegative")
     divisor = Divisor(w)
-    grid = [[([1], 0)] + [([], 0)] * (divisor.m - 1)]
-    powers = [WExpansion(grid=grid, den=[1], divisor=divisor)]
-    for _ in range(e_max):
-        grid = divisor.times_y(grid)
-        powers.append(WExpansion(grid=grid, den=[1], divisor=divisor))
-    return YPowerTable(w=w, m=divisor.m, e_max=e_max, powers=tuple(powers))
+    one = WExpansion(grid=[[([1], 0)] + [([], 0)] * (divisor.m - 1)], den=[1], divisor=divisor)
+    return YPowerTable(w=w, m=divisor.m, e_max=0, powers=(one,)).extended(e_max)

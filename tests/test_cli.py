@@ -82,6 +82,17 @@ def test_witness_json_parity(capsys):
         parse_poly(entry["poly"])
 
 
+# sha256 of the stdout of `witness --spec ex55 --dmax 20 --json`, recorded
+# when every element of the sequence was valued by division by w.
+WITNESS_DMAX20_JSON = "994eb7d91fb09403d86a038aacc4850d2e6ea6718a59191233df8933b1cf35e0"
+
+
+def test_witness_dmax20_json_digest(capsys):
+    code, out, _ = run_cli(capsys, "witness", "--spec", "ex55", "--dmax", "20", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == WITNESS_DMAX20_JSON
+
+
 def test_lead_and_lambda(capsys):
     code, out, _ = run_cli(capsys, "lead", "y^2")
     assert code == 0

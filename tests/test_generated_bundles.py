@@ -26,7 +26,7 @@ from lexval import (  # noqa: E402
     ypower_table,
 )
 from lexval.ratfunc import residue_at_inf, v_inf  # noqa: E402
-from lexval.witness import _bounded_monic  # noqa: E402
+from lexval.witness import _bounded_monic, _bounded_monic_expansion  # noqa: E402
 
 from conftest import bounded_monic_reference, expand_by_division  # noqa: E402
 
@@ -141,3 +141,36 @@ def test_generated_bundle_value_is_lead_term_value(bundle, seed):
     corpus += [random_xy_poly(rng, 4) for _ in range(8)] + [spec.w, spec.w * spec.w]
     for f in corpus:
         assert value(spec, f) == lead_term(spec, f).value
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(bundles(), st.integers(0, 10**6))
+@example((2, 1, parse_poly("y^2 + x^3/(x^2+1)"), ValuePair(-1, -1), ValuePair(0, 1)), 0)
+def test_generated_bundle_grids_without_division(bundle, seed):
+    # The builder's grid and E(f) + lam*E(g) against division: the same rows
+    # and the same reduced cells.
+    spec = make_spec(*bundle)
+    table = ypower_table(spec.w, 3 * spec.m)
+    for dm in range(3 * spec.m + 1):
+        f, exp = _bounded_monic_expansion(table, dm)
+        rows = expand_by_division(f, spec.w)
+        assert len(exp.grid) == len(rows) and exp.rows == rows
+    rng = random.Random(seed)
+    corpus = [random_rational_poly(rng, 3, 2 * spec.m) for _ in range(3)]
+    corpus += [random_xy_poly(rng, 4) for _ in range(3)] + [spec.w]
+    exps = [spec.divisor.expand(f) for f in corpus]
+    for _ in range(8):
+        a, b = rng.randrange(len(corpus)), rng.randrange(len(corpus))
+        lam = Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2, 5)))
+        rows = expand_by_division(corpus[a] + corpus[b].scale(lam), spec.w)
+        exp = exps[a].plus(lam, exps[b])
+        assert len(exp.grid) == len(rows) and exp.rows == rows
+    for exp in exps:
+        zero = exp.plus(Fraction(-1), exp)
+        assert len(zero.grid) == 1 and not any(n for n, _ in zero.grid[0])

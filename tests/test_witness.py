@@ -16,9 +16,11 @@ from lexval import (
     class_witness,
     increasing_value_sequence,
     make_spec,
+    monoid_member,
     parse_poly,
     quotient_census,
     random_bounded_poly,
+    random_rational_poly,
     random_xy_poly,
     reduce_past_chain,
     sample_image,
@@ -27,7 +29,13 @@ from lexval import (
     witness_for_value,
     ypower_table,
 )
-from lexval.witness import _bounded_monic, _class_witnesses, _random_terms, denominator_clearer
+from lexval.witness import (
+    _bounded_monic,
+    _bounded_monic_expansion,
+    _class_witnesses,
+    _random_terms,
+    denominator_clearer,
+)
 
 from conftest import bounded_monic_reference, expand_by_division
 
@@ -111,23 +119,29 @@ def test_reduce_past_chain_precondition(ex55):
     assert g.is_zero() and steps == [] and v == value(ex55, g) == INF
 
 
-def test_increasing_value_sequence_calls_public_reduce_past_chain(ex55, monkeypatch):
-    # The sequence reduces through the module-level reduce_past_chain, so a
-    # rebinding of that name (as by a tracer) sees every reduction.
+def test_increasing_value_sequence_reduces_through_the_core(ex55, monkeypatch):
+    # The sequence reduces each builder output through the grid core that
+    # reduce_past_chain runs, and each result is what the public function
+    # gives for that output and the chain before it.
     import lexval.witness as witness_mod
 
     results = []
+    core = witness_mod._reduce
 
-    def counted(spec, f, chain):
-        out = reduce_past_chain(spec, f, chain)
+    def counted(*args):
+        out = core(*args)
         results.append(out)
         return out
 
-    monkeypatch.setattr(witness_mod, "reduce_past_chain", counted)
+    monkeypatch.setattr(witness_mod, "_reduce", counted)
     seq = increasing_value_sequence(ex55, 5)
     monkeypatch.undo()
     assert len(results) == 5
-    assert [(g, v) for g, _, v in results] == seq[1:]
+    assert [(g, lead.value) for g, _, lead in results] == seq[1:]
+    for d in range(1, 6):
+        chain = WitnessChain(*zip(*seq[:d]))
+        g, _, v = reduce_past_chain(ex55, build_bounded_monic(ex55, d + 1), chain)
+        assert (g, v) == seq[d]
 
 
 def test_increasing_value_sequence_exact(ex55):
@@ -159,12 +173,9 @@ def test_increasing_value_sequence_values_each_element_once(ex55, monkeypatch):
     monkeypatch.setattr(witness_mod, "value", counted("value", witness_mod.value))
     seq = increasing_value_sequence(ex55, 7)
     monkeypatch.undo()
-    # f_0 is valued once.  The reductions for d = 1..4 take no step: one lead
-    # term each, of the builder output, which is also the value.  Those for
-    # d = 5..7 take one step: lead terms of the builder output, of the chain
-    # element it cancels against, and of the result.  Valuing every result
-    # again would make 7 more expansions.
-    assert calls == {"division": 1 + 4 * 1 + 3 * 3, "value": 1}
+    # Every element is valued and reduced from the builder's expansion and
+    # the expansions kept for the chain: no division by w and no value call.
+    assert calls == {"division": 0, "value": 0}
     for d, (f, v) in enumerate(seq):
         assert v == value(ex55, f) == ValuePair(-1, d - 1)
         assert f.deg_y == 2 * (d + 1)
@@ -468,3 +479,71 @@ def test_structure_checks_records_violations(ex55, monkeypatch):
     assert len(report.low_degree_violations) == report.low_degree_checked > 0
     assert len(report.rational_violations) == report.rational_checked == 5
     assert report.divisor_escapes
+
+
+def test_builder_expansion_matches_division(ex55, ex52):
+    # The builder's remainders are the cells of its output: the same rows
+    # and reduced cells as division gives, over one integer den.
+    for spec in (ex55, ex52):
+        table = ypower_table(spec.w, 8 * spec.m)
+        for d in range(9):
+            f, exp = _bounded_monic_expansion(table, d * spec.m)
+            assert f == _bounded_monic(table, d * spec.m)
+            assert len(exp.den) == 1
+            rows = expand_by_division(f, spec.w)
+            assert len(exp.grid) == len(rows)
+            assert exp.rows == rows
+
+
+def test_reduce_past_chain_of_its_own_chain_element_lands_on_zero(ex55, ex52):
+    # f against the chain (f,) takes the step lambda = -1; E(f) - E(f) is the
+    # zero grid, whose value is INF.
+    rng = random.Random(3)
+    for spec in (ex55, ex52):
+        for f in [random_rational_poly(rng, 3, 6) for _ in range(5)] + [spec.w]:
+            chain = WitnessChain((f,), (value(spec, f),))
+            g, steps, v = reduce_past_chain(spec, f, chain)
+            assert g.is_zero() and steps == [(0, -1)] and v == INF
+
+
+def test_witness_ex52_refusal_past_the_first_element(capsys):
+    from lexval.cli import main
+
+    assert main(["witness", "--spec", "ex52", "--dmax", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: value (0,-2) of input is below the chain start (0,-1)\n"
+
+
+def test_sample_image_checks_its_mode_before_algebra(ex55, monkeypatch):
+    import lexval.witness as witness_mod
+
+    def refuse(*args):
+        raise AssertionError("algebra started before the mode was checked")
+
+    monkeypatch.setattr(witness_mod, "value", refuse)
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        sample_image(ex55, CorpusSpec(random_count=5), "bogus")
+
+
+def test_sample_image_tests_membership_without_rechecking_the_basis(ex55, ex52, monkeypatch):
+    # The basis and the mode are checked once per call; each value takes one
+    # decompose and the membership rule that monoid_member also applies.
+    import lexval.valgroup as valgroup_mod
+
+    calls = []
+    commensurable = valgroup_mod.commensurable
+
+    def counted(*args):
+        calls.append(args)
+        return commensurable(*args)
+
+    for spec, mode in ((ex55, "ex55"), (ex52, "cone")):
+        corpus_spec = CorpusSpec(max_deg_x=3, max_deg_y=5, random_count=40, seed=2)
+        monkeypatch.setattr(valgroup_mod, "commensurable", counted)
+        report = sample_image(spec, corpus_spec, mode)
+        monkeypatch.undo()
+        assert calls == []
+        assert {v for _, v in report.violations} == {
+            v for v in report.attained if not monoid_member(v, spec.alpha, spec.beta, mode)
+        }

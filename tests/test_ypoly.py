@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from lexval import RatFunc, UniPoly, YPoly, parse_poly, random_xy_poly, w_expand, ypower_table
+from lexval import RatFunc, UniPoly, YPoly, parse_poly, random_rational_poly, random_xy_poly, w_expand, ypower_table
 from lexval.ratfunc import residue_at_inf
 from lexval.ypoly import Divisor, _clear_denominators
 
@@ -376,3 +376,46 @@ def test_power_is_repeated_product(p):
     for k in range(7):
         assert p**k == product
         product = product * p
+
+
+@pytest.mark.parametrize(
+    "w",
+    [W55, W_X1, W_FRAC, parse_poly("y + x"), parse_poly("y^2 + 2y/3 + x^3/2")],
+    ids=["ex55", "x_plus_1", "fractions", "m1", "constant_h"],
+)
+def test_ypower_table_extended_matches_fresh_table(w):
+    # Extending continues from the last power; the powers already held are
+    # the same objects, and every grid is the one a fresh table builds.
+    fresh = ypower_table(w, 40)
+    for start in (0, 2 * w.deg_y, 17):
+        table = ypower_table(w, start)
+        extended = table.extended(40)
+        assert extended.e_max == 40 and len(extended.powers) == 41
+        assert all(a is b for a, b in zip(table.powers, extended.powers))
+        assert [p.grid for p in extended.powers] == [p.grid for p in fresh.powers]
+        assert table.extended(start).powers == table.powers
+
+
+@pytest.mark.parametrize(
+    "w",
+    [W55, W_X1, W_FRAC, parse_poly("y^2 + 2y/3 + x^3/2")],
+    ids=["ex55", "x_plus_1", "fractions", "constant_h"],
+)
+def test_expansion_plus_matches_division(w):
+    # E(f) + lam*E(g) is the expansion of f + lam*g, integer and polynomial
+    # dens alike, and f - f cancels to the single zero row.
+    divisor = Divisor(w)
+    rng = random.Random(5)
+    polys = [random_rational_poly(rng, 3, 7) for _ in range(6)] + [random_xy_poly(rng, 6) for _ in range(6)]
+    for _ in range(30):
+        f, g = rng.choice(polys), rng.choice(polys)
+        lam = Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.choice((1, 2, 7)))
+        exp = divisor.expand(f).plus(lam, divisor.expand(g))
+        rows = expand_by_division(f + g.scale(lam), w)
+        assert len(exp.grid) == len(rows)
+        assert exp.rows == rows
+    for f in polys:
+        exp = divisor.expand(f)
+        zero = exp.plus(Fraction(-1), exp)
+        assert len(zero.grid) == 1 and not any(n for n, _ in zero.grid[0])
+        assert exp.plus(Fraction(0), exp) is exp
