@@ -14,8 +14,10 @@ For a valid bundle the map is MacLane's augmentation [v0; w -> beta] of the
 monomial valuation v0(sum c_e y^e) = min_e (-v_inf(c_e) * m + e * n) * alpha
 (MacLane 1936; Vaquie 2007), so every cell in row i has value at least
 LB_i = v0(f) + i * (beta - m*n*alpha), and LB_i rises strictly with i.
-`value` and `lead_term` share one cell search: it builds the rows in order
-and stops once the best cell so far lies below the bound of the next row; a
+`value` and `lead_term` clear their input once and share one cell search
+over its cleared rows, which `check_axioms` also enters with the products
+and sums it forms as rows.  The search builds the rows in order and stops
+once the best cell so far lies below the bound of the next row; a
 bundle that fails validation (one built around `make_spec`) has every row
 built.  The same key scan reads the lead term off a whole expansion that
 is already held, such as one summed cell by cell (`WExpansion.plus`).
@@ -29,9 +31,10 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
+from . import ypoly
 from .ratfunc import RatFunc, v_inf
 from .valgroup import INF, ExtValue, ValuePair, commensurable, is_indivisible
-from .ypoly import Divisor, WExpansion, YPoly
+from .ypoly import Divisor, WExpansion, YPoly, _rows_plus, _rows_times
 
 # Named validation failures, reported together in InvalidSpecError.
 V_M_NOT_POSITIVE = "m_not_positive"
@@ -172,26 +175,25 @@ class LeadTerm:
         return -self.exp.residue(self.i, self.j) / other.exp.residue(other.i, other.j)
 
 
-def _lead_cell(spec: ValuationSpec, f: YPoly) -> tuple[tuple[int, int], tuple[int, int], list, list[int]]:
-    """The search behind `lead_term` and `value`, for a nonzero f.
+def _lead_cell(spec: ValuationSpec, den: list[int], nums: dict[int, list[int]]):
+    """The cell search behind every question, for the cleared rows (den, nums)
+    of an element f != 0.
 
-    Returns the winning cell's value as an integer pair, the cell (i, j), the
-    rows built and den.  The rows are built from row 0 up.  For a valid
-    bundle the division stops after row i once the best cell is below
+    Returns the winning cell's value as an integer pair, the cell (i, j) and
+    the rows built.  The rows are built from row 0 up.  For a valid bundle
+    the division stops after row i once the best cell is below
     LB_(i+1) = v0(f) + (i+1) * row_step, the least value of any cell in the
     rows after i, so the minimum and its uniqueness are decided on the rows
     built.
     """
     divisor = spec.divisor
-    den, nums, rows = divisor.division(f)
     bound = None
-    if f.deg_y >= spec.m and spec.row_step is not None:
+    if max(nums) >= spec.m and spec.row_step is not None:
         # v0(f): the key formula at i = 0 over f's own y-coefficients, whose
         # minimum is at the largest c because alpha < 0.
         c = max((len(p) - len(den)) * spec.m + e * spec.n for e, p in nums.items())
         bound = (c * spec.alpha.a, c * spec.alpha.b)
-    best, cell, grid = _least_cell(spec, rows, len(den), len(divisor.h) - 1, bound)
-    return best, cell, grid, den
+    return _least_cell(spec, divisor.division(nums), len(den), len(divisor.h) - 1, bound)
 
 
 def _least_cell(spec: ValuationSpec, rows, dd: int, dh: int, bound=None):
@@ -251,6 +253,17 @@ def _expansion_lead(spec: ValuationSpec, exp: WExpansion) -> LeadTerm | None:
     return LeadTerm(*cell, ValuePair(*key), exp)
 
 
+def _cleared_lead(spec: ValuationSpec, den: list[int], nums: dict[int, list[int]]) -> LeadTerm:
+    """The lead term of the element with cleared rows (den, nums) != 0."""
+    key, cell, grid = _lead_cell(spec, den, nums)
+    return LeadTerm(*cell, ValuePair(*key), WExpansion(grid=grid, den=den, divisor=spec.divisor))
+
+
+def _cleared_value(spec: ValuationSpec, den: list[int], nums: dict[int, list[int]]) -> ExtValue:
+    """The value of the element with cleared rows (den, nums); INF for no rows."""
+    return ValuePair(*_lead_cell(spec, den, nums)[0]) if nums else INF
+
+
 def lead_term(spec: ValuationSpec, f: YPoly) -> LeadTerm:
     """The unique cell of the expansion of f attaining value(f).
 
@@ -259,14 +272,13 @@ def lead_term(spec: ValuationSpec, f: YPoly) -> LeadTerm:
     """
     if f.is_zero():
         raise ValueError("zero polynomial has no lead term")
-    key, cell, grid, den = _lead_cell(spec, f)
-    return LeadTerm(*cell, ValuePair(*key), WExpansion(grid=grid, den=den, divisor=spec.divisor))
+    return _cleared_lead(spec, *ypoly._clear_denominators(f))
 
 
 def value(spec: ValuationSpec, f: YPoly) -> ExtValue:
     """Value of f; INF exactly for f = 0.  The cell search of `lead_term`,
     without building the expansion."""
-    return INF if f.is_zero() else ValuePair(*_lead_cell(spec, f)[0])
+    return _cleared_value(spec, *ypoly._clear_denominators(f))
 
 
 def cancel_lambda(spec: ValuationSpec, f: YPoly, g: YPoly) -> Fraction:
@@ -339,24 +351,27 @@ def check_axioms(
         if f.is_zero():
             raise ValueError("corpus must consist of nonzero polynomials")
     rng = random.Random(seed)
-    # Pairs are drawn as corpus indices: rng.choice(range(n)) makes the same
-    # draw as rng.choice(corpus), and no polynomial is hashed.
-    leads = [(t.value, t.exp.residue(t.i, t.j)) for t in (lead_term(spec, f) for f in corpus)]
+    # Each element is cleared once, and every product and sum is formed and
+    # valued as cleared rows.  Pairs are drawn as corpus indices:
+    # rng.choice(range(n)) makes the same draw as rng.choice(corpus).
+    rows = [ypoly._clear_denominators(f) for f in corpus]
+    leads = [(t.value, t.exp.residue(t.i, t.j)) for t in (_cleared_lead(spec, *r) for r in rows)]
     indices = range(len(corpus))
 
     for _ in range(pair_budget):
         a = rng.choice(indices)
         b = rng.choice(indices)
         f, g = corpus[a], corpus[b]
+        fr, gr = rows[a], rows[b]
         vf, rf = leads[a]
         vg, rg = leads[b]
         report.pairs_checked += 1
 
-        if value(spec, f * g) != vf + vg:
+        if _cleared_value(spec, *_rows_times(fr, gr)) != vf + vg:
             report.record("multiplicativity", f"value(fg) != value(f)+value(g) for f={f}, g={g}")
 
         low = min(vf, vg)
-        vsum = value(spec, f + g)
+        vsum = _cleared_value(spec, *_rows_plus(fr, 1, gr))
         if not vsum >= low:
             report.record("triangle", f"value(f+g) < min for f={f}, g={g}")
         if vf != vg and vsum != low:
@@ -364,10 +379,10 @@ def check_axioms(
 
         if vf == vg:
             lam = -rf / rg
-            if not value(spec, f + g.scale(lam)) > vf:
+            if not _cleared_value(spec, *_rows_plus(fr, lam, gr)) > vf:
                 report.record("lambda_raises", f"lambda={lam} fails to raise for f={f}, g={g}")
             for other in (lam + 1, lam - 1):
-                if value(spec, f + g.scale(other)) > vf:
+                if _cleared_value(spec, *_rows_plus(fr, other, gr)) > vf:
                     report.record(
                         "lambda_unique", f"lambda'={other} also raises for f={f}, g={g}"
                     )
@@ -379,6 +394,6 @@ def check_axioms(
             b = rng.choice(indices)
             p, g = corpus[a], corpus[b]
             report.x_pairs_checked += 1
-            if value(spec, p * g) != leads[a][0] + leads[b][0]:
+            if _cleared_value(spec, *_rows_times(rows[a], rows[b])) != leads[a][0] + leads[b][0]:
                 report.record("x_scaling", f"value(pg) != value(p)+value(g) for p={p}, g={g}")
     return report

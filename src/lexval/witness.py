@@ -12,7 +12,9 @@ plain polynomials (so the attained value set has no largest element):
   * `increasing_value_sequence` alternates the two.
 
 The remaining operations sample the attained image, count quotient classes,
-and check the structural containments of the image monoid.
+and check the structural containments of the image monoid.  Their corpora
+are drawn as cleared rows by one generator and valued as rows; a `YPoly`
+is built only for a violation that gets reported.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from fractions import Fraction
 
 from .ratfunc import _ONE, RatFunc, UniPoly, _poly, _zdivmod, _zmul
 from .valgroup import INF, ExtValue, ValuePair, _check_mode, _check_unimodular, _in_monoid, decompose, quotient_class
-from .valuation import LeadTerm, ValuationSpec, _expansion_lead, value
-from .ypoly import WExpansion, YPoly, YPowerTable, _monomial_sum, denominator_clearer, ypower_table
+from .valuation import LeadTerm, ValuationSpec, _cleared_value, _expansion_lead, value
+from .ypoly import WExpansion, YPoly, YPowerTable, _from_rows, denominator_clearer, ypower_table
 
 
 @dataclass(frozen=True)
@@ -274,32 +276,38 @@ def _below(rng: random.Random):
     return below
 
 
+def _random_rows(rng: random.Random, max_deg_x: int, max_deg_y: int, total_degree: bool = False):
+    """The one corpus generator: the cleared rows {b: P_b} (over den 1) of a
+    sum of 1 to 6 terms c*x^a*y^b, c a nonzero scalar.
+
+    (a, b) is drawn with a <= max_deg_x and b <= max_deg_y, or, with
+    total_degree, a + b <= the larger bound; a later term at the same (a, b)
+    replaces the earlier one.
+    """
+    below = _below(rng)
+    top = max(max_deg_x, max_deg_y) + 1
+    rows: dict[int, list[int]] = {}
+    for _ in range(1 + below(6)):
+        if total_degree:
+            a = below(top)
+            b = below(top - a)
+        else:
+            a, b = below(max_deg_x + 1), below(max_deg_y + 1)
+        row = rows.setdefault(b, [])
+        if a >= len(row):
+            row += [0] * (a + 1 - len(row))
+        row[a] = _SCALARS[below(6)]
+    return rows
+
+
 def random_xy_poly(rng: random.Random, max_total_deg: int) -> YPoly:
     """Random nonzero element of Q[x,y] of bounded total degree."""
-    below = _below(rng)
-    top = max_total_deg + 1
-
-    def exponents():
-        a = below(top)
-        return a, below(top - a)
-
-    return _random_terms(rng, exponents)
+    return _from_rows([1], _random_rows(rng, max_total_deg, max_total_deg, total_degree=True))
 
 
 def random_bounded_poly(rng: random.Random, max_deg_x: int, max_deg_y: int) -> YPoly:
     """Random nonzero element of Q[x,y] with separate degree bounds."""
-    below = _below(rng)
-    return _random_terms(rng, lambda: (below(max_deg_x + 1), below(max_deg_y + 1)))
-
-
-def _random_terms(rng: random.Random, exponents) -> YPoly:
-    """Sum of 1 to 6 terms c*x^a*y^b, (a, b) drawn by exponents(), c a nonzero scalar."""
-    below = _below(rng)
-    terms: dict[int, dict[int, int]] = {}
-    for _ in range(1 + below(6)):
-        a, b = exponents()
-        terms.setdefault(b, {})[a] = _SCALARS[below(6)]
-    return _monomial_sum(terms)
+    return _from_rows([1], _random_rows(rng, max_deg_x, max_deg_y))
 
 
 def random_rational_poly(rng: random.Random, max_deg_x: int, max_deg_y: int) -> YPoly:
@@ -315,19 +323,12 @@ def random_rational_poly(rng: random.Random, max_deg_x: int, max_deg_y: int) -> 
 
 def _seeded_corpus(
     rng: random.Random, max_deg_x: int, max_deg_y: int, count: int, total_degree: bool = False
-) -> list[YPoly]:
-    """The monomials x^a*y^b with a <= max_deg_x and b <= max_deg_y, then count
-    random elements drawn from rng: with those degree bounds, or with
-    total_degree, of total degree at most the larger bound."""
-    items = [
-        YPoly.monomial(b, UniPoly.monomial(a)) for a in range(max_deg_x + 1) for b in range(max_deg_y + 1)
-    ]
-    for _ in range(count):
-        if total_degree:
-            items.append(random_xy_poly(rng, max(max_deg_x, max_deg_y)))
-        else:
-            items.append(random_bounded_poly(rng, max_deg_x, max_deg_y))
-    return items
+) -> list[dict[int, list[int]]]:
+    """The cleared rows (over den 1) of the monomials x^a*y^b with
+    a <= max_deg_x and b <= max_deg_y, then of count elements drawn from rng
+    by `_random_rows`."""
+    items = [{b: [0] * a + [1]} for a in range(max_deg_x + 1) for b in range(max_deg_y + 1)]
+    return items + [_random_rows(rng, max_deg_x, max_deg_y, total_degree) for _ in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -361,11 +362,11 @@ def sample_image(spec: ValuationSpec, corpus_spec: CorpusSpec, mode: str) -> Ima
     violations = []
     rng = random.Random(corpus_spec.seed)
     dx, dy = corpus_spec.max_deg_x, corpus_spec.max_deg_y
-    for f in _seeded_corpus(rng, dx, dy, corpus_spec.random_count, total_degree=True):
-        v = value(spec, f)
+    for nums in _seeded_corpus(rng, dx, dy, corpus_spec.random_count, total_degree=True):
+        v = _cleared_value(spec, [1], nums)
         attained.add(v)
         if not _in_monoid(decompose(v, spec.alpha, spec.beta), mode):
-            violations.append((f, v))
+            violations.append((_from_rows([1], nums), v))
     classes = {quotient_class(v, spec.m, spec.alpha, spec.beta) for v in attained}
     return ImageReport(
         attained=frozenset(attained),
@@ -395,13 +396,11 @@ def quotient_census(
         raise ValueError("ell must be nonnegative")
     if family not in ("h_family", "corpus"):
         raise ValueError(f"unknown family {family!r}")
-    items = _class_witnesses(spec, ell)
+    values = [value(spec, f) for f in _class_witnesses(spec, ell)]
     if family == "corpus":
-        items += _seeded_corpus(random.Random(seed), 4, ell, _CENSUS_RANDOM_COUNT)
-    classes = set()
-    for f in items:
-        classes.add(quotient_class(value(spec, f), spec.m, spec.alpha, spec.beta))
-    return len(classes)
+        corpus = _seeded_corpus(random.Random(seed), 4, ell, _CENSUS_RANDOM_COUNT)
+        values += [_cleared_value(spec, [1], nums) for nums in corpus]
+    return len({quotient_class(v, spec.m, spec.alpha, spec.beta) for v in values})
 
 
 @dataclass(frozen=True)
@@ -439,10 +438,10 @@ def structure_checks(spec: ValuationSpec, corpus_spec: CorpusSpec) -> StructureR
     low_violations = []
     rng = random.Random(corpus_spec.seed)
     low_corpus = _seeded_corpus(rng, corpus_spec.max_deg_x, spec.m - 1, corpus_spec.random_count)
-    for f in low_corpus:
-        v = value(spec, f)
+    for nums in low_corpus:
+        v = _cleared_value(spec, [1], nums)
         if not _in_nonneg_alpha(spec, v):
-            low_violations.append((f, v))
+            low_violations.append((_from_rows([1], nums), v))
 
     v_w = value(spec, spec.w)
     divisor_escapes = not _in_nonneg_alpha(spec, v_w)

@@ -6,7 +6,10 @@ over Z[x] and gives the grid expansion f = sum_{i,j} f[i][j] * y^j * w^i
 with 0 <= j < deg_y(w).  The table of such expansions for the pure powers
 y^e divides nothing: the grid of y^(e+1) is that of y^e shifted one place,
 with a carry through y^m = w - sum_k A_k y^k / H (the step of MacLane's
-augmentation).
+augmentation).  The division, products and sums f + lam*g also run on an
+element's cleared rows: the pair (den, nums) of `_clear_denominators`, with
+f = sum_e nums[e] y^e / den over Z[x] and no zero list in nums (the zero
+element is (den, {})), so a caller that holds rows builds no `YPoly`.
 """
 
 from __future__ import annotations
@@ -136,26 +139,7 @@ class YPoly:
         other = _as_ypoly(other)
         if other is NotImplemented:
             return NotImplemented
-        # f = sum P_e y^e / df and g = sum Q_e y^e / dg over Z[x]: the
-        # products are summed in Z[x] and each output coefficient is reduced
-        # once, over df * dg.
-        df, pf = _clear_denominators(self)
-        dg, pg = _clear_denominators(other)
-        acc: dict[int, list[int]] = {}
-        for e1, p in pf.items():
-            for e2, q in pg.items():
-                e = e1 + e2
-                pq = _zmul(p, q)
-                s = acc.get(e)
-                acc[e] = pq if s is None else _zadd(s, pq)
-        den = _zmul(df, dg)
-        if len(den) == 1:
-            d = den[0]
-            out = {e: RatFunc._canonical(_poly(n, d), _ONE) for e, n in acc.items() if n}
-        else:
-            dpoly = _poly(den)
-            out = {e: RatFunc(_poly(n), dpoly) for e, n in acc.items() if n}
-        return YPoly._canonical(out)
+        return _from_rows(*_rows_times(_clear_denominators(self), _clear_denominators(other)))
 
     __rmul__ = __mul__
 
@@ -259,6 +243,52 @@ def _zadd(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
+def _from_rows(den: list[int], nums: dict[int, list[int]]) -> YPoly:
+    """The element sum_e nums[e] y^e / den, with each coefficient reduced once."""
+    if len(den) == 1:
+        d = den[0]
+        return YPoly._canonical({e: RatFunc._canonical(_poly(n, d), _ONE) for e, n in nums.items()})
+    dpoly = _poly(den)
+    return YPoly._canonical({e: RatFunc(_poly(n), dpoly) for e, n in nums.items()})
+
+
+def _rows_times(f: tuple, g: tuple) -> tuple[list[int], dict[int, list[int]]]:
+    """The cleared rows of f*g: the product of the dens, the rows convolved in Z[x]."""
+    (df, pf), (dg, pg) = f, g
+    acc: dict[int, list[int]] = {}
+    for e1, p in pf.items():
+        for e2, q in pg.items():
+            e = e1 + e2
+            pq = _zmul(p, q)
+            s = acc.get(e)
+            acc[e] = pq if s is None else _zadd(s, pq)
+    return _zmul(df, dg), {e: n for e, n in acc.items() if n}
+
+
+def _lam_dens(a: list[int], b: list[int], lam: Fraction) -> tuple[list[int], list[int], list[int]]:
+    """den, ma and mb with F/a + lam*G/b = (F*ma + G*mb) / den for lam != 0.
+    Integer dens combine by their lcm, polynomial ones by their product (no gcd)."""
+    p, q = lam.numerator, lam.denominator
+    if len(a) == 1 and len(b) == 1:
+        d = lcm(a[0], b[0] * q)
+        return [d], [d // a[0]], [d // (b[0] * q) * p]
+    ma = _zmul(b, (q,))
+    return _zmul(a, ma), ma, _zmul(a, (p,))
+
+
+def _rows_plus(f: tuple, lam: Fraction, g: tuple) -> tuple[list[int], dict[int, list[int]]]:
+    """The cleared rows of f + lam*g from those of f and g."""
+    if not lam:
+        return f
+    (a, pf), (b, pg) = f, g
+    den, ma, mb = _lam_dens(a, b, lam)
+    out = {e: _zmul(p, ma) for e, p in pf.items()}
+    for e, p in pg.items():
+        q = _zmul(p, mb)
+        out[e] = _zadd(out[e], q) if e in out else q
+    return den, {e: n for e, n in out.items() if n}
+
+
 class Divisor:
     """A monic divisor w with its denominators cleared once over Z[x].
 
@@ -290,21 +320,19 @@ class Divisor:
             cache.setdefault(e + 1, _zmul(cache[e], self.h))
         return cache[k]
 
-    def division(self, f: YPoly) -> tuple[list[int], dict[int, list[int]], Iterator[list]]:
-        """Divide f by w repeatedly over Z[x], reducing no cell.
+    def division(self, nums: dict[int, list[int]]) -> Iterator[list]:
+        """Divide the cleared rows nums of f by w repeatedly over Z[x], reducing no cell.
 
-        Returns den and the numerators P_e with f = sum_e P_e y^e / den, and a
-        generator of the expansion's rows: row 0 (f mod w) first, then row 1,
-        and so on, deg_y(f) // m + 1 rows for f != 0.  A caller that needs only
-        the first rows stops drawing; the later divisions are never made.
+        A generator of the expansion's rows, over the den that nums stand
+        over: row 0 (f mod w) first, then row 1, and so on, deg_y(f) // m + 1
+        rows for f != 0.  A caller that needs only the first rows stops
+        drawing; the later divisions are never made.
 
         The division takes no gcd.  Every intermediate coefficient is a pair
         (N, k) standing for N / (den * H^k), N in Z[x]; subtracting a multiple
         of w brings the smaller of two exponents up by a power of H.
         """
-        den, nums = _clear_denominators(f)
-        cur = [(nums.get(e, []), 0) for e in range(f.deg_y + 1 if f.terms else 0)]
-        return den, nums, self._rows(cur)
+        return self._rows([(nums.get(e, []), 0) for e in range(max(nums, default=-1) + 1)])
 
     def _plus(self, cell: tuple[list[int], int], p: list[int], k: int) -> tuple[list[int], int]:
         """The cell N / H^kc plus p / H^k, at the larger of the two exponents."""
@@ -357,8 +385,8 @@ class Divisor:
 
     def expand(self, f: YPoly) -> "WExpansion":
         """Expand f in powers of w over Z[x]: every row of `division`."""
-        den, _, rows = self.division(f)
-        return WExpansion(grid=list(rows), den=den, divisor=self)
+        den, nums = _clear_denominators(f)
+        return WExpansion(grid=list(self.division(nums)), den=den, divisor=self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -412,21 +440,12 @@ class WExpansion:
         """The expansion of f + lam*g from the whole grids of f (self) and g.
 
         The expansion is Q(x)-linear, so this is a cell-by-cell sum and no
-        division.  Integer dens combine by their lcm, polynomial ones by their
-        product (no gcd).  Top rows that cancel are dropped, so f + lam*g = 0
-        gives a single all-zero row.
+        division; the dens combine as in `_lam_dens`.  Top rows that cancel
+        are dropped, so f + lam*g = 0 gives a single all-zero row.
         """
         if not lam:
             return self
-        p, q = lam.numerator, lam.denominator
-        a, b = self.den, other.den
-        if len(a) == 1 and len(b) == 1:
-            d = lcm(a[0], b[0] * q)
-            den, ma, mb = [d], (d // a[0],), (d // (b[0] * q) * p,)
-        else:
-            mb = _zmul(a, (p,))
-            ma = _zmul(b, (q,))
-            den = _zmul(a, ma)
+        den, ma, mb = _lam_dens(self.den, other.den, lam)
         plus = self.divisor._plus
         grid = []
         for ra, rb in zip_longest(self.grid, other.grid, fillvalue=[([], 0)] * self.m):

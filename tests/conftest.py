@@ -105,3 +105,12 @@ def bounded_monic_reference(w, dm, powers):
             acc = acc + RatFunc(coeffs[s]) * powers[s][i][j]
         coeffs[t] = corrector(acc)
     return YPoly({t: RatFunc(p) for t, p in coeffs.items()})
+
+
+def product_reference(f: YPoly, g: YPoly) -> YPoly:
+    """f*g term by term over RatFunc, not through the cleared-row product."""
+    total = YPoly.zero()
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            total = total + YPoly({e1 + e2: c1 * c2})
+    return total

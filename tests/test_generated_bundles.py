@@ -1,4 +1,5 @@
-"""Expansion, the row bound, lead terms and the axiom audit over generated valid bundles."""
+"""Expansion, the row bound, lead terms, the audits' cleared rows, parse/print
+round trips and the axiom audit over generated valid bundles."""
 
 import random
 from fractions import Fraction
@@ -23,12 +24,15 @@ from lexval import (  # noqa: E402
     random_xy_poly,
     spec_violations,
     value,
+    w_expand,
     ypower_table,
 )
 from lexval.ratfunc import residue_at_inf, v_inf  # noqa: E402
-from lexval.witness import _bounded_monic, _bounded_monic_expansion  # noqa: E402
+from lexval.valuation import _cleared_value  # noqa: E402
+from lexval.witness import _bounded_monic, _bounded_monic_expansion, _seeded_corpus  # noqa: E402
+from lexval.ypoly import _clear_denominators, _from_rows, _rows_plus, _rows_times  # noqa: E402
 
-from conftest import bounded_monic_reference, expand_by_division  # noqa: E402
+from conftest import bounded_monic_reference, expand_by_division, product_reference  # noqa: E402
 
 X = UniPoly.x()
 # Shared denominators of w's lower coefficients: none, a power of x, and
@@ -174,3 +178,43 @@ def test_generated_bundle_grids_without_division(bundle, seed):
     for exp in exps:
         zero = exp.plus(Fraction(-1), exp)
         assert len(zero.grid) == 1 and not any(n for n, _ in zero.grid[0])
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(bundles(), st.integers(0, 10**6))
+@example((2, 1, parse_poly("y^2 + x^3/(x^2+1)"), ValuePair(-1, -1), ValuePair(0, 1)), 0)
+def test_generated_bundle_rows_and_round_trips(bundle, seed):
+    # The audits value drawn rows, and products and f + lam*g formed as rows:
+    # each equals value of the YPoly built from the same rows, and the rows
+    # rebuild f*g and f + g.scale(lam), rational coefficients included.
+    spec = make_spec(*bundle)
+    rng = random.Random(seed)
+    rows = [([1], nums) for nums in _seeded_corpus(rng, 2, 2 * spec.m, 6, total_degree=True)]
+    rows += [_clear_denominators(random_rational_poly(rng, 3, 2 * spec.m)) for _ in range(3)]
+    polys = [_from_rows(*r) for r in rows]
+    for r, f in zip(rows, polys):
+        assert _cleared_value(spec, *r) == value(spec, f)
+    for _ in range(10):
+        a, b = rng.randrange(len(rows)), rng.randrange(len(rows))
+        prod, expected = _rows_times(rows[a], rows[b]), product_reference(polys[a], polys[b])
+        assert _from_rows(*prod) == expected == polys[a] * polys[b]
+        assert _cleared_value(spec, *prod) == value(spec, expected)
+        lam = Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2, 5)))
+        combo = _rows_plus(rows[a], lam, rows[b])
+        assert _from_rows(*combo) == polys[a] + polys[b].scale(lam)
+        assert _cleared_value(spec, *combo) == value(spec, polys[a] + polys[b].scale(lam))
+    # What the CLI prints parses back to what it printed: w, every cell of
+    # `expand` and the coefficient of `lead`.
+    assert parse_poly(str(spec.w)) == spec.w
+    for f in polys[-3:] + [spec.w]:
+        for row in w_expand(f, spec.w).rows:
+            for c in row:
+                assert parse_poly(str(c)) == YPoly.const(c)
+        coeff = lead_term(spec, f).coeff
+        assert parse_poly(str(coeff)) == YPoly.const(coeff)

@@ -369,13 +369,14 @@ def test_lead_reduces_one_cell(ex55, monkeypatch, capsys):
 def test_values_clear_w_once(cleared, tmp_path):
     # The spec's divisor is built on the first question and kept.  A spec
     # loaded from a copy of the bundled file is new, so its divisor is
-    # built here, not by an earlier user of the preset.
+    # built here, not by an earlier user of the preset.  The first question
+    # clears its input before it reads the divisor.
     path = tmp_path / "ex55.toml"
     path.write_text(bundled_config_path("ex55").read_text())
     spec = load_spec(str(path))
     for e in range(20):
         value(spec, parse_poly(f"y^{e + 1}/(x+2) + x"))
-    assert [f is spec.w for f in cleared] == [True] + [False] * 20
+    assert [f is spec.w for f in cleared] == [False, True] + [False] * 19
 
 
 def _corpus(seed, count, max_deg=5):
@@ -416,12 +417,13 @@ def test_check_axioms_flags_corrupted_alpha(ex55):
 
 
 def test_check_axioms_records_lambda_unique_and_x_scaling(ex55, monkeypatch):
-    # The audit reads its leads off lead_term and every other value through
-    # the module's value, looked up at call time.  A value of INF for every
-    # sum and product lets lambda +- 1 raise too and breaks the scaling law.
+    # The audit reads its leads off the corpus lead terms and values every
+    # sum and product, as cleared rows, through the module's _cleared_value,
+    # looked up at call time.  A value of INF for every sum and product lets
+    # lambda +- 1 raise too and breaks the scaling law.
     import lexval.valuation as valuation_mod
 
-    monkeypatch.setattr(valuation_mod, "value", lambda spec, f: INF)
+    monkeypatch.setattr(valuation_mod, "_cleared_value", lambda spec, den, nums: INF)
     report = check_axioms(ex55, [parse_poly("1")], 10)
     assert report.counts() == {"lambda_unique": 20, "multiplicativity": 10, "x_scaling": 4}
 
@@ -495,9 +497,9 @@ def test_check_axioms_expands_each_question_once(ex52, monkeypatch, seed, zero_s
     calls = []
     division = Divisor.division
 
-    def counted(self, f):
-        calls.append(f)
-        return division(self, f)
+    def counted(self, nums):
+        calls.append(nums)
+        return division(self, nums)
 
     monkeypatch.setattr(Divisor, "division", counted)
     report = check_axioms(ex52, corpus, 80, seed=seed)
@@ -522,12 +524,14 @@ def test_check_axioms_keeps_no_expansion_of_its_corpus(ex52, monkeypatch):
     before = live_expansions()
     during = []
 
-    def first_pair_value(spec, f):
+    cleared_value = valuation_mod._cleared_value
+
+    def first_pair_value(spec, den, nums):
         # The first value call of the pair loop: every corpus lead term is built.
         if not during:
             during.append(live_expansions())
-        return value(spec, f)
+        return cleared_value(spec, den, nums)
 
-    monkeypatch.setattr(valuation_mod, "value", first_pair_value)
+    monkeypatch.setattr(valuation_mod, "_cleared_value", first_pair_value)
     assert check_axioms(ex52, corpus, 80, seed=103).ok
     assert during == [before]

@@ -1,6 +1,7 @@
 """Witness constructions: bounded builders, chain reduction, image sampling."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -33,11 +34,13 @@ from lexval.witness import (
     _bounded_monic,
     _bounded_monic_expansion,
     _class_witnesses,
-    _random_terms,
+    _random_rows,
+    _seeded_corpus,
     denominator_clearer,
 )
+from lexval.ypoly import _from_rows
 
-from conftest import bounded_monic_reference, expand_by_division
+from conftest import bounded_monic_reference, expand_by_division, product_reference
 
 A = ValuePair(-1, -1)
 
@@ -345,7 +348,8 @@ def test_sequence_beats_any_ceiling(ex55):
 
 
 def _random_terms_reference(rng, exponents):
-    """_random_terms through the validating UniPoly and RatFunc constructors."""
+    """A sum of random terms through randint, choice and the validating
+    UniPoly and RatFunc constructors: the draws the corpus generator makes."""
     terms = {}
     for _ in range(rng.randint(1, 6)):
         a, b = exponents()
@@ -353,15 +357,25 @@ def _random_terms_reference(rng, exponents):
     return YPoly({b: RatFunc(UniPoly([xs.get(e, 0) for e in range(max(xs) + 1)])) for b, xs in terms.items()})
 
 
+def _xy_reference(rng, d):
+    def exponents():
+        a = rng.randint(0, d)
+        return a, rng.randint(0, d - a)
+
+    return _random_terms_reference(rng, exponents)
+
+
+def _bounded_reference(rng, dx, dy):
+    return _random_terms_reference(rng, lambda: (rng.randint(0, dx), rng.randint(0, dy)))
+
+
 def test_random_terms_match_validating_constructors():
+    # The rows the generator draws build, through _from_rows, the canonical
+    # coefficients that the validating constructors give.
     for seed in range(200):
-        draws = []
-        for build in (_random_terms, _random_terms_reference):
-            rng = random.Random(seed)
-            f = build(rng, lambda: (rng.randint(0, 5), rng.randint(0, 4)))
-            draws.append((f, rng.random()))
-        (f, after), (ref, ref_after) = draws
-        assert f == ref and after == ref_after
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        f, ref = _from_rows([1], _random_rows(rng, 5, 4)), _bounded_reference(ref_rng, 5, 4)
+        assert f == ref and rng.random() == ref_rng.random()
         for e, c in f.terms.items():
             r = ref.terms[e]
             for p, q in ((c.num, r.num), (c.den, r.den)):
@@ -369,27 +383,97 @@ def test_random_terms_match_validating_constructors():
 
 
 def test_random_polys_match_randint_draws():
-    # The corpus generators draw with one getrandbits rejection loop per
+    # The corpus generator draws with one getrandbits rejection loop per
     # draw; the stream must be that of randint and choice, state included.
-    def xy_reference(rng, d):
-        def exponents():
-            a = rng.randint(0, d)
-            return a, rng.randint(0, d - a)
-
-        return _random_terms_reference(rng, exponents)
-
-    def bounded_reference(rng, dx, dy):
-        return _random_terms_reference(rng, lambda: (rng.randint(0, dx), rng.randint(0, dy)))
-
+    # The public draws and the rows behind them consume the same draws.
     for seed in range(200):
+        d, dx, dy = seed % 9, seed % 5, seed % 7
         cases = (
-            (random_xy_poly, xy_reference, (seed % 9,)),
-            (random_bounded_poly, bounded_reference, (seed % 5, seed % 7)),
+            (random_xy_poly, (d,), lambda rng: _random_rows(rng, d, d, total_degree=True), _xy_reference),
+            (random_bounded_poly, (dx, dy), lambda rng: _random_rows(rng, dx, dy), _bounded_reference),
         )
-        for build, reference, args in cases:
+        for build, args, rows_of, reference in cases:
+            rng, row_rng, ref_rng = random.Random(seed), random.Random(seed), random.Random(seed)
+            f, rows, ref = build(rng, *args), rows_of(row_rng), reference(ref_rng, *args)
+            assert f == ref == _from_rows([1], rows)
+            assert rng.getstate() == row_rng.getstate() == ref_rng.getstate()
+
+
+def test_seeded_corpus_rows_match_the_ypoly_corpus():
+    # The corpus is the monomials x^a*y^b, a-major, then the random draws,
+    # with either degree rule, and leaves the generator where they leave it.
+    for seed in range(200):
+        dx, dy, count = seed % 4, seed % 5, seed % 6
+        for total_degree in (False, True):
             rng, ref_rng = random.Random(seed), random.Random(seed)
-            f, ref = build(rng, *args), reference(ref_rng, *args)
-            assert f == ref and rng.random() == ref_rng.random()
+            rows = _seeded_corpus(rng, dx, dy, count, total_degree)
+            ref = [YPoly.monomial(b, UniPoly.monomial(a)) for a in range(dx + 1) for b in range(dy + 1)]
+            for _ in range(count):
+                if total_degree:
+                    ref.append(_xy_reference(ref_rng, max(dx, dy)))
+                else:
+                    ref.append(_bounded_reference(ref_rng, dx, dy))
+            assert [_from_rows([1], nums) for nums in rows] == ref
+            assert rng.getstate() == ref_rng.getstate()
+
+
+def test_drawn_rows_value_as_their_ypolys(ex55, ex52):
+    # The audits value the drawn rows; value of the YPoly built from the same
+    # draw is the same, and so are the row product and f + lam*g, rational
+    # coefficients included.
+    from lexval.valuation import _cleared_value
+    from lexval.ypoly import _clear_denominators, _rows_plus, _rows_times
+
+    rng = random.Random(5)
+    for spec in (ex55, ex52):
+        rows = [([1], nums) for nums in _seeded_corpus(rng, 3, 6, 40, total_degree=True)]
+        rows += [_clear_denominators(random_rational_poly(rng, 3, 5)) for _ in range(10)]
+        polys = [_from_rows(*r) for r in rows]
+        for r, f in zip(rows, polys):
+            assert _cleared_value(spec, *r) == value(spec, f)
+        for _ in range(60):
+            a, b = rng.randrange(len(rows)), rng.randrange(len(rows))
+            prod, expected = _rows_times(rows[a], rows[b]), product_reference(polys[a], polys[b])
+            assert _from_rows(*prod) == expected == polys[a] * polys[b]
+            assert _cleared_value(spec, *prod) == value(spec, expected)
+            for lam in (Fraction(1), Fraction(-1), Fraction(rng.choice((-3, 2)), rng.choice((1, 4))), Fraction(0)):
+                combo = _rows_plus(rows[a], lam, rows[b])
+                expected = polys[a] + polys[b].scale(lam)
+                assert _from_rows(*combo) == expected
+                assert _cleared_value(spec, *combo) == value(spec, expected)
+            zero = _rows_plus(rows[a], Fraction(-1), rows[a])
+            assert zero[1] == {} and _cleared_value(spec, *zero) == INF
+
+
+# image --spec ex52 --mode ex55 --seed 3 --random-count 400 --max-deg-x 3
+# --max-deg-y 3, recorded before the audits valued drawn rows: w's multiples
+# have value beta = (0,-1), outside Z_{>0} alpha + Z_{>=0} beta.
+IMAGE_VIOLATIONS = """\
+mode = ex55
+attained_count = 15
+violation_count = 3
+class_count = 3
+minus_one_zero_attained = false
+ok = false
+violation: value=(0,-1) poly=-2*y^2 - 2*x^3
+violation: value=(0,-1) poly=-3*y^2 - 3*x^3 - 2
+violation: value=(0,-1) poly=-y^2 - x^3
+"""
+IMAGE_VIOLATIONS_JSON_SHA256 = "9d53b1f7d41193f050014a620ff9f3687ebe970d26dfcb8fab9ea4233d0a264c"
+
+
+def test_image_violation_report_golden(capsys):
+    import hashlib
+
+    from lexval.cli import main
+
+    argv = ["image", "--spec", "ex52", "--mode", "ex55", "--seed", "3", "--random-count", "400",
+            "--max-deg-x", "3", "--max-deg-y", "3"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == IMAGE_VIOLATIONS
+    assert main(argv + ["--json"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == IMAGE_VIOLATIONS_JSON_SHA256
 
 
 def test_reduce_past_chain_steps_on_an_inner_chain_element(ex55):
@@ -411,6 +495,7 @@ def test_image_and_census_refuse_a_non_unimodular_basis_before_algebra(monkeypat
         raise AssertionError("algebra started before the basis was checked")
 
     monkeypatch.setattr(witness_mod, "value", refuse)
+    monkeypatch.setattr(witness_mod, "_cleared_value", refuse)
     monkeypatch.setattr(witness_mod, "_class_witnesses", refuse)
     with pytest.raises(ValueError, match=r"not unimodular \(determinant 3\)"):
         sample_image(probe, CorpusSpec(random_count=5), "cone")
@@ -474,6 +559,7 @@ def test_structure_checks_records_violations(ex55, monkeypatch):
     import lexval.witness as witness_mod
 
     monkeypatch.setattr(witness_mod, "value", lambda spec, f: -spec.beta)
+    monkeypatch.setattr(witness_mod, "_cleared_value", lambda spec, den, nums: -spec.beta)
     report = structure_checks(ex55, CorpusSpec(max_deg_x=2, max_deg_y=2, random_count=5, seed=1))
     assert not report.ok
     assert len(report.low_degree_violations) == report.low_degree_checked > 0
@@ -522,6 +608,7 @@ def test_sample_image_checks_its_mode_before_algebra(ex55, monkeypatch):
         raise AssertionError("algebra started before the mode was checked")
 
     monkeypatch.setattr(witness_mod, "value", refuse)
+    monkeypatch.setattr(witness_mod, "_cleared_value", refuse)
     with pytest.raises(ValueError, match="unknown mode 'bogus'"):
         sample_image(ex55, CorpusSpec(random_count=5), "bogus")
 
