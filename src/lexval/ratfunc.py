@@ -346,8 +346,9 @@ def _heu_gcd(a, b) -> tuple[list[int], list[int], list[int]] | None:
     base xi, is a candidate.  With xi >= 2*min(|a|, |b|) + 2 in max-norm, a
     candidate whose primitive part divides both a and b is their gcd
     (Geddes, Czapor & Labahn, Algorithms for Computer Algebra, Thm 7.7).
-    The divisions that check this give the cofactors.  None means that no
-    candidate of _HEU_POINTS points divided.
+    The divisions that check this give the cofactors; a constant candidate,
+    whose primitive part is 1, needs none.  None means that no candidate of
+    _HEU_POINTS points divided.
     """
     xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
     for _ in range(_HEU_POINTS):
@@ -364,6 +365,8 @@ def _heu_gcd(a, b) -> tuple[list[int], list[int], list[int]] | None:
                 c -= xi
                 gamma += 1
             g.append(c)
+        if len(g) == 1:
+            return [1], list(a), list(b)
         if g:
             content = gcd(*g) if g[-1] > 0 else -gcd(*g)
             g = [c // content for c in g]

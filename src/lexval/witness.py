@@ -12,9 +12,11 @@ plain polynomials (so the attained value set has no largest element):
   * `increasing_value_sequence` alternates the two.
 
 The remaining operations sample the attained image, count quotient classes,
-and check the structural containments of the image monoid.  Their corpora
-are drawn as cleared rows by one generator and valued as rows; a `YPoly`
-is built only for a violation that gets reported.
+and check the structural containments of the image monoid.  Their corpora,
+the polynomial ones and the rational one, are drawn as cleared rows and
+valued as rows; a `YPoly` is built only for a violation that gets reported.
+A rational element's rows stand over the product of its drawn
+denominators, with no gcd and no division.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from fractions import Fraction
 from .ratfunc import _ONE, RatFunc, UniPoly, _poly, _zdivmod, _zmul
 from .valgroup import INF, ExtValue, ValuePair, _check_mode, _check_unimodular, _in_monoid, decompose, quotient_class
 from .valuation import LeadTerm, ValuationSpec, _cleared_value, _expansion_lead, value
-from .ypoly import WExpansion, YPoly, YPowerTable, _from_rows, denominator_clearer, ypower_table
+from .ypoly import WExpansion, YPoly, YPowerTable, _cofactors, _from_rows, denominator_clearer, ypower_table
 
 
 @dataclass(frozen=True)
@@ -245,15 +247,9 @@ class CorpusSpec:
 _SCALARS = (-3, -2, -1, 1, 2, 3)
 
 
-def _nonzero_scalar(rng: random.Random) -> int:
-    return rng.choice(_SCALARS)
-
-
 def random_unipoly(rng: random.Random, max_deg: int) -> UniPoly:
     """Random nonzero polynomial in x with small integer coefficients."""
-    deg = rng.randint(0, max_deg)
-    coeffs = [rng.randint(-3, 3) for _ in range(deg)] + [_nonzero_scalar(rng)]
-    return UniPoly(coeffs)
+    return _poly(_random_ints(_below(rng), max_deg))
 
 
 def _below(rng: random.Random):
@@ -310,15 +306,27 @@ def random_bounded_poly(rng: random.Random, max_deg_x: int, max_deg_y: int) -> Y
     return _from_rows([1], _random_rows(rng, max_deg_x, max_deg_y))
 
 
+def _random_ints(below, max_deg: int) -> list[int]:
+    """The coefficients of random_unipoly's draw: the degree d, then d
+    coefficients in -3 .. 3, then a nonzero scalar lead."""
+    deg = below(max_deg + 1)
+    return [below(7) - 3 for _ in range(deg)] + [_SCALARS[below(6)]]
+
+
+def _random_rational_rows(rng: random.Random, max_deg_x: int, max_deg_y: int):
+    """The cleared rows of a sum of 1 to 3 terms N_b/D_b * y^b at distinct b,
+    N_b and D_b drawn as by random_unipoly with degree bounds max_deg_x and 2:
+    (prod D_b, {b: N_b * prod_(b' != b) D_b'}), with no gcd and no division."""
+    exps = rng.sample(range(max_deg_y + 1), rng.randint(1, min(3, max_deg_y + 1)))
+    below = _below(rng)
+    drawn = [(_random_ints(below, max_deg_x), _random_ints(below, 2)) for _ in exps]
+    den, others = _cofactors([d for _, d in drawn])
+    return den, {b: _zmul(n, o) for b, (n, _), o in zip(exps, drawn, others)}
+
+
 def random_rational_poly(rng: random.Random, max_deg_x: int, max_deg_y: int) -> YPoly:
     """Random nonzero element of Q(x)[y]: rational-function coefficients."""
-    terms = {}
-    exps = rng.sample(range(max_deg_y + 1), rng.randint(1, min(3, max_deg_y + 1)))
-    for b in exps:
-        num = random_unipoly(rng, max_deg_x)
-        den = random_unipoly(rng, 2)
-        terms[b] = RatFunc(num, den)
-    return YPoly(terms)
+    return _from_rows(*_random_rational_rows(rng, max_deg_x, max_deg_y))
 
 
 def _seeded_corpus(
@@ -448,11 +456,11 @@ def structure_checks(spec: ValuationSpec, corpus_spec: CorpusSpec) -> StructureR
 
     rational_violations = []
     for _ in range(corpus_spec.random_count):
-        f = random_rational_poly(rng, corpus_spec.max_deg_x, corpus_spec.max_deg_y)
-        v = value(spec, f)
+        rows = _random_rational_rows(rng, corpus_spec.max_deg_x, corpus_spec.max_deg_y)
+        v = _cleared_value(spec, *rows)
         sol = decompose(v, spec.alpha, spec.beta)
         if sol is None or sol[1] < 0:
-            rational_violations.append((f, v))
+            rational_violations.append((_from_rows(*rows), v))
 
     return StructureReport(
         low_degree_checked=len(low_corpus),

@@ -9,7 +9,10 @@ with a carry through y^m = w - sum_k A_k y^k / H (the step of MacLane's
 augmentation).  The division, products and sums f + lam*g also run on an
 element's cleared rows: the pair (den, nums) of `_clear_denominators`, with
 f = sum_e nums[e] y^e / den over Z[x] and no zero list in nums (the zero
-element is (den, {})), so a caller that holds rows builds no `YPoly`.
+element is (den, {})), so a caller that holds rows builds no `YPoly`.  den
+is the product of f's distinct denominators, which is their lcm when they
+are pairwise coprime, so clearing an element takes no gcd.  A divisor's H is
+the lcm of w's denominators, computed once per divisor.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import zip_longest
-from math import lcm
+from math import gcd, lcm
 from operator import add
 
 from .ratfunc import _ONE, _RF_ZERO, NEG_INF, RatFunc, UniPoly, _join_terms, _poly, _power, _zdiv_exact, _zmul, as_ratfunc, poly_gcd
@@ -209,7 +212,14 @@ def denominator_clearer(w: YPoly) -> UniPoly:
 
 
 def _clear_denominators(f: YPoly) -> tuple[list[int], dict[int, list[int]]]:
-    """Integer lists den and P_e with f = sum_e P_e y^e / den, all in Z[x]."""
+    """Integer lists den and P_e with f = sum_e P_e y^e / den, all in Z[x].
+
+    den is s times P, the product of f's distinct denominators, and s the
+    lcm of the integer denominators of its numerators; no gcd is taken.  P
+    is their lcm when they are pairwise coprime.  Otherwise den and every
+    P_e carry the same extra factor, which changes no cell's order at
+    infinity or leading residue, and a cell is reduced when it is read.
+    """
     nums = {}
     for e, c in f.terms.items():
         if c.num.denom != 1 or len(c.den.ints) != 1:
@@ -217,19 +227,33 @@ def _clear_denominators(f: YPoly) -> tuple[list[int], dict[int, list[int]]]:
         nums[e] = list(c.num.ints)
     else:
         return [1], nums
-    # The monic lcm's integer coefficients h are primitive, so each (monic)
-    # denominator's D divides h in Z[x].  A coefficient (N/nd) / (D/dd)
-    # times h is N * (h/D) * dd/nd; s clears the nd.
-    h = denominator_clearer(f).ints
+    # A canonical denominator D/dd has primitive integer coefficients D with a
+    # positive lead, so equal denominators have equal D.  A coefficient
+    # (N/nd) / (D/dd) times s*P is N * (P/D) * s/nd * dd, and P/D is the
+    # product of the other D.
+    dens = list(dict.fromkeys(c.den.ints for c in f.terms.values() if len(c.den.ints) > 1))
+    product, cofactors = _cofactors(dens)
+    others = dict(zip(dens, cofactors))
     s = lcm(*(c.num.denom for c in f.terms.values()))
     nums = {}
     for e, c in f.terms.items():
-        n = c.num.ints
-        if len(h) > 1:
-            n = _zmul(n, h if c.is_polynomial() else _zdiv_exact(h, c.den.ints))
+        n = _zmul(c.num.ints, others.get(c.den.ints, product))
         k = s // c.num.denom * c.den.denom
-        nums[e] = list(n) if k == 1 else _zmul(n, (k,))
-    return _zmul(h, (s,)), nums
+        nums[e] = n if k == 1 else _zmul(n, (k,))
+    return _zmul(product, (s,)), nums
+
+
+def _cofactors(dens: list) -> tuple[list[int], list[list[int]]]:
+    """The product of the nonzero Z[x] lists dens and, for each, the product
+    of the others (prefix times suffix products), with no division."""
+    prefix = [[1]]
+    for d in dens:
+        prefix.append(_zmul(prefix[-1], d))
+    others, suffix = [], [1]
+    for i in range(len(dens) - 1, -1, -1):
+        others.append(_zmul(prefix[i], suffix))
+        suffix = _zmul(suffix, dens[i])
+    return prefix[-1], others[::-1]
 
 
 def _zadd(a: list[int], b: list[int]) -> list[int]:
@@ -303,7 +327,14 @@ class Divisor:
         if not w.is_monic_in_y():
             raise ValueError("divisor must be monic in y")
         self.m = w.deg_y
-        self.h, nums = _clear_denominators(w)
+        # The cleared den is s times the product P of w's distinct denominators;
+        # its content is s, as P is primitive.  H is s times their lcm, and
+        # the factor P / lcm is divided out of every row.
+        den, nums = _clear_denominators(w)
+        self.h = _zmul(denominator_clearer(w).ints, (gcd(*den),))
+        if self.h != den:
+            u = _zdiv_exact(den, self.h)
+            nums = {j: _zdiv_exact(n, u) for j, n in nums.items()}
         self.neg_a = [(j, [-c for c in nums[j]]) for j in range(self.m) if j in nums]
         # Dividing by w raises a cell's exponent of H by this much; with H = 1
         # every exponent stays 0 and nothing is ever lifted.

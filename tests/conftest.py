@@ -1,6 +1,12 @@
+from math import lcm
+
 import pytest
 
 from lexval import RatFunc, UniPoly, YPoly, load_spec, poly_gcd, uni_divmod
+
+# Elements whose denominators share factors: repeated, nested and constant
+# ones, so that the product of the distinct denominators is not their lcm.
+SHARED_FACTOR_INPUTS = ("y/(x^2-1) + y^3/(x+1)", "y^5/(2x+2) + y/(x+1)^2 + 3/(x+1)", "y^4/(x^2+x) + y/x")
 
 
 @pytest.fixture(scope="session")
@@ -114,3 +120,21 @@ def product_reference(f: YPoly, g: YPoly) -> YPoly:
         for e2, c2 in g.terms.items():
             total = total + YPoly({e1 + e2: c1 * c2})
     return total
+
+
+def clear_by_lcm(f: YPoly) -> tuple[list[int], dict[int, list[int]]]:
+    """Cleared rows of f over s times the lcm of its denominators, with s the
+    lcm of its numerators' integer denominators: the clearing that took a gcd
+    per denominator.  For pairwise-coprime denominators the lcm is their
+    product, so these are the rows that clear by the product."""
+    den = UniPoly.one()
+    for c in f.terms.values():
+        den = den * c.den // poly_gcd(den, c.den)
+    s = lcm(*(c.num.denom for c in f.terms.values()))
+    den = UniPoly([s * c for c in den.monic().ints])
+    nums = {}
+    for e, c in f.terms.items():
+        n = c * RatFunc(den)
+        assert n.is_polynomial() and n.num.denom == 1
+        nums[e] = list(n.num.ints)
+    return list(den.ints), nums

@@ -32,7 +32,12 @@ from lexval.valuation import _cleared_value  # noqa: E402
 from lexval.witness import _bounded_monic, _bounded_monic_expansion, _seeded_corpus  # noqa: E402
 from lexval.ypoly import _clear_denominators, _from_rows, _rows_plus, _rows_times  # noqa: E402
 
-from conftest import bounded_monic_reference, expand_by_division, product_reference  # noqa: E402
+from conftest import (  # noqa: E402
+    SHARED_FACTOR_INPUTS,
+    bounded_monic_reference,
+    expand_by_division,
+    product_reference,
+)
 
 X = UniPoly.x()
 # Shared denominators of w's lower coefficients: none, a power of x, and
@@ -95,6 +100,25 @@ def _reference_lead(spec, f):
     return best
 
 
+def _check_by_division(spec, f):
+    """expand, lead and value of f against the division reference, and the
+    row bound over its rows."""
+    rows = expand_by_division(f, spec.w)
+    assert spec.divisor.expand(f).rows == rows == w_expand(f, spec.w).rows
+    _check_row_bound(spec, f, rows)
+    lead = lead_term(spec, f)
+    v, i, j, coeff = _reference_lead(spec, f)
+    assert (lead.i, lead.j, lead.value, lead.coeff) == (i, j, v, coeff)
+    assert lead.exp.residue(i, j) == residue_at_inf(coeff)
+    assert value(spec, f) == v
+
+
+def test_shared_factor_denominators_against_division(ex55, ex52):
+    for spec in (ex55, ex52):
+        for text in SHARED_FACTOR_INPUTS:
+            _check_by_division(spec, parse_poly(text))
+
+
 @settings(
     derandomize=True,
     database=None,
@@ -110,14 +134,8 @@ def test_generated_bundle(bundle, seed):
     rng = random.Random(seed)
     corpus = [random_rational_poly(rng, 3, 2 * spec.m) for _ in range(4)]
     corpus += [random_xy_poly(rng, 4) for _ in range(8)] + [spec.w]
-    for f in corpus:
-        rows = expand_by_division(f, spec.w)
-        assert spec.divisor.expand(f).rows == rows
-        _check_row_bound(spec, f, rows)
-        lead = lead_term(spec, f)
-        value, i, j, coeff = _reference_lead(spec, f)
-        assert (lead.i, lead.j, lead.value, lead.coeff) == (i, j, value, coeff)
-        assert lead.exp.residue(i, j) == residue_at_inf(coeff)
+    for f in corpus + [parse_poly(text) for text in SHARED_FACTOR_INPUTS]:
+        _check_by_division(spec, f)
     report = check_axioms(spec, corpus, 30, seed=seed)
     assert report.ok, report.violations
     # The y-power table, built by multiplying by y, against division, and the

@@ -22,6 +22,7 @@ from lexval import (
     quotient_census,
     random_bounded_poly,
     random_rational_poly,
+    random_unipoly,
     random_xy_poly,
     reduce_past_chain,
     sample_image,
@@ -34,6 +35,7 @@ from lexval.witness import (
     _bounded_monic,
     _bounded_monic_expansion,
     _class_witnesses,
+    _random_rational_rows,
     _random_rows,
     _seeded_corpus,
     denominator_clearer,
@@ -357,6 +359,22 @@ def _random_terms_reference(rng, exponents):
     return YPoly({b: RatFunc(UniPoly([xs.get(e, 0) for e in range(max(xs) + 1)])) for b, xs in terms.items()})
 
 
+def _unipoly_reference(rng, max_deg):
+    deg = rng.randint(0, max_deg)
+    return UniPoly([rng.randint(-3, 3) for _ in range(deg)] + [rng.choice((-3, -2, -1, 1, 2, 3))])
+
+
+def _rational_reference(rng, dx, dy):
+    """The element random_rational_poly drew before it drew rows: sample and
+    randint for the exponents, then per term a numerator and a denominator,
+    reduced by the validating RatFunc constructor."""
+    terms = {}
+    for b in rng.sample(range(dy + 1), rng.randint(1, min(3, dy + 1))):
+        num = _unipoly_reference(rng, dx)
+        terms[b] = RatFunc(num, _unipoly_reference(rng, 2))
+    return YPoly(terms)
+
+
 def _xy_reference(rng, d):
     def exponents():
         a = rng.randint(0, d)
@@ -385,18 +403,24 @@ def test_random_terms_match_validating_constructors():
 def test_random_polys_match_randint_draws():
     # The corpus generator draws with one getrandbits rejection loop per
     # draw; the stream must be that of randint and choice, state included.
-    # The public draws and the rows behind them consume the same draws.
+    # The public draws and the rows behind them consume the same draws, and
+    # rational elements and polynomials in x are drawn as sample, randint and
+    # choice draw them.
     for seed in range(200):
         d, dx, dy = seed % 9, seed % 5, seed % 7
         cases = (
-            (random_xy_poly, (d,), lambda rng: _random_rows(rng, d, d, total_degree=True), _xy_reference),
-            (random_bounded_poly, (dx, dy), lambda rng: _random_rows(rng, dx, dy), _bounded_reference),
+            (random_xy_poly, (d,), lambda rng: ([1], _random_rows(rng, d, d, total_degree=True)), _xy_reference),
+            (random_bounded_poly, (dx, dy), lambda rng: ([1], _random_rows(rng, dx, dy)), _bounded_reference),
+            (random_rational_poly, (dx, dy), lambda rng: _random_rational_rows(rng, dx, dy), _rational_reference),
         )
         for build, args, rows_of, reference in cases:
             rng, row_rng, ref_rng = random.Random(seed), random.Random(seed), random.Random(seed)
             f, rows, ref = build(rng, *args), rows_of(row_rng), reference(ref_rng, *args)
-            assert f == ref == _from_rows([1], rows)
+            assert f == ref == _from_rows(*rows)
             assert rng.getstate() == row_rng.getstate() == ref_rng.getstate()
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        assert random_unipoly(rng, d) == _unipoly_reference(ref_rng, d)
+        assert rng.getstate() == ref_rng.getstate()
 
 
 def test_seeded_corpus_rows_match_the_ypoly_corpus():
@@ -565,6 +589,25 @@ def test_structure_checks_records_violations(ex55, monkeypatch):
     assert len(report.low_degree_violations) == report.low_degree_checked > 0
     assert len(report.rational_violations) == report.rational_checked == 5
     assert report.divisor_escapes
+
+
+def test_structure_reports_the_drawn_rational_elements(ex55, ex52, monkeypatch):
+    # With every value forced outside the image, the rational violations are
+    # the elements random_rational_poly drew before it drew rows, in order,
+    # after the low-degree corpus's draws.
+    import lexval.witness as witness_mod
+
+    monkeypatch.setattr(witness_mod, "value", lambda spec, f: -spec.beta)
+    monkeypatch.setattr(witness_mod, "_cleared_value", lambda spec, den, nums: -spec.beta)
+    for spec in (ex55, ex52):
+        for seed in range(8):
+            report = structure_checks(spec, CorpusSpec(max_deg_x=3, max_deg_y=6, random_count=10, seed=seed))
+            rng = random.Random(seed)
+            for _ in range(10):
+                _bounded_reference(rng, 3, spec.m - 1)
+            expected = [_rational_reference(rng, 3, 6) for _ in range(10)]
+            assert [f for f, _ in report.rational_violations] == expected
+            assert {v for _, v in report.rational_violations} == {-spec.beta}
 
 
 def test_builder_expansion_matches_division(ex55, ex52):

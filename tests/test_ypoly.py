@@ -2,14 +2,15 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from lexval import RatFunc, UniPoly, YPoly, parse_poly, random_rational_poly, random_xy_poly, w_expand, ypower_table
-from lexval.ratfunc import residue_at_inf
+from lexval.ratfunc import _zmul, poly_gcd, residue_at_inf
 from lexval.ypoly import Divisor, _clear_denominators
 
-from conftest import assert_canonical_ypoly, divmod_w, expand_by_division, reconstruct
+from conftest import SHARED_FACTOR_INPUTS, assert_canonical_ypoly, clear_by_lcm, divmod_w, expand_by_division, reconstruct
 
 W55 = parse_poly("y^2 + y/x + x^3")
 X = UniPoly.x()
@@ -344,6 +345,56 @@ def test_clearing_integer_polynomials_matches_general_path():
         assert _clear_denominators(f.scale(Fraction(1, 7))) == ([7], nums)
         assert _clear_denominators(f.scale(RatFunc(1, X - 11))) == ([-11, 1], nums)
         assert all(type(n) is list for n in nums.values())
+
+
+def _pairwise_coprime(dens) -> bool:
+    return all(poly_gcd(a, b) == UniPoly.one() for i, a in enumerate(dens) for b in dens[i + 1:])
+
+
+def test_clearing_by_the_product_of_the_denominators():
+    # den is s times the product of the distinct denominators.  For pairwise
+    # coprime ones that is the lcm, and the rows are those of the lcm
+    # reference; otherwise den and every numerator carry the same factor.
+    rng = random.Random(23)
+    corpus = [random_rational_poly(rng, 3, 7) for _ in range(300)]
+    corpus += [parse_poly(s) for s in SHARED_FACTOR_INPUTS]
+    corpus += [parse_poly(s) for s in ("y^2/(x+1) + y/(x+1) + 1/(x+1)", "y/2 + 1/(3*x^2+3)", "y^3/(x^2+1) + y/(x-2) + x")]
+    seen = {True: 0, False: 0}
+    for f in corpus:
+        dens = list(dict.fromkeys(c.den for c in f.terms.values() if not c.is_polynomial()))
+        den, nums = _clear_denominators(f)
+        ref_den, ref_nums = clear_by_lcm(f)
+        product = [1]
+        for d in dens:
+            product = _zmul(product, d.ints)
+        assert den == _zmul(product, (lcm(*(c.num.denom for c in f.terms.values())),))
+        coprime = _pairwise_coprime(dens)
+        seen[coprime] += 1
+        if coprime:
+            assert (den, nums) == (ref_den, ref_nums)
+        else:
+            assert nums.keys() == ref_nums.keys()
+            for e, n in nums.items():
+                assert _zmul(n, ref_den) == _zmul(ref_nums[e], den)
+    assert seen[True] > 100 and seen[False] >= len(SHARED_FACTOR_INPUTS)
+
+
+@pytest.mark.parametrize(
+    "text, h, neg_a",
+    [
+        ("y^2 + y/(x^2-1) + 1/(x+1)", [-1, 0, 1], [(0, [1, -1]), (1, [-1])]),
+        ("y^3 + y^2/(x+1) + y/(x^2+3*x+2) + 1/(2*x+4)", [4, 6, 2], [(0, [-1, -1]), (1, [-2]), (2, [-4, -2])]),
+    ],
+)
+def test_divisor_clears_w_over_the_lcm(text, h, neg_a):
+    # H and the A_j are those recorded when the clearing took a gcd per
+    # denominator, though w's denominators share factors; the expansions over
+    # them equal division.
+    w = parse_poly(text)
+    divisor = Divisor(w)
+    assert (divisor.h, divisor.neg_a) == (h, neg_a)
+    for f in [parse_poly(s) for s in SHARED_FACTOR_INPUTS] + [w, w * w, YPoly.monomial(7)]:
+        assert divisor.expand(f).rows == expand_by_division(f, w)
 
 
 # One element of each ring, from the integers up to Q(x)[y].
