@@ -14,13 +14,12 @@ For a valid bundle the map is MacLane's augmentation [v0; w -> beta] of the
 monomial valuation v0(sum c_e y^e) = min_e (-v_inf(c_e) * m + e * n) * alpha
 (MacLane 1936; Vaquie 2007), so every cell in row i has value at least
 LB_i = v0(f) + i * (beta - m*n*alpha), and LB_i rises strictly with i.
-`value` and `lead_term` clear their input once and share one cell search
-over its cleared rows, which `check_axioms` also enters with the products
-and sums it forms as rows.  The search builds the rows in order and stops
-once the best cell so far lies below the bound of the next row; a
-bundle that fails validation (one built around `make_spec`) has every row
-built.  The same key scan reads the lead term off a whole expansion that
-is already held, such as one summed cell by cell (`WExpansion.plus`).
+One key scan answers every question.  It takes cleared rows, which
+`value`, `lead_term` and `check_axioms` form, and divides them lazily: it
+stops once the best cell so far lies below the bound of the next row (a
+bundle that fails validation, one built around `make_spec`, has every row
+built).  Or it takes a whole expansion that the caller holds, such as one
+summed cell by cell (`WExpansion.plus`), and divides nothing.
 """
 
 from __future__ import annotations
@@ -175,44 +174,34 @@ class LeadTerm:
         return -self.exp.residue(self.i, self.j) / other.exp.residue(other.i, other.j)
 
 
-def _lead_cell(spec: ValuationSpec, den: list[int], nums: dict[int, list[int]]):
-    """The cell search behind every question, for the cleared rows (den, nums)
-    of an element f != 0.
+def _least_cell(spec: ValuationSpec, den: list[int] | None, nums, exp: WExpansion | None = None):
+    """The key scan behind every question: the least cell of f != 0 as
+    (key, (i, j), rows scanned), None when every cell is zero.
 
-    Returns the winning cell's value as an integer pair, the cell (i, j) and
-    the rows built.  The rows are built from row 0 up.  For a valid bundle
-    the division stops after row i once the best cell is below
-    LB_(i+1) = v0(f) + (i+1) * row_step, the least value of any cell in the
-    rows after i, so the minimum and its uniqueness are decided on the rows
-    built.
-    """
-    divisor = spec.divisor
-    bound = None
-    if max(nums) >= spec.m and spec.row_step is not None:
-        # v0(f): the key formula at i = 0 over f's own y-coefficients, whose
-        # minimum is at the largest c because alpha < 0.
-        c = max((len(p) - len(den)) * spec.m + e * spec.n for e, p in nums.items())
-        bound = (c * spec.alpha.a, c * spec.alpha.b)
-    return _least_cell(spec, divisor.division(nums), len(den), len(divisor.h) - 1, bound)
-
-
-def _least_cell(spec: ValuationSpec, rows, dd: int, dh: int, bound=None):
-    """The key scan: the least cell of rows over a den with len(den) = dd and
-    an H of degree dh, as (key, (i, j), rows scanned); None when every cell is
-    zero.
-
-    Each cell's value needs only its order at infinity, which the unreduced
-    Z[x] cell gives.  With bound = v0(f) the scan stops after row i once the
-    best key is below v0(f) + (i+1) * row_step.
+    Entered with f's cleared rows (den, nums), it divides them from row 0 up
+    and, for a valid bundle, stops after row i once the best key is below
+    LB_(i+1) = v0(f) + (i+1) * row_step, the least value in the rows after i.
+    Entered with exp, a whole expansion of f that the caller holds, it scans
+    every row and reads neither den nor nums.
     """
     m, n = spec.m, spec.n
     a0, a1 = spec.alpha.a, spec.alpha.b
     b0, b1 = spec.beta.a, spec.beta.b
-    if bound is not None:
-        step = spec.row_step
-        lb0, lb1 = bound
-    # A cell N / (den * H^k) has -order = deg N - deg den - k * deg H, and
-    # value (-order * m + j * n) * alpha + i * beta, ranked as an integer
+    step = None
+    if exp is not None:
+        den, rows, divisor = exp.den, exp.grid, exp.divisor
+    else:
+        divisor = spec.divisor
+        rows = divisor.division(nums)
+        if max(nums) >= m and spec.row_step is not None:
+            step = spec.row_step
+            # v0(f): the key at i = 0 over f's own y-coefficients, least at
+            # the largest c because alpha < 0.
+            c = max((len(p) - len(den)) * m + e * n for e, p in nums.items())
+            lb0, lb1 = c * a0, c * a1
+    dd, dh = len(den), len(divisor.h) - 1
+    # An unreduced cell N / (den * H^k) has -order = deg N - deg den - k * deg H,
+    # and value (-order * m + j * n) * alpha + i * beta, ranked as an integer
     # pair: tuples compare as ValuePair does.
     scanned = []
     best = None
@@ -229,7 +218,7 @@ def _least_cell(spec: ValuationSpec, rows, dd: int, dh: int, bound=None):
                 best, cell, ties = key, (i, j), 1
             elif key == best:
                 ties += 1
-        if bound is not None:
+        if step is not None:
             lb0, lb1 = lb0 + step[0], lb1 + step[1]
             if best is not None and best < (lb0, lb1):
                 break
@@ -243,25 +232,21 @@ def _least_cell(spec: ValuationSpec, rows, dd: int, dh: int, bound=None):
     return best, cell, scanned
 
 
-def _expansion_lead(spec: ValuationSpec, exp: WExpansion) -> LeadTerm | None:
-    """The lead term read off a whole expansion, None when it is zero: the
-    key scan of `lead_term` over every row, with no division."""
-    found = _least_cell(spec, exp.grid, len(exp.den), len(exp.divisor.h) - 1)
+def _lead(spec: ValuationSpec, den=None, nums=None, exp: WExpansion | None = None) -> LeadTerm | None:
+    """The lead term from either entry of `_least_cell`, None when f = 0.
+    From exp it keeps exp itself; from rows, the rows the scan built."""
+    found = _least_cell(spec, den, nums, exp)
     if found is None:
         return None
-    key, cell, _ = found
+    key, cell, rows = found
+    if exp is None:
+        exp = WExpansion(grid=rows, den=den, divisor=spec.divisor)
     return LeadTerm(*cell, ValuePair(*key), exp)
-
-
-def _cleared_lead(spec: ValuationSpec, den: list[int], nums: dict[int, list[int]]) -> LeadTerm:
-    """The lead term of the element with cleared rows (den, nums) != 0."""
-    key, cell, grid = _lead_cell(spec, den, nums)
-    return LeadTerm(*cell, ValuePair(*key), WExpansion(grid=grid, den=den, divisor=spec.divisor))
 
 
 def _cleared_value(spec: ValuationSpec, den: list[int], nums: dict[int, list[int]]) -> ExtValue:
     """The value of the element with cleared rows (den, nums); INF for no rows."""
-    return ValuePair(*_lead_cell(spec, den, nums)[0]) if nums else INF
+    return ValuePair(*_least_cell(spec, den, nums)[0]) if nums else INF
 
 
 def lead_term(spec: ValuationSpec, f: YPoly) -> LeadTerm:
@@ -272,7 +257,7 @@ def lead_term(spec: ValuationSpec, f: YPoly) -> LeadTerm:
     """
     if f.is_zero():
         raise ValueError("zero polynomial has no lead term")
-    return _cleared_lead(spec, *ypoly._clear_denominators(f))
+    return _lead(spec, *ypoly._clear_denominators(f))
 
 
 def value(spec: ValuationSpec, f: YPoly) -> ExtValue:
@@ -355,7 +340,7 @@ def check_axioms(
     # valued as cleared rows.  Pairs are drawn as corpus indices:
     # rng.choice(range(n)) makes the same draw as rng.choice(corpus).
     rows = [ypoly._clear_denominators(f) for f in corpus]
-    leads = [(t.value, t.exp.residue(t.i, t.j)) for t in (_cleared_lead(spec, *r) for r in rows)]
+    leads = [(t.value, t.exp.residue(t.i, t.j)) for t in (_lead(spec, *r) for r in rows)]
     indices = range(len(corpus))
 
     for _ in range(pair_budget):

@@ -11,12 +11,17 @@ plain polynomials (so the attained value set has no largest element):
     value climbs past the end of the chain;
   * `increasing_value_sequence` alternates the two.
 
+Both drivers reduce through one core, which reads each lead term off a
+held expansion.  It takes a list of the chain's lead terms, in which an
+entry left empty is filled by one expansion when a step first uses it.
+
 The remaining operations sample the attained image, count quotient classes,
-and check the structural containments of the image monoid.  Their corpora,
-the polynomial ones and the rational one, are drawn as cleared rows and
-valued as rows; a `YPoly` is built only for a violation that gets reported.
-A rational element's rows stand over the product of its drawn
-denominators, with no gcd and no division.
+and check the structural containments of the image monoid.  Every corpus
+generator yields cleared rows (den, nums); a rational element's rows stand
+over the product of its drawn denominators, with no gcd and no division.
+The image audit and both structure audits run one loop: it values each
+row pair, decomposes each value once in the basis (alpha, beta), and
+builds a `YPoly` only for a violation that gets reported.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from fractions import Fraction
 
 from .ratfunc import _ONE, RatFunc, UniPoly, _poly, _zdivmod, _zmul
 from .valgroup import INF, ExtValue, ValuePair, _check_mode, _check_unimodular, _in_monoid, decompose, quotient_class
-from .valuation import LeadTerm, ValuationSpec, _cleared_value, _expansion_lead, value
+from .valuation import LeadTerm, ValuationSpec, _cleared_value, _lead, value
 from .ypoly import WExpansion, YPoly, YPowerTable, _cofactors, _from_rows, denominator_clearer, ypower_table
 
 
@@ -64,17 +69,12 @@ def build_bounded_monic(spec: ValuationSpec, d: int) -> YPoly:
     """
     if d < 0:
         raise ValueError("d must be nonnegative")
-    return _bounded_monic(ypower_table(spec.w, d * spec.m), d * spec.m)
-
-
-def _bounded_monic(table: YPowerTable, dm: int) -> YPoly:
-    """The corrector recursion of build_bounded_monic at y-degree dm <= table.e_max."""
-    return _bounded_monic_expansion(table, dm)[0]
+    return _bounded_monic_expansion(ypower_table(spec.w, d * spec.m), d * spec.m)[0]
 
 
 def _bounded_monic_expansion(table: YPowerTable, dm: int) -> tuple[YPoly, WExpansion]:
-    """The output of the corrector recursion at y-degree dm and its whole
-    unreduced w-expansion.
+    """The output of the corrector recursion at y-degree dm <= table.e_max and
+    its whole unreduced w-expansion.
 
     Coefficient t is minus the polynomial part of S_t, the sum of c_s * cell t
     of y^s over s > t, so cell t of the output, S_t + c_t, is the remainder of
@@ -119,28 +119,22 @@ def reduce_past_chain(
     INF, which still satisfies the postcondition.  f is expanded once, and
     each chain element used once per call; the steps divide nothing.
     """
-    leads: dict[int, LeadTerm] = {}
-
-    def chain_lead(idx: int) -> LeadTerm:
-        if idx not in leads:
-            leads[idx] = _expansion_lead(spec, spec.divisor.expand(chain.polys[idx]))
-        return leads[idx]
-
-    g, steps, lead = _reduce(spec, f, spec.divisor.expand(f), chain, chain_lead)
+    g, steps, lead = _reduce(spec, f, spec.divisor.expand(f), chain, [None] * len(chain.polys))
     return g, steps, INF if lead is None else lead.value
 
 
-def _reduce(spec: ValuationSpec, f: YPoly, exp: WExpansion, chain: WitnessChain, chain_lead):
+def _reduce(spec: ValuationSpec, f: YPoly, exp: WExpansion, chain: WitnessChain, leads: list[LeadTerm | None]):
     """reduce_past_chain from the whole expansion exp of f, with the lead term
     of g at the end (None for g = 0) in place of its value.
 
-    chain_lead(idx) is the lead term of chain.polys[idx] over its whole
-    expansion.  A step h <- h + lambda * chain.polys[idx] sets
+    leads[idx] is the lead term of chain.polys[idx] over its whole
+    expansion; a None entry is filled, by one expansion, when a step first
+    uses it.  A step h <- h + lambda * chain.polys[idx] sets
     E(h) <- E(h) + lambda * E(chain.polys[idx]) and reads the new lead term
     off that sum.
     """
     h = f
-    lead = _expansion_lead(spec, exp)
+    lead = _lead(spec, exp=exp)
     steps: list[tuple[int, Fraction]] = []
     cap = 4 * (len(chain.polys) + 2)
     while lead is not None:
@@ -152,13 +146,15 @@ def _reduce(spec: ValuationSpec, f: YPoly, exp: WExpansion, chain: WitnessChain,
         # The chain values are consecutive, so chain.values[k] is
         # chain.values[0] + (0, k).
         idx = lead.value.b - chain.values[0].b
-        other = chain_lead(idx)
+        other = leads[idx]
+        if other is None:
+            other = leads[idx] = _lead(spec, exp=spec.divisor.expand(chain.polys[idx]))
         lam = lead.cancel_scalar(other)
         h = h + chain.polys[idx].scale(lam)
         steps.append((idx, lam))
         if len(steps) > cap:
             raise RuntimeError("reduction exceeded its iteration cap")
-        lead = _expansion_lead(spec, lead.exp.plus(lam, other.exp))
+        lead = _lead(spec, exp=lead.exp.plus(lam, other.exp))
     return h, steps, None
 
 
@@ -178,20 +174,16 @@ def increasing_value_sequence(spec: ValuationSpec, d_max: int) -> list[tuple[YPo
         raise ValueError("d_max must be nonnegative")
     table = ypower_table(spec.w, 2 * spec.m)
     f0, exp0 = _bounded_monic_expansion(table, spec.m)
-    lead0 = _expansion_lead(spec, exp0)
-    out = [(f0, lead0.value)]
-    chain = WitnessChain((f0,), (lead0.value,))
-    leads = [lead0]
+    lead = _lead(spec, exp=exp0)
+    chain = WitnessChain((f0,), (lead.value,))
+    leads = [lead]
     for d in range(1, d_max + 1):
         if d == 2:
             table = table.extended((d_max + 1) * spec.m)
-        raw, exp = _bounded_monic_expansion(table, (d + 1) * spec.m)
-        g, _, lead = _reduce(spec, raw, exp, chain, leads.__getitem__)
-        vg = INF if lead is None else lead.value
-        out.append((g, vg))
-        chain = chain.extended(g, vg)
+        g, _, lead = _reduce(spec, *_bounded_monic_expansion(table, (d + 1) * spec.m), chain, leads)
+        chain = chain.extended(g, INF if lead is None else lead.value)
         leads.append(lead)
-    return out
+    return list(zip(chain.polys, chain.values))
 
 
 def class_witness(spec: ValuationSpec, q: int, r: int) -> YPoly:
@@ -273,8 +265,8 @@ def _below(rng: random.Random):
 
 
 def _random_rows(rng: random.Random, max_deg_x: int, max_deg_y: int, total_degree: bool = False):
-    """The one corpus generator: the cleared rows {b: P_b} (over den 1) of a
-    sum of 1 to 6 terms c*x^a*y^b, c a nonzero scalar.
+    """The one corpus generator: the cleared rows ([1], {b: P_b}) of a sum of
+    1 to 6 terms c*x^a*y^b, c a nonzero scalar.
 
     (a, b) is drawn with a <= max_deg_x and b <= max_deg_y, or, with
     total_degree, a + b <= the larger bound; a later term at the same (a, b)
@@ -293,17 +285,17 @@ def _random_rows(rng: random.Random, max_deg_x: int, max_deg_y: int, total_degre
         if a >= len(row):
             row += [0] * (a + 1 - len(row))
         row[a] = _SCALARS[below(6)]
-    return rows
+    return [1], rows
 
 
 def random_xy_poly(rng: random.Random, max_total_deg: int) -> YPoly:
     """Random nonzero element of Q[x,y] of bounded total degree."""
-    return _from_rows([1], _random_rows(rng, max_total_deg, max_total_deg, total_degree=True))
+    return _from_rows(*_random_rows(rng, max_total_deg, max_total_deg, total_degree=True))
 
 
 def random_bounded_poly(rng: random.Random, max_deg_x: int, max_deg_y: int) -> YPoly:
     """Random nonzero element of Q[x,y] with separate degree bounds."""
-    return _from_rows([1], _random_rows(rng, max_deg_x, max_deg_y))
+    return _from_rows(*_random_rows(rng, max_deg_x, max_deg_y))
 
 
 def _random_ints(below, max_deg: int) -> list[int]:
@@ -331,11 +323,11 @@ def random_rational_poly(rng: random.Random, max_deg_x: int, max_deg_y: int) -> 
 
 def _seeded_corpus(
     rng: random.Random, max_deg_x: int, max_deg_y: int, count: int, total_degree: bool = False
-) -> list[dict[int, list[int]]]:
-    """The cleared rows (over den 1) of the monomials x^a*y^b with
+) -> list[tuple[list[int], dict[int, list[int]]]]:
+    """The cleared rows ([1], nums) of the monomials x^a*y^b with
     a <= max_deg_x and b <= max_deg_y, then of count elements drawn from rng
     by `_random_rows`."""
-    items = [{b: [0] * a + [1]} for a in range(max_deg_x + 1) for b in range(max_deg_y + 1)]
+    items = [([1], {b: [0] * a + [1]}) for a in range(max_deg_x + 1) for b in range(max_deg_y + 1)]
     return items + [_random_rows(rng, max_deg_x, max_deg_y, total_degree) for _ in range(count)]
 
 
@@ -366,21 +358,35 @@ def sample_image(spec: ValuationSpec, corpus_spec: CorpusSpec, mode: str) -> Ima
     # coordinates and the membership rule.
     _check_unimodular(spec.alpha, spec.beta)
     _check_mode(mode)
-    attained = set()
-    violations = []
     rng = random.Random(corpus_spec.seed)
     dx, dy = corpus_spec.max_deg_x, corpus_spec.max_deg_y
-    for nums in _seeded_corpus(rng, dx, dy, corpus_spec.random_count, total_degree=True):
-        v = _cleared_value(spec, [1], nums)
-        attained.add(v)
-        if not _in_monoid(decompose(v, spec.alpha, spec.beta), mode):
-            violations.append((_from_rows([1], nums), v))
-    classes = {quotient_class(v, spec.m, spec.alpha, spec.beta) for v in attained}
+    corpus = _seeded_corpus(rng, dx, dy, corpus_spec.random_count, total_degree=True)
+    valued, violations = _audit(spec, corpus, lambda sol: _in_monoid(sol, mode))
+    coords = dict(valued)
+    # The class of s*alpha + t*beta modulo Z*(m*alpha) is (s mod m, t).
     return ImageReport(
-        attained=frozenset(attained),
-        violations=tuple(violations),
-        class_count=len(classes),
+        attained=frozenset(coords),
+        violations=violations,
+        class_count=len({(s % spec.m, t) for s, t in coords.values()}),
     )
+
+
+def _audit(spec: ValuationSpec, corpus, ok):
+    """The loop of the image and structure audits over cleared rows (den, nums).
+
+    Each row pair is valued and its value decomposed once in the basis
+    (alpha, beta).  Returns (value, coordinates) for each pair, and
+    (f, value) for each pair whose coordinates (None off the lattice) fail
+    ok; only such an f is built as a YPoly.
+    """
+    valued, violations = [], []
+    for den, nums in corpus:
+        v = _cleared_value(spec, den, nums)
+        sol = decompose(v, spec.alpha, spec.beta)
+        valued.append((v, sol))
+        if not ok(sol):
+            violations.append((_from_rows(den, nums), v))
+    return valued, tuple(violations)
 
 
 # Seeded random polynomials that the "corpus" census family adds.
@@ -407,7 +413,7 @@ def quotient_census(
     values = [value(spec, f) for f in _class_witnesses(spec, ell)]
     if family == "corpus":
         corpus = _seeded_corpus(random.Random(seed), 4, ell, _CENSUS_RANDOM_COUNT)
-        values += [_cleared_value(spec, [1], nums) for nums in corpus]
+        values += [_cleared_value(spec, *rows) for rows in corpus]
     return len({quotient_class(v, spec.m, spec.alpha, spec.beta) for v in values})
 
 
@@ -436,37 +442,24 @@ class StructureReport:
         )
 
 
-def _in_nonneg_alpha(spec: ValuationSpec, v: ValuePair) -> bool:
-    sol = decompose(v, spec.alpha, spec.beta)
+def _in_nonneg_alpha(sol: tuple[int, int] | None) -> bool:
     return sol is not None and sol[1] == 0 and sol[0] >= 0
 
 
 def structure_checks(spec: ValuationSpec, corpus_spec: CorpusSpec) -> StructureReport:
     """Audit the structural containments of the attained image."""
-    low_violations = []
     rng = random.Random(corpus_spec.seed)
-    low_corpus = _seeded_corpus(rng, corpus_spec.max_deg_x, spec.m - 1, corpus_spec.random_count)
-    for nums in low_corpus:
-        v = _cleared_value(spec, [1], nums)
-        if not _in_nonneg_alpha(spec, v):
-            low_violations.append((_from_rows([1], nums), v))
-
+    dx, dy, count = corpus_spec.max_deg_x, corpus_spec.max_deg_y, corpus_spec.random_count
+    low_corpus = _seeded_corpus(rng, dx, spec.m - 1, count)
+    _, low_violations = _audit(spec, low_corpus, _in_nonneg_alpha)
     v_w = value(spec, spec.w)
-    divisor_escapes = not _in_nonneg_alpha(spec, v_w)
-
-    rational_violations = []
-    for _ in range(corpus_spec.random_count):
-        rows = _random_rational_rows(rng, corpus_spec.max_deg_x, corpus_spec.max_deg_y)
-        v = _cleared_value(spec, *rows)
-        sol = decompose(v, spec.alpha, spec.beta)
-        if sol is None or sol[1] < 0:
-            rational_violations.append((_from_rows(*rows), v))
-
+    rational = (_random_rational_rows(rng, dx, dy) for _ in range(count))
+    _, rational_violations = _audit(spec, rational, lambda sol: sol is not None and sol[1] >= 0)
     return StructureReport(
         low_degree_checked=len(low_corpus),
-        low_degree_violations=tuple(low_violations),
+        low_degree_violations=low_violations,
         divisor_value=v_w,
-        divisor_escapes=divisor_escapes,
-        rational_checked=corpus_spec.random_count,
-        rational_violations=tuple(rational_violations),
+        divisor_escapes=not _in_nonneg_alpha(decompose(v_w, spec.alpha, spec.beta)),
+        rational_checked=count,
+        rational_violations=rational_violations,
     )

@@ -245,15 +245,11 @@ def _clear_denominators(f: YPoly) -> tuple[list[int], dict[int, list[int]]]:
 
 def _cofactors(dens: list) -> tuple[list[int], list[list[int]]]:
     """The product of the nonzero Z[x] lists dens and, for each, the product
-    of the others (prefix times suffix products), with no division."""
-    prefix = [[1]]
+    of the others: the whole product divided exactly by it, with no gcd."""
+    product = [1]
     for d in dens:
-        prefix.append(_zmul(prefix[-1], d))
-    others, suffix = [], [1]
-    for i in range(len(dens) - 1, -1, -1):
-        others.append(_zmul(prefix[i], suffix))
-        suffix = _zmul(suffix, dens[i])
-    return prefix[-1], others[::-1]
+        product = _zmul(product, d)
+    return product, [_zdiv_exact(product, d) for d in dens]
 
 
 def _zadd(a: list[int], b: list[int]) -> list[int]:

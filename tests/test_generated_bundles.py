@@ -16,6 +16,7 @@ from lexval import (  # noqa: E402
     UniPoly,
     ValuePair,
     YPoly,
+    build_bounded_monic,
     check_axioms,
     lead_term,
     make_spec,
@@ -29,7 +30,7 @@ from lexval import (  # noqa: E402
 )
 from lexval.ratfunc import residue_at_inf, v_inf  # noqa: E402
 from lexval.valuation import _cleared_value  # noqa: E402
-from lexval.witness import _bounded_monic, _bounded_monic_expansion, _seeded_corpus  # noqa: E402
+from lexval.witness import _bounded_monic_expansion, _seeded_corpus  # noqa: E402
 from lexval.ypoly import _clear_denominators, _from_rows, _rows_plus, _rows_times  # noqa: E402
 
 from conftest import (  # noqa: E402
@@ -144,7 +145,42 @@ def test_generated_bundle(bundle, seed):
     powers = [expand_by_division(YPoly.monomial(e), spec.w) for e in range(table.e_max + 1)]
     assert [p.rows for p in table.powers] == powers
     for dm in range(2 * spec.m + 1):
-        assert _bounded_monic(table, dm) == bounded_monic_reference(spec.w, dm, powers)
+        assert _bounded_monic_expansion(table, dm)[0] == bounded_monic_reference(spec.w, dm, powers)
+
+
+def _check_builder_by_uniqueness(spec, d_max=3):
+    """The builder's output at d = 0 .. d_max against the property that
+    determines it, not against the recursion: it is the only monic
+    polynomial of y-degree d*m over Q[x] whose expansion cells are all zero
+    or proper (numerator degree below denominator degree) except the top
+    cell (d, 0), which is 1."""
+    for d in range(d_max + 1):
+        f = build_bounded_monic(spec, d)
+        assert f.deg_y == d * spec.m and f.is_monic_in_y()
+        assert all(c.is_polynomial() for c in f.terms.values())
+        rows = expand_by_division(f, spec.w)
+        assert len(rows) == d + 1 and rows[d][0] == RatFunc.one()
+        for i, row in enumerate(rows):
+            for j, c in enumerate(row):
+                if (i, j) != (d, 0):
+                    assert c.is_zero() or c.num.degree < c.den.degree, (d, i, j, c)
+
+
+def test_builder_output_is_the_unique_proper_monic_on_the_presets(ex55, ex52):
+    for spec in (ex55, ex52):
+        _check_builder_by_uniqueness(spec)
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=10,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(bundles())
+def test_generated_builder_output_is_the_unique_proper_monic(bundle):
+    _check_builder_by_uniqueness(make_spec(*bundle))
 
 
 @settings(
@@ -213,7 +249,7 @@ def test_generated_bundle_rows_and_round_trips(bundle, seed):
     # rebuild f*g and f + g.scale(lam), rational coefficients included.
     spec = make_spec(*bundle)
     rng = random.Random(seed)
-    rows = [([1], nums) for nums in _seeded_corpus(rng, 2, 2 * spec.m, 6, total_degree=True)]
+    rows = _seeded_corpus(rng, 2, 2 * spec.m, 6, total_degree=True)
     rows += [_clear_denominators(random_rational_poly(rng, 3, 2 * spec.m)) for _ in range(3)]
     polys = [_from_rows(*r) for r in rows]
     for r, f in zip(rows, polys):

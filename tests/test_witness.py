@@ -32,7 +32,6 @@ from lexval import (
     ypower_table,
 )
 from lexval.witness import (
-    _bounded_monic,
     _bounded_monic_expansion,
     _class_witnesses,
     _random_rational_rows,
@@ -149,6 +148,29 @@ def test_increasing_value_sequence_reduces_through_the_core(ex55, monkeypatch):
         assert (g, v) == seq[d]
 
 
+def test_reduce_past_chain_divides_only_the_chain_elements_it_uses(ex55, monkeypatch):
+    # f and each chain element a step uses are divided once; the others
+    # are never expanded.  Reducing the builder's d = 7 output past seq[:6]
+    # takes one step, on chain element 1.
+    seq = increasing_value_sequence(ex55, 5)
+    chain = WitnessChain(*zip(*seq))
+    f = build_bounded_monic(ex55, 7)
+    divisor = ex55.divisor
+    calls = []
+    division = divisor.division
+
+    def counted(nums):
+        calls.append(nums)
+        return division(nums)
+
+    monkeypatch.setattr(divisor, "division", counted)
+    g, steps, v = reduce_past_chain(ex55, f, chain)
+    monkeypatch.undo()
+    assert [idx for idx, _ in steps] == [1]
+    assert len(calls) == 2
+    assert v > chain.values[-1] and v == value(ex55, g)
+
+
 def test_increasing_value_sequence_exact(ex55):
     seq = increasing_value_sequence(ex55, 5)
     for d, (f, v) in enumerate(seq):
@@ -218,7 +240,7 @@ def test_bounded_monic_matches_corrector_reference(ex55, ex52):
     for w in divisors:
         powers = [expand_by_division(YPoly.monomial(e), w) for e in range(9)]
         for dm in range(9):
-            assert _bounded_monic(ypower_table(w, dm), dm) == bounded_monic_reference(w, dm, powers)
+            assert _bounded_monic_expansion(ypower_table(w, dm), dm)[0] == bounded_monic_reference(w, dm, powers)
 
 
 def test_denominator_clearer(ex55, ex52):
@@ -392,7 +414,7 @@ def test_random_terms_match_validating_constructors():
     # coefficients that the validating constructors give.
     for seed in range(200):
         rng, ref_rng = random.Random(seed), random.Random(seed)
-        f, ref = _from_rows([1], _random_rows(rng, 5, 4)), _bounded_reference(ref_rng, 5, 4)
+        f, ref = _from_rows(*_random_rows(rng, 5, 4)), _bounded_reference(ref_rng, 5, 4)
         assert f == ref and rng.random() == ref_rng.random()
         for e, c in f.terms.items():
             r = ref.terms[e]
@@ -409,8 +431,8 @@ def test_random_polys_match_randint_draws():
     for seed in range(200):
         d, dx, dy = seed % 9, seed % 5, seed % 7
         cases = (
-            (random_xy_poly, (d,), lambda rng: ([1], _random_rows(rng, d, d, total_degree=True)), _xy_reference),
-            (random_bounded_poly, (dx, dy), lambda rng: ([1], _random_rows(rng, dx, dy)), _bounded_reference),
+            (random_xy_poly, (d,), lambda rng: _random_rows(rng, d, d, total_degree=True), _xy_reference),
+            (random_bounded_poly, (dx, dy), lambda rng: _random_rows(rng, dx, dy), _bounded_reference),
             (random_rational_poly, (dx, dy), lambda rng: _random_rational_rows(rng, dx, dy), _rational_reference),
         )
         for build, args, rows_of, reference in cases:
@@ -437,7 +459,7 @@ def test_seeded_corpus_rows_match_the_ypoly_corpus():
                     ref.append(_xy_reference(ref_rng, max(dx, dy)))
                 else:
                     ref.append(_bounded_reference(ref_rng, dx, dy))
-            assert [_from_rows([1], nums) for nums in rows] == ref
+            assert [_from_rows(*r) for r in rows] == ref
             assert rng.getstate() == ref_rng.getstate()
 
 
@@ -450,7 +472,7 @@ def test_drawn_rows_value_as_their_ypolys(ex55, ex52):
 
     rng = random.Random(5)
     for spec in (ex55, ex52):
-        rows = [([1], nums) for nums in _seeded_corpus(rng, 3, 6, 40, total_degree=True)]
+        rows = _seeded_corpus(rng, 3, 6, 40, total_degree=True)
         rows += [_clear_denominators(random_rational_poly(rng, 3, 5)) for _ in range(10)]
         polys = [_from_rows(*r) for r in rows]
         for r, f in zip(rows, polys):
@@ -617,7 +639,7 @@ def test_builder_expansion_matches_division(ex55, ex52):
         table = ypower_table(spec.w, 8 * spec.m)
         for d in range(9):
             f, exp = _bounded_monic_expansion(table, d * spec.m)
-            assert f == _bounded_monic(table, d * spec.m)
+            assert f == build_bounded_monic(spec, d)
             assert len(exp.den) == 1
             rows = expand_by_division(f, spec.w)
             assert len(exp.grid) == len(rows)

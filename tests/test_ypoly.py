@@ -8,7 +8,8 @@ import pytest
 
 from lexval import RatFunc, UniPoly, YPoly, parse_poly, random_rational_poly, random_xy_poly, w_expand, ypower_table
 from lexval.ratfunc import _zmul, poly_gcd, residue_at_inf
-from lexval.ypoly import Divisor, _clear_denominators
+from lexval.witness import _below, _random_ints
+from lexval.ypoly import Divisor, _clear_denominators, _cofactors
 
 from conftest import SHARED_FACTOR_INPUTS, assert_canonical_ypoly, clear_by_lcm, divmod_w, expand_by_division, reconstruct
 
@@ -377,6 +378,30 @@ def test_clearing_by_the_product_of_the_denominators():
             for e, n in nums.items():
                 assert _zmul(n, ref_den) == _zmul(ref_nums[e], den)
     assert seen[True] > 100 and seen[False] >= len(SHARED_FACTOR_INPUTS)
+
+
+def test_cofactors_times_their_denominator_give_the_product():
+    # P = D * cofactor(D) for every D, from 1 to 8 denominators: the quadratics
+    # and constants the rational corpus draws, powers of x, and factors
+    # shared between the lists, repeated lists included.
+    rng = random.Random(29)
+    below = _below(rng)
+    shared = ([1, 1], [2, 1], [0, 1], [0, 0, 1], [0, 0, 0, 1], [-3], [1, 0, 1], [2, 3, 1], [1, 2, 1])
+    for trial in range(300):
+        count = 1 + trial % 8
+        dens = [_random_ints(below, 2) if rng.random() < 0.5 else rng.choice(shared) for _ in range(count)]
+        product, cofactors = _cofactors(dens)
+        expected = [1]
+        for d in dens:
+            expected = _zmul(expected, d)
+        assert product == expected
+        assert len(cofactors) == len(dens)
+        for k, (d, cof) in enumerate(zip(dens, cofactors)):
+            assert _zmul(d, cof) == product
+            others = [1]
+            for e in dens[:k] + dens[k + 1:]:
+                others = _zmul(others, e)
+            assert cof == others
 
 
 @pytest.mark.parametrize(
