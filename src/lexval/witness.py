@@ -14,6 +14,11 @@ plain polynomials (so the attained value set has no largest element):
 Both drivers reduce through one core, which reads each lead term off a
 held expansion.  It takes a list of the chain's lead terms, in which an
 entry left empty is filled by one expansion when a step first uses it.
+The builder's outputs, their expansions and the y-power grids under them
+depend on w and a degree only, so they are built once per divisor, in the
+store of `spec.divisor`, and shared by every later sequence, witness and
+target on that spec; what depends on alpha and beta or on a chain (lead
+terms, reduction steps, the consecutiveness check) runs on every call.
 
 The remaining operations sample the attained image, count quotient classes,
 and check the structural containments of the image monoid.  Every corpus
@@ -30,10 +35,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratfunc import _ONE, RatFunc, UniPoly, _poly, _zdivmod, _zmul
+from .ratfunc import UniPoly, _poly, _zmul
 from .valgroup import INF, ExtValue, ValuePair, _check_mode, _check_unimodular, _in_monoid, decompose, quotient_class
 from .valuation import LeadTerm, ValuationSpec, _cleared_value, _lead, value
-from .ypoly import WExpansion, YPoly, YPowerTable, _cofactors, _from_rows, denominator_clearer, ypower_table
+from .ypoly import WExpansion, YPoly, _cofactors, _from_rows, denominator_clearer
 
 
 @dataclass(frozen=True)
@@ -65,47 +70,12 @@ def build_bounded_monic(spec: ValuationSpec, d: int) -> YPoly:
     every expansion cell below the top one has strictly positive coefficient
     valuation at infinity.  When beta > (0,0) this forces
     value >= (m*n - m - n) * alpha; for other parameter bundles the bound is
-    not guaranteed in general and is checked empirically by the tests.
+    not guaranteed in general and is checked empirically by the tests.  The
+    output is kept in the store of `spec.divisor` (`Divisor.bounded_monic`).
     """
     if d < 0:
         raise ValueError("d must be nonnegative")
-    return _bounded_monic_expansion(ypower_table(spec.w, d * spec.m), d * spec.m)[0]
-
-
-def _bounded_monic_expansion(table: YPowerTable, dm: int) -> tuple[YPoly, WExpansion]:
-    """The output of the corrector recursion at y-degree dm <= table.e_max and
-    its whole unreduced w-expansion.
-
-    Coefficient t is minus the polynomial part of S_t, the sum of c_s * cell t
-    of y^s over s > t, so cell t of the output, S_t + c_t, is the remainder of
-    that division; the top cell is 1.  The c_s are integer lists over one
-    running integer den, so S_t is summed in Z[x] at the largest power of H,
-    one product per term, and divided once.
-    """
-    divisor = table.powers[0].divisor
-    den = 1
-    ints: dict[int, list[int]] = {dm: [1]}  # c_s = ints[s] / den
-    cells: dict[int, tuple[list[int], int]] = {dm: ([1], 0)}  # cell s over den
-    for t in range(dm - 1, -1, -1):
-        i, j = divmod(t, table.m)
-        acc = ([], 0)
-        for s in range(t + 1, dm + 1):
-            n, k = table.powers[s].grid[i][j]
-            c = ints[s]
-            if n and c:
-                acc = divisor._plus(acc, _zmul(c, n), k)
-        n, k = acc
-        q, r, scale = _zdivmod(n, divisor.hpower(k))
-        if scale != 1:
-            den *= scale
-            ints = {s: [x * scale for x in c] for s, c in ints.items()}
-            cells = {s: ([x * scale for x in c], kc) for s, (c, kc) in cells.items()}
-        ints[t] = [-x for x in q]
-        cells[t] = (r, k)
-    poly = YPoly._canonical({s: RatFunc._canonical(_poly(c, den), _ONE) for s, c in ints.items() if c})
-    m = table.m
-    grid = [[cells.get(i * m + j, ([], 0)) for j in range(m)] for i in range(dm // m + 1)]
-    return poly, WExpansion(grid=grid, den=[den], divisor=divisor)
+    return spec.divisor.bounded_monic(d * spec.m)[0]
 
 
 def reduce_past_chain(
@@ -166,21 +136,22 @@ def increasing_value_sequence(spec: ValuationSpec, d_max: int) -> list[tuple[YPo
     far.  For the ex55 preset this yields deg_y(f_d) = 2(d+1) and
     value(f_d) = (-1, d-1) exactly.  Every element is valued and reduced
     from the builder's expansion and those kept for the chain, with no
-    division by w.  f_0 and f_1 share a y-power table to y^2m, which is
-    extended to y^((d_max+1)m) only once f_1 has passed the chain's
-    consecutiveness check.
+    division by w.  The builder outputs, their expansions and the y-power
+    grids under them are read from the store of `spec.divisor`, which grows
+    only as far as the element being built: to y^2m for f_0 and f_1, so no
+    higher power is built before f_1 has passed the chain's consecutiveness
+    check.  The lead terms, the reduction steps and the check run on every
+    call.
     """
     if d_max < 0:
         raise ValueError("d_max must be nonnegative")
-    table = ypower_table(spec.w, 2 * spec.m)
-    f0, exp0 = _bounded_monic_expansion(table, spec.m)
+    divisor = spec.divisor
+    f0, exp0 = divisor.bounded_monic(spec.m)
     lead = _lead(spec, exp=exp0)
     chain = WitnessChain((f0,), (lead.value,))
     leads = [lead]
     for d in range(1, d_max + 1):
-        if d == 2:
-            table = table.extended((d_max + 1) * spec.m)
-        g, _, lead = _reduce(spec, *_bounded_monic_expansion(table, (d + 1) * spec.m), chain, leads)
+        g, _, lead = _reduce(spec, *divisor.bounded_monic((d + 1) * spec.m), chain, leads)
         chain = chain.extended(g, INF if lead is None else lead.value)
         leads.append(lead)
     return list(zip(chain.polys, chain.values))

@@ -25,7 +25,7 @@ from itertools import zip_longest
 from math import gcd, lcm
 from operator import add
 
-from .ratfunc import _ONE, _RF_ZERO, NEG_INF, RatFunc, UniPoly, _join_terms, _poly, _power, _zdiv_exact, _zmul, as_ratfunc, poly_gcd
+from .ratfunc import _ONE, _RF_ZERO, NEG_INF, RatFunc, UniPoly, _join_terms, _poly, _power, _zdiv_exact, _zdivmod, _zmul, as_ratfunc, poly_gcd
 
 
 class YPoly:
@@ -314,7 +314,10 @@ class Divisor:
 
     w = y^m + sum_j A_j y^j / H with H and A_j in Z[x]; `neg_a` lists the
     pairs (j, -A_j) for the nonzero A_j.  The powers of H are computed on
-    first use and shared by every expansion over this divisor.
+    first use and shared by every expansion over this divisor, and so are
+    the w-adic store's entries, which depend on w and a degree only: the
+    grids of the powers of y (`ypower`) and the bounded-monic outputs
+    (`bounded_monic`).
     """
 
     def __init__(self, w: YPoly):
@@ -335,9 +338,14 @@ class Divisor:
         # Dividing by w raises a cell's exponent of H by this much; with H = 1
         # every exponent stays 0 and nothing is ever lifted.
         self.step = 0 if self.h == [1] else 1
-        # k -> H^k, only ever filled by setdefault: threads racing to fill an
-        # entry compute equal values and all read the first one stored.
+        # k -> H^k, e -> the grid of y^e and dm -> the bounded-monic output of
+        # y-degree dm with its grid, each filled on first use and only ever by
+        # setdefault: threads racing to fill an entry compute equal values and
+        # all read the first one stored.  Callers share the stored lists and
+        # never change them.
         self._hpow = {0: [1], 1: self.h}
+        self._ypow = {0: [[([1], 0)] + [([], 0)] * (self.m - 1)]}
+        self._monic: dict[int, tuple[YPoly, WExpansion]] = {}
 
     def hpower(self, k: int) -> list[int]:
         """H^k as an integer coefficient list."""
@@ -409,6 +417,66 @@ class Divisor:
         if not any(n for n, _ in out[-1]):
             out.pop()
         return out
+
+    def ypower(self, e: int) -> list[list]:
+        """The whole unreduced grid of y^e over den 1, kept for later calls.
+
+        The grids of y^0 .. y^e are built in increasing order, each from the
+        last by `times_y`, so the table divides nothing.
+        """
+        cache = self._ypow
+        while e not in cache:
+            top = len(cache) - 1  # the cached exponents are always 0 .. top
+            cache.setdefault(top + 1, self.times_y(cache[top]))
+        return cache[e]
+
+    def bounded_monic(self, dm: int) -> tuple[YPoly, "WExpansion"]:
+        """The bounded monic polynomial P of y-degree dm and its whole
+        unreduced expansion, built on first use and kept for later calls.
+
+        P is the one monic polynomial of y-degree dm with Q[x] coefficients
+        whose cells below the top one are all proper: the difference of two
+        such is 0, as its top cell would be a polynomial.  So a kept P is the
+        P that any route builds.
+        """
+        out = self._monic.get(dm)
+        if out is None:
+            out = self._monic.setdefault(dm, self._bounded_monic(dm))
+        return out
+
+    def _bounded_monic(self, dm: int) -> tuple[YPoly, "WExpansion"]:
+        """The corrector recursion behind `bounded_monic`.
+
+        Coefficient t is minus the polynomial part of S_t, the sum of c_s * cell t
+        of y^s over s > t, so cell t of the output, S_t + c_t, is the remainder of
+        that division; the top cell is 1.  The c_s are integer lists over one
+        running integer den, so S_t is summed in Z[x] at the largest power of H,
+        one product per term, and divided once.
+        """
+        m = self.m
+        powers = [self.ypower(s) for s in range(dm + 1)]
+        den = 1
+        ints: dict[int, list[int]] = {dm: [1]}  # c_s = ints[s] / den
+        cells: dict[int, tuple[list[int], int]] = {dm: ([1], 0)}  # cell s over den
+        for t in range(dm - 1, -1, -1):
+            i, j = divmod(t, m)
+            acc = ([], 0)
+            for s in range(t + 1, dm + 1):
+                n, k = powers[s][i][j]
+                c = ints[s]
+                if n and c:
+                    acc = self._plus(acc, _zmul(c, n), k)
+            n, k = acc
+            q, r, scale = _zdivmod(n, self.hpower(k))
+            if scale != 1:
+                den *= scale
+                ints = {s: [x * scale for x in c] for s, c in ints.items()}
+                cells = {s: ([x * scale for x in c], kc) for s, (c, kc) in cells.items()}
+            ints[t] = [-x for x in q]
+            cells[t] = (r, k)
+        poly = YPoly._canonical({s: RatFunc._canonical(_poly(c, den), _ONE) for s, c in ints.items() if c})
+        grid = [[cells.get(i * m + j, ([], 0)) for j in range(m)] for i in range(dm // m + 1)]
+        return poly, WExpansion(grid=grid, den=[den], divisor=self)
 
     def expand(self, f: YPoly) -> "WExpansion":
         """Expand f in powers of w over Z[x]: every row of `division`."""
@@ -505,16 +573,6 @@ class YPowerTable:
     e_max: int
     powers: tuple[WExpansion, ...]
 
-    def extended(self, e_max: int) -> "YPowerTable":
-        """The table to y^e_max >= self.e_max, continued from its last power by
-        multiplying by y; the powers it holds are not built again."""
-        powers = list(self.powers)
-        grid, divisor = powers[-1].grid, powers[-1].divisor
-        for _ in range(e_max - self.e_max):
-            grid = divisor.times_y(grid)
-            powers.append(WExpansion(grid=grid, den=[1], divisor=divisor))
-        return YPowerTable(w=self.w, m=self.m, e_max=len(powers) - 1, powers=tuple(powers))
-
     def entry(self, e: int, t: int) -> RatFunc:
         if not 0 <= e <= self.e_max:
             raise ValueError(f"power {e} outside table range 0..{self.e_max}")
@@ -526,9 +584,13 @@ class YPowerTable:
 
 
 def ypower_table(w: YPoly, e_max: int) -> YPowerTable:
-    """Expand y^0 .. y^e_max in powers of w: each by multiplying the last by y."""
+    """Expand y^0 .. y^e_max in powers of w: each by multiplying the last by y.
+
+    The grids come from the store of a fresh `Divisor(w)`, so nothing
+    outlives the table.
+    """
     if e_max < 0:
         raise ValueError("e_max must be nonnegative")
     divisor = Divisor(w)
-    one = WExpansion(grid=[[([1], 0)] + [([], 0)] * (divisor.m - 1)], den=[1], divisor=divisor)
-    return YPowerTable(w=w, m=divisor.m, e_max=0, powers=(one,)).extended(e_max)
+    powers = tuple(WExpansion(grid=divisor.ypower(e), den=[1], divisor=divisor) for e in range(e_max + 1))
+    return YPowerTable(w=w, m=divisor.m, e_max=e_max, powers=powers)

@@ -30,8 +30,8 @@ from lexval import (  # noqa: E402
 )
 from lexval.ratfunc import residue_at_inf, v_inf  # noqa: E402
 from lexval.valuation import _cleared_value  # noqa: E402
-from lexval.witness import _bounded_monic_expansion, _seeded_corpus  # noqa: E402
-from lexval.ypoly import _clear_denominators, _from_rows, _rows_plus, _rows_times  # noqa: E402
+from lexval.witness import _seeded_corpus  # noqa: E402
+from lexval.ypoly import Divisor, _clear_denominators, _from_rows, _rows_plus, _rows_times  # noqa: E402
 
 from conftest import (  # noqa: E402
     SHARED_FACTOR_INPUTS,
@@ -144,8 +144,9 @@ def test_generated_bundle(bundle, seed):
     table = ypower_table(spec.w, 3 * spec.m)
     powers = [expand_by_division(YPoly.monomial(e), spec.w) for e in range(table.e_max + 1)]
     assert [p.rows for p in table.powers] == powers
+    divisor = table.powers[0].divisor
     for dm in range(2 * spec.m + 1):
-        assert _bounded_monic_expansion(table, dm)[0] == bounded_monic_reference(spec.w, dm, powers)
+        assert divisor.bounded_monic(dm)[0] == bounded_monic_reference(spec.w, dm, powers)
 
 
 def _check_builder_by_uniqueness(spec, d_max=3):
@@ -186,6 +187,23 @@ def test_generated_builder_output_is_the_unique_proper_monic(bundle):
 @settings(
     derandomize=True,
     database=None,
+    max_examples=5,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(bundles())
+def test_generated_bounded_monic_in_any_order_matches_the_reference(bundle):
+    # The divisor's store, asked for degrees that grow and shrink, gives the
+    # recursion over Q(x) at each.
+    spec = make_spec(*bundle)
+    powers = [expand_by_division(YPoly.monomial(e), spec.w) for e in range(3 * spec.m + 1)]
+    for d in (2, 0, 3, 1, 3, 2, 0):
+        assert build_bounded_monic(spec, d) == bounded_monic_reference(spec.w, d * spec.m, powers)
+
+
+@settings(
+    derandomize=True,
+    database=None,
     max_examples=25,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
@@ -214,9 +232,9 @@ def test_generated_bundle_grids_without_division(bundle, seed):
     # The builder's grid and E(f) + lam*E(g) against division: the same rows
     # and the same reduced cells.
     spec = make_spec(*bundle)
-    table = ypower_table(spec.w, 3 * spec.m)
+    divisor = Divisor(spec.w)
     for dm in range(3 * spec.m + 1):
-        f, exp = _bounded_monic_expansion(table, dm)
+        f, exp = divisor.bounded_monic(dm)
         rows = expand_by_division(f, spec.w)
         assert len(exp.grid) == len(rows) and exp.rows == rows
     rng = random.Random(seed)

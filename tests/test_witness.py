@@ -29,21 +29,26 @@ from lexval import (
     structure_checks,
     value,
     witness_for_value,
-    ypower_table,
 )
+from lexval.presets import PRESETS
 from lexval.witness import (
-    _bounded_monic_expansion,
     _class_witnesses,
     _random_rational_rows,
     _random_rows,
     _seeded_corpus,
     denominator_clearer,
 )
-from lexval.ypoly import _from_rows
+from lexval.ypoly import Divisor, _from_rows
 
 from conftest import bounded_monic_reference, expand_by_division, product_reference
 
 A = ValuePair(-1, -1)
+
+
+def fresh_spec(name):
+    """A preset's spec built anew, with an empty divisor store, unlike the
+    session fixtures, whose stores earlier tests may have filled."""
+    return make_spec(**PRESETS[name].bundle())
 
 
 def test_build_bounded_monic_d0(ex55):
@@ -194,8 +199,8 @@ def test_increasing_value_sequence_values_each_element_once(ex55, monkeypatch):
 
         return wrapper
 
-    # Question divisions are those over the spec's divisor; the shared y-power
-    # table expands over a divisor of its own.
+    # Question divisions are those over the spec's divisor; the y-power grids
+    # in its store are built by multiplying by y, with no division.
     monkeypatch.setattr(ex55.divisor, "division", counted("division", ex55.divisor.division))
     monkeypatch.setattr(witness_mod, "value", counted("value", witness_mod.value))
     seq = increasing_value_sequence(ex55, 7)
@@ -208,12 +213,15 @@ def test_increasing_value_sequence_values_each_element_once(ex55, monkeypatch):
         assert f.deg_y == 2 * (d + 1)
 
 
-def test_increasing_value_sequence_reduces_no_question_cell(ex55, monkeypatch):
+def test_increasing_value_sequence_reduces_no_question_cell(monkeypatch):
     # The builder reads polynomial parts off the unreduced y-power cells and
     # the reductions take values and cancellation scalars off unreduced
-    # expansions, so no driver reduces a cell or takes a RatFunc gcd.
+    # expansions, so no driver reduces a cell or takes a RatFunc gcd.  A
+    # fresh spec's store is empty, so the builder runs under the spies.
     import lexval.ratfunc as ratfunc_mod
     from lexval.ypoly import WExpansion
+
+    ex55 = fresh_spec("ex55")
 
     def refuse(*args):
         raise AssertionError("a witness driver reduced a fraction")
@@ -240,7 +248,7 @@ def test_bounded_monic_matches_corrector_reference(ex55, ex52):
     for w in divisors:
         powers = [expand_by_division(YPoly.monomial(e), w) for e in range(9)]
         for dm in range(9):
-            assert _bounded_monic_expansion(ypower_table(w, dm), dm)[0] == bounded_monic_reference(w, dm, powers)
+            assert Divisor(w).bounded_monic(dm)[0] == bounded_monic_reference(w, dm, powers)
 
 
 def test_denominator_clearer(ex55, ex52):
@@ -551,21 +559,21 @@ def test_image_and_census_refuse_a_non_unimodular_basis_before_algebra(monkeypat
 
 
 def test_increasing_value_sequence_refuses_before_the_full_table(monkeypatch):
-    import lexval.witness as witness_mod
-
     # A valid bundle whose chain values are not consecutive: value(f_0) is
     # (1,-2) and value(f_1) is (2,-4).
     probe = make_spec(2, 3, parse_poly("y^2 + x^3"), ValuePair(-1, -1), ValuePair(1, -2))
-    sizes = []
+    grown = []
+    times_y = Divisor.times_y
 
-    def recorded(w, e_max):
-        sizes.append(e_max)
-        return ypower_table(w, e_max)
+    def recorded(self, grid):
+        grown.append(len(self._ypow))  # the exponent of the power being built
+        return times_y(self, grid)
 
-    monkeypatch.setattr(witness_mod, "ypower_table", recorded)
+    monkeypatch.setattr(Divisor, "times_y", recorded)
     with pytest.raises(ValueError, match=r"chain values not consecutive: \(1,-2\) then \(2,-4\)"):
         increasing_value_sequence(probe, 99)
-    assert sizes and max(sizes) <= 2 * probe.m
+    assert grown == list(range(1, 2 * probe.m + 1))
+    assert max(probe.divisor._ypow) == 2 * probe.m
 
 
 def test_witness_cli_refusals(tmp_path, capsys):
@@ -636,9 +644,9 @@ def test_builder_expansion_matches_division(ex55, ex52):
     # The builder's remainders are the cells of its output: the same rows
     # and reduced cells as division gives, over one integer den.
     for spec in (ex55, ex52):
-        table = ypower_table(spec.w, 8 * spec.m)
+        divisor = Divisor(spec.w)
         for d in range(9):
-            f, exp = _bounded_monic_expansion(table, d * spec.m)
+            f, exp = divisor.bounded_monic(d * spec.m)
             assert f == build_bounded_monic(spec, d)
             assert len(exp.den) == 1
             rows = expand_by_division(f, spec.w)
@@ -699,3 +707,105 @@ def test_sample_image_tests_membership_without_rechecking_the_basis(ex55, ex52, 
         assert {v for _, v in report.violations} == {
             v for v in report.attained if not monoid_member(v, spec.alpha, spec.beta, mode)
         }
+
+
+# The commands of the witness_ex55 bench workload: witness --dmax 5, and
+# target for i in 1..4 with j in 0..2 and for i in 1..3 with j in 3..4.
+WITNESS_EX55_COMMANDS = [["witness", "--dmax", "5"]] + [
+    ["target", "--i", str(i), "--j", str(j)]
+    for i, js in ((1, range(5)), (2, range(5)), (3, range(5)), (4, range(3)))
+    for j in js
+]
+
+
+def test_a_warm_store_prints_what_a_cold_store_prints(capsys):
+    # By preset name every command reads one spec, whose divisor's store
+    # warms on the first; by file path load_spec builds a fresh spec, so
+    # every command starts from an empty store.
+    from lexval import bundled_config_path
+    from lexval.cli import main
+
+    def run(source):
+        outs = []
+        for argv in WITNESS_EX55_COMMANDS:
+            for extra in ([], ["--json"]):
+                assert main([argv[0], "--spec", source, *extra, *argv[1:]]) == 0
+                outs.append(capsys.readouterr().out)
+        return outs
+
+    warm = run("ex55")
+    assert run("ex55") == warm
+    assert run(str(bundled_config_path("ex55"))) == warm
+    assert warm[0].splitlines()[-1] == "d=5 deg_y=12 value=(-1,4)"
+
+
+# Degrees asked in an order that grows and shrinks, with repeats.
+SHUFFLED_DEGREES = (2, 0, 4, 1, 4, 3, 0, 2)
+
+
+def test_bounded_monic_in_any_order_matches_the_reference():
+    for name in ("ex55", "ex52"):
+        spec = fresh_spec(name)
+        powers = [expand_by_division(YPoly.monomial(e), spec.w) for e in range(4 * spec.m + 1)]
+        for d in SHUFFLED_DEGREES:
+            assert build_bounded_monic(spec, d) == bounded_monic_reference(spec.w, d * spec.m, powers)
+
+
+def test_increasing_value_sequence_grows_the_store_as_it_builds():
+    # On a fresh spec the builder of f_d leaves the y-power store at
+    # y^((d+1)m) exactly: each element grows it only as far as it needs.
+    spec = fresh_spec("ex55")
+    divisor, tops = spec.divisor, []
+    build = divisor._bounded_monic
+
+    def recorded(dm):
+        out = build(dm)
+        tops.append((dm, max(divisor._ypow)))
+        return out
+
+    divisor._bounded_monic = recorded
+    increasing_value_sequence(spec, 5)
+    assert tops == [((d + 1) * spec.m, (d + 1) * spec.m) for d in range(6)]
+
+
+def test_the_divisor_store_is_shared_and_never_changed(monkeypatch):
+    import copy
+
+    # A fresh spec, so that other tests cannot have warmed its store.
+    spec = fresh_spec("ex55")
+    divisor = spec.divisor
+    seq = increasing_value_sequence(spec, 5)
+    ypow = copy.deepcopy(divisor._ypow)
+    monic = {dm: (p, copy.deepcopy((exp.grid, exp.den))) for dm, (p, exp) in divisor._monic.items()}
+    assert sorted(monic) == [(d + 1) * spec.m for d in range(6)]
+
+    calls = {"times_y": 0, "build": 0}
+    times_y, build = Divisor.times_y, Divisor._bounded_monic
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(Divisor, "times_y", counted("times_y", times_y))
+    monkeypatch.setattr(Divisor, "_bounded_monic", counted("build", build))
+    targets = {(i, j): witness_for_value(spec, i, j) for i in range(1, 5) for j in range(6)}
+    assert calls == {"times_y": 0, "build": 0}
+    monkeypatch.undo()
+
+    # The target path's value check, and reductions of stored outputs and
+    # of a fresh one past chains of stored outputs.
+    for (i, j), f in targets.items():
+        assert value(spec, f) == ValuePair(-i, j - i)
+    assert increasing_value_sequence(spec, 5) == seq
+    chain = WitnessChain(*zip(*seq))
+    for d in range(1, 8):
+        g, _, v = reduce_past_chain(spec, build_bounded_monic(spec, d), chain)
+        assert v == value(spec, g)
+    assert divisor._ypow.keys() >= ypow.keys()
+    assert {e: divisor._ypow[e] for e in ypow} == ypow
+    for dm, (p, lists) in monic.items():
+        stored, exp = divisor._monic[dm]
+        assert stored is p and (exp.grid, exp.den) == lists

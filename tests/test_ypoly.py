@@ -324,6 +324,51 @@ def test_divisor_hpower_shared_across_threads():
     assert bad == []
 
 
+def test_divisor_store_grown_by_four_threads():
+    # Four threads grow one fresh divisor's store to four sizes at once,
+    # switching often.  Each gets what a serial build gives, and the store
+    # it sees never shrinks and always holds y^0 .. y^top.
+    import sys
+    import threading
+
+    w = W_X1
+    serial = Divisor(w)
+    want = [(serial.ypower(12 * (k + 1)), serial.bounded_monic(2 * (k + 1))) for k in range(4)]
+    bad = []
+
+    def work(d, k, barrier):
+        barrier.wait()
+        seen = []
+        for e in range(12 * (k + 1) + 1):
+            d.ypower(e)
+            keys = sorted(d._ypow)
+            seen.append(len(keys))
+            if keys != list(range(len(keys))):
+                bad.append((k, "gap"))
+        grid, (want_p, want_exp) = want[k]
+        p, exp = d.bounded_monic(2 * (k + 1))
+        if seen != sorted(seen) or d.ypower(12 * (k + 1)) != grid:
+            bad.append((k, "grid"))
+        if p != want_p or (exp.grid, exp.den) != (want_exp.grid, want_exp.den):
+            bad.append((k, "bounded monic"))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            d, barrier = Divisor(w), threading.Barrier(4)
+            threads = [threading.Thread(target=work, args=(d, k, barrier)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert len(d._ypow) == 49 and sorted(d._monic) == [2, 4, 6, 8]
+    finally:
+        sys.setswitchinterval(interval)
+    assert bad == []
+
+
 @pytest.mark.parametrize("w", [W55, W_X1, W_FRAC], ids=["ex55", "x_plus_1", "fractions"])
 def test_ypower_table_clears_w_once(w, cleared):
     # The table multiplies by y and divides nothing, so w is all it clears.
@@ -460,16 +505,17 @@ def test_power_is_repeated_product(p):
     ids=["ex55", "x_plus_1", "fractions", "m1", "constant_h"],
 )
 def test_ypower_table_extended_matches_fresh_table(w):
-    # Extending continues from the last power; the powers already held are
-    # the same objects, and every grid is the one a fresh table builds.
+    # A divisor's store grows from its last power; the powers already held
+    # are the same objects, and every grid is the one a fresh table builds.
     fresh = ypower_table(w, 40)
     for start in (0, 2 * w.deg_y, 17):
-        table = ypower_table(w, start)
-        extended = table.extended(40)
-        assert extended.e_max == 40 and len(extended.powers) == 41
-        assert all(a is b for a, b in zip(table.powers, extended.powers))
-        assert [p.grid for p in extended.powers] == [p.grid for p in fresh.powers]
-        assert table.extended(start).powers == table.powers
+        divisor = Divisor(w)
+        held = [divisor.ypower(e) for e in range(start + 1)]
+        grown = [divisor.ypower(e) for e in range(41)]
+        assert max(divisor._ypow) == 40 and len(divisor._ypow) == 41
+        assert all(a is b for a, b in zip(held, grown))
+        assert grown == [p.grid for p in fresh.powers]
+        assert [divisor.ypower(e) for e in range(start + 1)] == held and len(divisor._ypow) == 41
 
 
 @pytest.mark.parametrize(
