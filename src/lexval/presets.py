@@ -128,7 +128,7 @@ def load_config(source: str) -> SpecConfig:
     if source in PRESETS:
         return PRESETS[source]
     path = Path(source)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"no preset or config file named {source!r}")
     return parse_config_text(path.read_text())
 

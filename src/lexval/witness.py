@@ -21,9 +21,11 @@ target on that spec; what depends on alpha and beta or on a chain (lead
 terms, reduction steps, the consecutiveness check) runs on every call.
 
 The remaining operations sample the attained image, count quotient classes,
-and check the structural containments of the image monoid.  Every corpus
-generator yields cleared rows (den, nums); a rational element's rows stand
-over the product of its drawn denominators, with no gcd and no division.
+and check the structural containments of the image monoid.  The census
+builds and divides none of its class witnesses: it reads each value off
+the witness's one-cell expansion.  Every corpus generator yields cleared
+rows (den, nums); a rational element's rows stand over the product of its
+drawn denominators, with no gcd and no division.
 The image audit and both structure audits run one loop: it values each
 row pair, decomposes each value once in the basis (alpha, beta), and
 builds a `YPoly` only for a violation that gets reported.
@@ -162,22 +164,11 @@ def class_witness(spec: ValuationSpec, q: int, r: int) -> YPoly:
 
     Its y-degree is q*m + r and its quotient class modulo Z*(m*alpha) is
     ((r*n) mod m, q), so distinct (q, r) with r < m give distinct classes.
+    Its w-expansion is the one cell h^q at (q, r), as r < m.
     """
     if q < 0 or not 0 <= r < spec.m:
         raise ValueError("need q >= 0 and 0 <= r < m")
-    return _class_witnesses(spec, q * spec.m + r)[-1]
-
-
-def _class_witnesses(spec: ValuationSpec, ell: int) -> list[YPoly]:
-    """class_witness(spec, i // m, i % m) for i = 0..ell, from one running power of h*w."""
-    cleared = spec.w.scale(denominator_clearer(spec.w))
-    items, power = [], YPoly.one()
-    for i in range(ell + 1):
-        q, r = divmod(i, spec.m)
-        if q and not r:
-            power = power * cleared
-        items.append(YPoly.monomial(r) * power)
-    return items
+    return YPoly.monomial(r) * spec.w.scale(denominator_clearer(spec.w)) ** q
 
 
 def witness_for_value(spec: ValuationSpec, i: int, j: int) -> YPoly:
@@ -372,16 +363,23 @@ def quotient_census(
 ) -> int:
     """Count distinct quotient classes attained by y-degree <= ell elements.
 
-    family "h_family" uses the y^r*(h*w)^q witnesses exactly; family
-    "corpus" adds x,y-monomials and seeded random polynomials.  The count
-    can never exceed ell + 1.
+    family "h_family" uses the witnesses class_witness(spec, q, r) for
+    q*m + r <= ell; family "corpus" adds x,y-monomials and seeded random
+    polynomials, whose drawn rows are divided by w.  A witness's value is
+    read off its one-cell grid, with H^q at (q, r) over den 1: H^q is h^q
+    times a nonzero rational, which changes no value.  The count can never
+    exceed ell + 1.
     """
     _check_unimodular(spec.alpha, spec.beta)
     if ell < 0:
         raise ValueError("ell must be nonnegative")
     if family not in ("h_family", "corpus"):
         raise ValueError(f"unknown family {family!r}")
-    values = [value(spec, f) for f in _class_witnesses(spec, ell)]
+    divisor, zero = spec.divisor, [([], 0)] * spec.m
+    values = []
+    for q, r in (divmod(i, spec.m) for i in range(ell + 1)):
+        row = zero[:r] + [(divisor.hpower(q), 0)] + zero[r + 1 :]
+        values.append(_lead(spec, exp=WExpansion([zero] * q + [row], [1], divisor)).value)
     if family == "corpus":
         corpus = _seeded_corpus(random.Random(seed), 4, ell, _CENSUS_RANDOM_COUNT)
         values += [_cleared_value(spec, *rows) for rows in corpus]

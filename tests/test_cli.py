@@ -256,9 +256,10 @@ def test_domain_error_exit_codes(capsys):
     code, _, err = run_cli(capsys, "value", "1/y")
     assert code == 1
     assert "denominator contains y" in err
-    code, _, err = run_cli(capsys, "value", "--spec", "nosuch", "x")
-    assert code == 1
-    assert "no preset" in err
+    for source in ("nosuch", "", "/"):
+        code, _, err = run_cli(capsys, "value", "--spec", source, "x")
+        assert code == 1
+        assert err == f"error: no preset or config file named {source!r}\n"
     code, _, err = run_cli(capsys, "value", "--", "-" * 3000 + "x")
     assert code == 1
     assert err == "error: expression nested too deeply at offset 100\n"
@@ -459,6 +460,10 @@ def test_config_errors(tmp_path):
         parse_config_text(text.replace("[-1, -1]", "[1, 2, 3]"))
     with pytest.raises(ConfigError, match="cannot parse value 'x' for n"):
         parse_config_text(text.replace("n = 3", "n = x"))
+    # The empty string names the working directory; neither is a file.
+    for source in ("", str(tmp_path)):
+        with pytest.raises(ConfigError, match="no preset or config file named"):
+            load_config(source)
 
 
 def test_presets_are_the_bundled_files():

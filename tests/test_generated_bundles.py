@@ -18,9 +18,12 @@ from lexval import (  # noqa: E402
     YPoly,
     build_bounded_monic,
     check_axioms,
+    class_witness,
     lead_term,
     make_spec,
     parse_poly,
+    quotient_census,
+    quotient_class,
     random_rational_poly,
     random_xy_poly,
     spec_violations,
@@ -28,7 +31,9 @@ from lexval import (  # noqa: E402
     w_expand,
     ypower_table,
 )
+import lexval.witness as witness_mod  # noqa: E402
 from lexval.ratfunc import residue_at_inf, v_inf  # noqa: E402
+from lexval.valgroup import basis_det  # noqa: E402
 from lexval.valuation import _cleared_value  # noqa: E402
 from lexval.witness import _seeded_corpus  # noqa: E402
 from lexval.ypoly import Divisor, _clear_denominators, _from_rows, _rows_plus, _rows_times  # noqa: E402
@@ -182,6 +187,55 @@ def test_builder_output_is_the_unique_proper_monic_on_the_presets(ex55, ex52):
 @given(bundles())
 def test_generated_builder_output_is_the_unique_proper_monic(bundle):
     _check_builder_by_uniqueness(make_spec(*bundle))
+
+
+def _check_census_one_cell(spec, ell=12):
+    """The fact the census reads values by: for i = q*m + r <= ell, the
+    division reference's expansion of class_witness(spec, q, r) has one
+    nonzero cell, at (q, r), and the census values class i as that witness."""
+    seen = []
+
+    def recorded(v, *rest):
+        seen.append(v)
+        return quotient_class(v, *rest)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(witness_mod, "quotient_class", recorded)
+        assert quotient_census(spec, ell) == ell + 1
+    assert len(seen) == ell + 1
+    for i, v in enumerate(seen):
+        q, r = divmod(i, spec.m)
+        f = class_witness(spec, q, r)
+        rows = expand_by_division(f, spec.w)
+        assert [(a, b) for a, row in enumerate(rows) for b, c in enumerate(row) if not c.is_zero()] == [(q, r)]
+        assert v == value(spec, f), (q, r)
+
+
+def test_census_reads_one_cell_on_the_presets(ex55, ex52):
+    for spec in (ex55, ex52):
+        _check_census_one_cell(spec)
+
+
+# w = y^m + x/D*y + (x^(n+2) + 1)/D at (m, n) = (2, 3) and (3, 2), over the
+# last of DENOMINATORS, D = 2x^2 + 3/2*x + 1, whose monic h has a non-unit
+# denominator.
+D_LAST = DENOMINATORS[-1]
+W_OVER_D = {m: YPoly({m: 1, 1: RatFunc(X, D_LAST), 0: RatFunc(X ** (n + 2) + 1, D_LAST)}) for m, n in ((2, 3), (3, 2))}
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=6,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(bundles())
+@example((2, 3, W_OVER_D[2], ValuePair(-1, -1), ValuePair(0, 1)))
+@example((3, 2, W_OVER_D[3], ValuePair(-1, 0), ValuePair(1, -1)))
+def test_generated_census_reads_one_cell(bundle):
+    assume(basis_det(bundle[3], bundle[4]) in (1, -1))
+    _check_census_one_cell(make_spec(*bundle))
 
 
 @settings(

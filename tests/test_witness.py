@@ -32,7 +32,6 @@ from lexval import (
 )
 from lexval.presets import PRESETS
 from lexval.witness import (
-    _class_witnesses,
     _random_rational_rows,
     _random_rows,
     _seeded_corpus,
@@ -313,15 +312,12 @@ def test_quotient_census_corpus(ex55, ex52):
 
 
 def test_census_items_match_class_witness(ex55, ex52):
-    # The census builds its items from one running power of h*w; here each
-    # is powered from scratch.
+    # class_witness against y^r * (h*w)^q written out here.
     for spec in (ex55, ex52):
         ell = 13
         hw = spec.w.scale(denominator_clearer(spec.w))
         expected = [YPoly.monomial(i % spec.m) * hw ** (i // spec.m) for i in range(ell + 1)]
-        assert _class_witnesses(spec, ell) == expected
         assert [class_witness(spec, i // spec.m, i % spec.m) for i in range(ell + 1)] == expected
-    assert _class_witnesses(ex55, 0) == [parse_poly("1")]
 
 
 # Counts recorded when every census item was built by class_witness.
@@ -342,15 +338,35 @@ def test_quotient_census_rejects(ex55):
         quotient_census(ex55, 2, family="bogus")
 
 
-def test_quotient_census_checks_family_before_building(ex55, monkeypatch):
+def test_quotient_census_checks_family_before_building(monkeypatch):
     import lexval.witness as witness_mod
 
-    def refuse(*args):
-        raise AssertionError("census built witnesses for an unknown family")
+    def refuse(*args, **kwargs):
+        raise AssertionError("census read a witness grid for an unknown family")
 
-    monkeypatch.setattr(witness_mod, "_class_witnesses", refuse)
+    spec = fresh_spec("ex55")
+    monkeypatch.setattr(witness_mod, "_lead", refuse)
+    monkeypatch.setattr(spec.divisor, "hpower", refuse)
     with pytest.raises(ValueError, match="unknown family"):
-        quotient_census(ex55, 200, family="bogus")
+        quotient_census(spec, 200, family="bogus")
+
+
+def test_census_divides_no_class_witness(monkeypatch):
+    # The h_family census reads each witness's value off its one-cell grid;
+    # the corpus family still divides its drawn rows by w.
+    spec = fresh_spec("ex55")
+    calls = []
+    division = spec.divisor.division
+
+    def counted(nums):
+        calls.append(nums)
+        return division(nums)
+
+    monkeypatch.setattr(spec.divisor, "division", counted)
+    assert quotient_census(spec, 40) == 41
+    assert calls == []
+    assert quotient_census(spec, 40, family="corpus") == 41
+    assert calls
 
 
 def test_structure_checks_presets(ex55, ex52):
@@ -545,12 +561,12 @@ def test_image_and_census_refuse_a_non_unimodular_basis_before_algebra(monkeypat
     # A valid bundle whose basis has determinant 3.
     probe = make_spec(2, 3, parse_poly("y^2 + x^3"), ValuePair(-1, -1), ValuePair(1, -2))
 
-    def refuse(*args):
+    def refuse(*args, **kwargs):
         raise AssertionError("algebra started before the basis was checked")
 
     monkeypatch.setattr(witness_mod, "value", refuse)
     monkeypatch.setattr(witness_mod, "_cleared_value", refuse)
-    monkeypatch.setattr(witness_mod, "_class_witnesses", refuse)
+    monkeypatch.setattr(witness_mod, "_lead", refuse)
     with pytest.raises(ValueError, match=r"not unimodular \(determinant 3\)"):
         sample_image(probe, CorpusSpec(random_count=5), "cone")
     for family in ("h_family", "corpus"):
