@@ -42,7 +42,6 @@ from .valuation import (
     make_spec,
     spec_violations,
     value,
-    value_fraction,
 )
 from .witness import (
     CorpusSpec,
@@ -62,7 +61,7 @@ from .witness import (
     structure_checks,
     witness_for_value,
 )
-from .ypoly import WExpansion, YPoly, YPowerTable, w_expand, ypower_table
+from .ypoly import WExpansion, YPoly, w_expand
 
 __version__ = "0.1.0"
 
@@ -88,7 +87,6 @@ __all__ = [
     "WExpansion",
     "WitnessChain",
     "YPoly",
-    "YPowerTable",
     "as_ratfunc",
     "build_bounded_monic",
     "bundled_config_path",
@@ -120,8 +118,6 @@ __all__ = [
     "uni_divmod",
     "v_inf",
     "value",
-    "value_fraction",
     "w_expand",
     "witness_for_value",
-    "ypower_table",
 ]

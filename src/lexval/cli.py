@@ -34,7 +34,7 @@ from .witness import (
     structure_checks,
     witness_for_value,
 )
-from .ypoly import w_expand, ypower_table
+from .ypoly import WExpansion, w_expand
 
 
 class _Output(NamedTuple):
@@ -168,13 +168,12 @@ def _cmd_spec_check(config: SpecConfig, args) -> _Output:
 
 def _cmd_ypower(spec: ValuationSpec, args) -> _Output:
     _check_degree("--emax", args.emax)
-    table = ypower_table(spec.w, args.emax)
-    entries = [
-        {"e": str(e), "t": str(t), "coeff": str(table.entry(e, t))}
-        for e in range(args.emax + 1)
-        for t in range(e + 1)
-    ]
-    payload = {"m": str(table.m), "e_max": str(table.e_max), "entries": entries}
+    divisor = spec.divisor
+    entries = []
+    for e in range(args.emax + 1):
+        exp = WExpansion(grid=divisor.ypower(e), den=[1], divisor=divisor)
+        entries += ({"e": str(e), "t": str(t), "coeff": str(exp.cell(*divmod(t, divisor.m)))} for t in range(e + 1))
+    payload = {"m": str(divisor.m), "e_max": str(args.emax), "entries": entries}
     return _Output(payload, _fields(payload) + [f"y[{x['e']}][{x['t']}] = {x['coeff']}" for x in entries])
 
 

@@ -273,16 +273,6 @@ def cancel_lambda(spec: ValuationSpec, f: YPoly, g: YPoly) -> Fraction:
     return lead_term(spec, f).cancel_scalar(lead_term(spec, g))
 
 
-def value_fraction(spec: ValuationSpec, f: YPoly, g: YPoly) -> ExtValue:
-    """Value of the quotient f/g: value(f) - value(g)."""
-    if g.is_zero():
-        raise ZeroDivisionError("zero denominator")
-    vf = value(spec, f)
-    if vf == INF:
-        return INF
-    return vf - value(spec, g)
-
-
 @dataclass
 class AxiomReport:
     """Outcome of the empirical valuation-axiom audit.

@@ -6,7 +6,7 @@ plain polynomials (so the attained value set has no largest element):
 
   * `build_bounded_monic` builds a monic polynomial of prescribed y-degree
     whose value is bounded below by (m*n - m - n) * alpha, via a descending
-    corrector recursion over the y-power expansion table;
+    corrector recursion over the grids of the powers of y;
   * `reduce_past_chain` adds scalar multiples of chain elements until the
     value climbs past the end of the chain;
   * `increasing_value_sequence` alternates the two.

@@ -3,13 +3,14 @@
 A `YPoly` is a sparse map y-exponent -> RatFunc.  Division by a monic
 divisor w has one route: a `Divisor` holds w with its denominators cleared
 over Z[x] and gives the grid expansion f = sum_{i,j} f[i][j] * y^j * w^i
-with 0 <= j < deg_y(w).  The table of such expansions for the pure powers
-y^e divides nothing: the grid of y^(e+1) is that of y^e shifted one place,
-with a carry through y^m = w - sum_k A_k y^k / H (the step of MacLane's
-augmentation).  The division, products and sums f + lam*g also run on an
-element's cleared rows: the pair (den, nums) of `_clear_denominators`, with
-f = sum_e nums[e] y^e / den over Z[x] and no zero list in nums (the zero
-element is (den, {})), so a caller that holds rows builds no `YPoly`.  den
+with 0 <= j < deg_y(w).  The grids of the pure powers y^e have one home,
+the divisor's store (`Divisor.ypower`), and dividing builds none of them:
+the grid of y^(e+1) is that of y^e shifted one place, with a carry through
+y^m = w - sum_k A_k y^k / H (the step of MacLane's augmentation).  The
+division, products and sums f + lam*g also run on an element's cleared
+rows: the pair (den, nums) of `_clear_denominators`, with f = sum_e nums[e]
+y^e / den over Z[x] and no zero list in nums (the zero element is
+(den, {})), so a caller that holds rows builds no `YPoly`.  den
 is the product of f's distinct denominators, which is their lcm when they
 are pairwise coprime, so clearing an element takes no gcd.  A divisor's H is
 the lcm of w's denominators, computed once per divisor.
@@ -309,6 +310,17 @@ def _rows_plus(f: tuple, lam: Fraction, g: tuple) -> tuple[list[int], dict[int, 
     return den, {e: n for e, n in out.items() if n}
 
 
+def _grow(cache: dict, k: int, step) -> list:
+    """cache[k] on a miss: the store holds the degrees 0 .. top and grows by
+    step from its top entry; a negative k is refused and changes nothing."""
+    if k < 0:
+        raise ValueError(f"negative degree {k}")
+    while k not in cache:
+        top = len(cache) - 1
+        cache.setdefault(top + 1, step(cache[top]))
+    return cache[k]
+
+
 class Divisor:
     """A monic divisor w with its denominators cleared once over Z[x].
 
@@ -348,12 +360,11 @@ class Divisor:
         self._monic: dict[int, tuple[YPoly, WExpansion]] = {}
 
     def hpower(self, k: int) -> list[int]:
-        """H^k as an integer coefficient list."""
-        cache = self._hpow
-        while k not in cache:
-            e = len(cache) - 1  # the cached exponents are always 0 .. e
-            cache.setdefault(e + 1, _zmul(cache[e], self.h))
-        return cache[k]
+        """H^k as an integer coefficient list, kept for later calls."""
+        try:
+            return self._hpow[k]
+        except KeyError:
+            return _grow(self._hpow, k, lambda p: _zmul(p, self.h))
 
     def division(self, nums: dict[int, list[int]]) -> Iterator[list]:
         """Divide the cleared rows nums of f by w repeatedly over Z[x], reducing no cell.
@@ -422,13 +433,12 @@ class Divisor:
         """The whole unreduced grid of y^e over den 1, kept for later calls.
 
         The grids of y^0 .. y^e are built in increasing order, each from the
-        last by `times_y`, so the table divides nothing.
+        last by `times_y`, so the store divides nothing.
         """
-        cache = self._ypow
-        while e not in cache:
-            top = len(cache) - 1  # the cached exponents are always 0 .. top
-            cache.setdefault(top + 1, self.times_y(cache[top]))
-        return cache[e]
+        try:
+            return self._ypow[e]
+        except KeyError:
+            return _grow(self._ypow, e, self.times_y)
 
     def bounded_monic(self, dm: int) -> tuple[YPoly, "WExpansion"]:
         """The bounded monic polynomial P of y-degree dm and its whole
@@ -441,6 +451,8 @@ class Divisor:
         """
         out = self._monic.get(dm)
         if out is None:
+            if dm < 0:
+                raise ValueError(f"negative degree {dm}")
             out = self._monic.setdefault(dm, self._bounded_monic(dm))
         return out
 
@@ -557,40 +569,3 @@ class WExpansion:
 def w_expand(f: YPoly, w: YPoly) -> WExpansion:
     """Expand f in powers of the monic divisor w by iterated division over Z[x]."""
     return Divisor(w).expand(f)
-
-
-@dataclass(frozen=True, eq=False)
-class YPowerTable:
-    """The w-expansions of the pure powers y^0 .. y^e_max, unreduced.
-
-    powers[e] expands y^e over den = 1.  entry(e, t) is its cell
-    (t div m, t mod m), reduced when it is read; it is 1 on the diagonal
-    t = e and 0 for t > e.
-    """
-
-    w: YPoly
-    m: int
-    e_max: int
-    powers: tuple[WExpansion, ...]
-
-    def entry(self, e: int, t: int) -> RatFunc:
-        if not 0 <= e <= self.e_max:
-            raise ValueError(f"power {e} outside table range 0..{self.e_max}")
-        if t < 0:
-            raise ValueError("negative cell index")
-        if t > e:
-            return _RF_ZERO
-        return self.powers[e].cell(*divmod(t, self.m))
-
-
-def ypower_table(w: YPoly, e_max: int) -> YPowerTable:
-    """Expand y^0 .. y^e_max in powers of w: each by multiplying the last by y.
-
-    The grids come from the store of a fresh `Divisor(w)`, so nothing
-    outlives the table.
-    """
-    if e_max < 0:
-        raise ValueError("e_max must be nonnegative")
-    divisor = Divisor(w)
-    powers = tuple(WExpansion(grid=divisor.ypower(e), den=[1], divisor=divisor) for e in range(e_max + 1))
-    return YPowerTable(w=w, m=divisor.m, e_max=e_max, powers=powers)

@@ -14,6 +14,7 @@ from lexval import InvalidSpecError, ValuePair, bundled_config_path, load_config
 from lexval import cli
 from lexval.cli import main
 from lexval.presets import PRESETS, ConfigError, parse_config_text
+from lexval.ypoly import Divisor
 
 
 def run_cli(capsys, *argv):
@@ -134,6 +135,26 @@ def test_ypower_golden(capsys):
         outs = [run_cli(capsys, "ypower", "--spec", spec, "--emax", "6", *flag) for flag in ((), ("--json",))]
         assert [code for code, _, _ in outs] == [0, 0]
         assert tuple(hashlib.sha256(out.encode()).hexdigest() for _, out, _ in outs) == digests
+
+
+def test_ypower_warm_store_prints_what_a_cold_store_prints(capsys, monkeypatch):
+    # ypower reads its grids from the spec's store, which lives as long as the
+    # spec.  A fresh preset spec starts with an empty store; after witness has
+    # grown that store, ypower prints the same bytes, and the recorded
+    # digests still hold.
+    for name, digests in YPOWER_EMAX6.items():
+        monkeypatch.setitem(PRESETS, name, parse_config_text(bundled_config_path(name).read_text()))
+        divisor = load_spec(name).divisor
+        assert len(divisor._ypow) == 1 and not divisor._monic
+        runs = [("ypower", "--spec", name, "--emax", "40", *flag) for flag in ((), ("--json",))]
+        cold = [run_cli(capsys, *argv) for argv in runs]
+        assert [code for code, _, _ in cold] == [0, 0]
+        held = len(divisor._ypow) + len(divisor._monic)
+        run_cli(capsys, "witness", "--spec", name, "--dmax", "25")
+        assert len(divisor._ypow) + len(divisor._monic) > held
+        assert [run_cli(capsys, *argv) for argv in runs] == cold
+        outs = [run_cli(capsys, "ypower", "--spec", name, "--emax", "6", *flag)[1] for flag in ((), ("--json",))]
+        assert tuple(hashlib.sha256(out.encode()).hexdigest() for out in outs) == digests
 
 
 def test_image_golden(capsys):
@@ -528,9 +549,11 @@ def _refuse_algebra(monkeypatch):
     def reached(*args, **kwargs):
         raise _Reached
 
-    for name in ("ypower_table", "increasing_value_sequence", "quotient_census", "witness_for_value",
+    for name in ("increasing_value_sequence", "quotient_census", "witness_for_value",
                  "random_xy_poly", "sample_image", "structure_checks"):
         monkeypatch.setattr(cli, name, reached)
+    # ypower's algebra starts when it reads the first grid from the store.
+    monkeypatch.setattr(Divisor, "ypower", reached)
 
 
 def _check_bound(capsys, at, above, refusal):

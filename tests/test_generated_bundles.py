@@ -15,6 +15,7 @@ from lexval import (  # noqa: E402
     RatFunc,
     UniPoly,
     ValuePair,
+    WExpansion,
     YPoly,
     build_bounded_monic,
     check_axioms,
@@ -29,7 +30,6 @@ from lexval import (  # noqa: E402
     spec_violations,
     value,
     w_expand,
-    ypower_table,
 )
 import lexval.witness as witness_mod  # noqa: E402
 from lexval.ratfunc import residue_at_inf, v_inf  # noqa: E402
@@ -144,12 +144,12 @@ def test_generated_bundle(bundle, seed):
         _check_by_division(spec, f)
     report = check_axioms(spec, corpus, 30, seed=seed)
     assert report.ok, report.violations
-    # The y-power table, built by multiplying by y, against division, and the
-    # bounded-monic builder over it against the recursion over Q(x).
-    table = ypower_table(spec.w, 3 * spec.m)
-    powers = [expand_by_division(YPoly.monomial(e), spec.w) for e in range(table.e_max + 1)]
-    assert [p.rows for p in table.powers] == powers
-    divisor = table.powers[0].divisor
+    # The y-power grids of a fresh store, built by multiplying by y, against
+    # division, and the bounded-monic builder over them against the recursion
+    # over Q(x).
+    divisor = Divisor(spec.w)
+    powers = [expand_by_division(YPoly.monomial(e), spec.w) for e in range(3 * spec.m + 1)]
+    assert [WExpansion(grid=divisor.ypower(e), den=[1], divisor=divisor).rows for e in range(3 * spec.m + 1)] == powers
     for dm in range(2 * spec.m + 1):
         assert divisor.bounded_monic(dm)[0] == bounded_monic_reference(spec.w, dm, powers)
 

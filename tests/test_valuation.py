@@ -24,7 +24,6 @@ from lexval import (
     random_rational_poly,
     random_xy_poly,
     value,
-    value_fraction,
     w_expand,
 )
 from lexval.ratfunc import residue_at_inf, v_inf
@@ -127,14 +126,6 @@ def test_cancel_lambda_preconditions(ex55):
         cancel_lambda(ex55, parse_poly("x"), parse_poly("y"))
     with pytest.raises(ValueError):
         cancel_lambda(ex55, parse_poly("0"), parse_poly("0"))
-
-
-def test_value_fraction(ex55):
-    assert value_fraction(ex55, parse_poly("y"), parse_poly("x")) == ValuePair(-1, -1)
-    assert value_fraction(ex55, parse_poly("1"), parse_poly("x")) == ValuePair(2, 2)
-    assert value_fraction(ex55, parse_poly("0"), parse_poly("x")) == INF
-    with pytest.raises(ZeroDivisionError):
-        value_fraction(ex55, parse_poly("x"), parse_poly("0"))
 
 
 def test_monomial_law(ex55, ex52):

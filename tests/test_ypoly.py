@@ -6,7 +6,9 @@ from math import lcm
 
 import pytest
 
-from lexval import RatFunc, UniPoly, YPoly, parse_poly, random_rational_poly, random_xy_poly, w_expand, ypower_table
+from lexval import (
+    RatFunc, UniPoly, WExpansion, YPoly, load_spec, parse_poly, random_rational_poly, random_xy_poly, w_expand,
+)
 from lexval.ratfunc import _zmul, poly_gcd, residue_at_inf
 from lexval.witness import _below, _random_ints
 from lexval.ypoly import Divisor, _clear_denominators, _cofactors
@@ -23,6 +25,14 @@ W_FRAC = parse_poly("y^3 + x*y/(2*x^2 + 2) + 3*x^2/2")
 
 def rf(s: str) -> RatFunc:
     return parse_poly(s).as_ratfunc()
+
+
+def ypower_cell(divisor: Divisor, e: int, t: int) -> RatFunc:
+    """Cell t of y^e, read as the `ypower` command reads it: the grid from
+    the divisor's store, one cell reduced.  Zero above the grid's top row."""
+    grid = divisor.ypower(e)
+    i, j = divmod(t, divisor.m)
+    return WExpansion(grid=grid, den=[1], divisor=divisor).cell(i, j) if i < len(grid) else RatFunc.zero()
 
 
 def test_ypoly_basic_arithmetic():
@@ -78,8 +88,6 @@ def test_divisor_rejects_bad_divisors():
             Divisor(parse_poly(bad))
         with pytest.raises(ValueError):
             w_expand(YPoly.y(), parse_poly(bad))
-    with pytest.raises(ValueError):
-        ypower_table(parse_poly("2y^2 + x"), 3)
 
 
 def test_w_expand_y4_grid():
@@ -211,38 +219,52 @@ def test_w_expand_linearity_and_shift():
 
 
 def test_ypower_table_examples():
-    table = ypower_table(W55, 4)
-    assert table.entry(0, 0) == RatFunc.one()
-    assert table.entry(2, 0) == rf("-x^3")
-    assert table.entry(2, 1) == rf("-1/x")
-    assert table.entry(2, 2) == RatFunc.one()
-    assert table.entry(4, 0) == rf("x^6 - x")
-    assert table.entry(4, 1) == rf("2x^2 - 1/x^3")
-    assert table.entry(4, 2) == rf("1/x^2 - 2x^3")
-    assert table.entry(4, 3) == rf("-2/x")
-    assert table.entry(4, 4) == RatFunc.one()
+    divisor = Divisor(W55)
+    assert ypower_cell(divisor, 0, 0) == RatFunc.one()
+    assert ypower_cell(divisor, 2, 0) == rf("-x^3")
+    assert ypower_cell(divisor, 2, 1) == rf("-1/x")
+    assert ypower_cell(divisor, 2, 2) == RatFunc.one()
+    assert ypower_cell(divisor, 4, 0) == rf("x^6 - x")
+    assert ypower_cell(divisor, 4, 1) == rf("2x^2 - 1/x^3")
+    assert ypower_cell(divisor, 4, 2) == rf("1/x^2 - 2x^3")
+    assert ypower_cell(divisor, 4, 3) == rf("-2/x")
+    assert ypower_cell(divisor, 4, 4) == RatFunc.one()
 
 
 def test_ypower_table_structure():
-    table = ypower_table(W55, 9)
+    # The grid of y^e has rows 0 .. e div m; its cell e is 1 and every later
+    # cell is 0.
+    divisor = Divisor(W55)
     for e in range(10):
-        assert table.entry(e, e) == RatFunc.one()
+        assert len(divisor.ypower(e)) == e // 2 + 1
+        assert ypower_cell(divisor, e, e) == RatFunc.one()
         for t in range(e + 1, 12):
-            assert table.entry(e, t).is_zero()
+            assert ypower_cell(divisor, e, t).is_zero()
 
 
 def test_ypower_table_range_errors():
-    table = ypower_table(W55, 3)
-    for e in (-1, 4):
-        with pytest.raises(ValueError, match=rf"power {e} outside table range 0\.\.3"):
-            table.entry(e, 0)
-    with pytest.raises(ValueError, match="negative cell index"):
-        table.entry(3, -1)
-    with pytest.raises(ValueError, match="e_max must be nonnegative"):
-        ypower_table(W55, -1)
-    # e_max is refused before w is read as a divisor.
-    with pytest.raises(ValueError, match="e_max must be nonnegative"):
-        ypower_table(parse_poly("2y^2 + x"), -1)
+    # A negative power is refused at once, and the powers already held stay.
+    divisor = Divisor(W55)
+    held = [divisor.ypower(e) for e in range(4)]
+    with pytest.raises(ValueError, match="negative degree -1"):
+        divisor.ypower(-1)
+    assert divisor._ypow == dict(enumerate(held))
+
+
+@pytest.mark.parametrize("spec", ["ex55", "ex52"])
+def test_divisor_store_refuses_negative_degrees(spec):
+    # hpower, ypower and bounded_monic raise on a negative degree and leave
+    # the store as it was: no growth without end, no output with a negative
+    # y-exponent.
+    divisor = load_spec(spec).divisor
+    divisor.bounded_monic(2)
+    stores = (divisor._hpow, divisor._ypow, divisor._monic)
+    before = [dict(store) for store in stores]
+    for read in (divisor.hpower, divisor.ypower, divisor.bounded_monic):
+        for k in (-1, -5):
+            with pytest.raises(ValueError, match=f"negative degree {k}"):
+                read(k)
+    assert [dict(store) for store in stores] == before
 
 
 @pytest.mark.parametrize(
@@ -253,10 +275,9 @@ def test_ypower_table_range_errors():
 def test_ypower_table_matches_expansions(w):
     # Multiplying by y gives the whole grid that division gives: the same
     # rows, the same reduced cells and the same residues of the unreduced ones.
-    table = ypower_table(w, 40)
-    divisor = Divisor(w)
+    store, divisor = Divisor(w), Divisor(w)
     for e in range(41):
-        built = table.powers[e]
+        built = WExpansion(grid=store.ypower(e), den=[1], divisor=store)
         exp = divisor.expand(YPoly.monomial(e))
         rows = expand_by_division(YPoly.monomial(e), w)
         assert len(built.grid) == len(exp.grid) == len(rows)
@@ -268,18 +289,18 @@ def test_ypower_table_matches_expansions(w):
 
 
 def test_ypower_table_recursion_identity():
-    # y^e = y^(e-m) * w - sum_k w_k y^(e-m+k) lifts to the table entries
+    # y^e = y^(e-m) * w - sum_k w_k y^(e-m+k) lifts to the cells of the store
     w = W55
     m = w.deg_y
-    table = ypower_table(w, 10)
+    divisor = Divisor(w)
     for e in range(m, 11):
         for t in range(e + 1):
-            expected = table.entry(e - m, t - m) if t >= m else RatFunc.zero()
+            expected = ypower_cell(divisor, e - m, t - m) if t >= m else RatFunc.zero()
             for k in range(m):
                 wk = w.coeff(k)
-                if not wk.is_zero() and e - m + k <= table.e_max:
-                    expected = expected - wk * table.entry(e - m + k, t)
-            assert table.entry(e, t) == expected
+                if not wk.is_zero():
+                    expected = expected - wk * ypower_cell(divisor, e - m + k, t)
+            assert ypower_cell(divisor, e, t) == expected
 
 
 def test_divisor_hpower_out_of_order():
@@ -371,8 +392,8 @@ def test_divisor_store_grown_by_four_threads():
 
 @pytest.mark.parametrize("w", [W55, W_X1, W_FRAC], ids=["ex55", "x_plus_1", "fractions"])
 def test_ypower_table_clears_w_once(w, cleared):
-    # The table multiplies by y and divides nothing, so w is all it clears.
-    ypower_table(w, 8)
+    # The store multiplies by y and divides nothing, so w is all it clears.
+    Divisor(w).ypower(8)
     assert [f is w for f in cleared] == [True]
 
 
@@ -506,15 +527,16 @@ def test_power_is_repeated_product(p):
 )
 def test_ypower_table_extended_matches_fresh_table(w):
     # A divisor's store grows from its last power; the powers already held
-    # are the same objects, and every grid is the one a fresh table builds.
-    fresh = ypower_table(w, 40)
+    # are the same objects, and every grid is the one a fresh store builds.
+    store = Divisor(w)
+    fresh = [store.ypower(e) for e in range(41)]
     for start in (0, 2 * w.deg_y, 17):
         divisor = Divisor(w)
         held = [divisor.ypower(e) for e in range(start + 1)]
         grown = [divisor.ypower(e) for e in range(41)]
         assert max(divisor._ypow) == 40 and len(divisor._ypow) == 41
         assert all(a is b for a, b in zip(held, grown))
-        assert grown == [p.grid for p in fresh.powers]
+        assert grown == fresh
         assert [divisor.ypower(e) for e in range(start + 1)] == held and len(divisor._ypow) == 41
 
 
