@@ -9,17 +9,22 @@ Grammar (whitespace ignored):
     uint   := [0-9]+                           # ASCII digits only
 
 The input is split into token texts by one regular-expression pass: runs of
-ASCII digits and single non-space characters.  A run of atoms (an integer,
-x, y, or a power of one, joined by '*' or juxtaposition) multiplies to a
-monomial c*x^a*y^b held as three Python ints.  A sum adds its monomials, and
-its terms that are polynomials over Z, into one sparse map {b: {a: c}}; the
-map becomes a ring value once, at the end of the sum or at its first other
-term, after which the sum goes on in ring arithmetic.  Every other
+ASCII digits and single non-space characters.  `term` reads the atoms (an
+integer, x or y, each with an optional '^' uint, and a unary '-' directly
+before one) in one loop over the tokens, and multiplies a run of them, joined
+by '*' or juxtaposition, into a monomial c*x^a*y^b held as three Python ints;
+only '(' and a '-' before a non-atom enter `factor`.  A sum adds its
+monomials, and its terms that are polynomials over Z, into one sparse map
+{b: {a: c}}.  A sum that ends in that map is a ring value built once from
+it: a `UniPoly` if it is free of y, else a `YPoly`.  From its first other
+term on, a sum adds into a map {b: RatFunc} instead, and only the
+coefficients that a term changes are added and checked.  Every other
 subexpression is evaluated in the smallest ring that holds it: a `UniPoly`
 while it is a polynomial in x, a `RatFunc` once it has a proper denominator,
 and a `YPoly` only when it contains y.  A product of such a value and a
-monomial shifts and scales its coefficients where that keeps them reduced.
-`parse_poly` returns a `YPoly` in every case.
+monomial shifts and scales its coefficients where that keeps them reduced,
+and moves them over when the monomial is a power of y.  `parse_poly`
+returns a `YPoly` in every case.
 
 Division is only defined by y-free expressions, since results must stay in
 Q(x)[y].  Parentheses and unary minus together nest at most MAX_NESTING
@@ -30,7 +35,7 @@ that of its numerator or its denominator, whichever is larger.  Integers
 are bounded as well: an integer literal by MAX_BITS bits, and a power by
 bits(base) * k <= MAX_BITS before it is computed, where bits(base) is the
 largest bit length of a numerator or denominator among its coefficients.  A
-sum that is a polynomial is not rescanned: it has no degree above its
+polynomial sum of coefficients is not checked: it has no degree above its
 operands'.  Errors carry the offset of the offending token in the string;
 the tokens' offsets are found, by a second pass, only for an error.
 """
@@ -40,7 +45,7 @@ from __future__ import annotations
 import re
 from math import gcd
 
-from .ratfunc import _ZERO, RatFunc, UniPoly, _poly, as_ratfunc
+from .ratfunc import _ZERO, RatFunc, UniPoly, _poly, _sparse_poly, as_ratfunc
 from .ypoly import YPoly, _monomial_sum
 
 
@@ -58,21 +63,25 @@ _TOKEN = r"[0-9]+|\S"
 
 _DIGITS = frozenset("0123456789")
 
-# First characters of the tokens that can start a factor of a juxtaposition.
-_ATOM_STARTERS = _DIGITS | {"x", "y", "("}
+# First characters of the atoms' tokens, and of the tokens that can start a
+# factor of a juxtaposition.
+_ATOMS = _DIGITS | {"x", "y"}
+_ATOM_STARTERS = _ATOMS | {"("}
 
-# x, y and 0 as monomials (c, a, b), that is c*x^a*y^b.  A monomial with
-# c != 0 has a, b <= MAX_DEGREE, and the zero monomial is the one below, so
-# that exponents stay bounded in a run that a factor 0 has zeroed.
+# x and y as monomials (c, a, b), that is c*x^a*y^b.  A monomial with c != 0
+# has a, b <= MAX_DEGREE, and the zero monomial is (0, 0, 0), so that
+# exponents stay bounded in a run that a factor 0 has zeroed.
 _X = (1, 1, 0)
 _Y = (1, 0, 1)
-_ZERO_MONOMIAL = (0, 0, 0)
 
 MAX_NESTING = 100
 
 MAX_DEGREE = 200
 
 MAX_BITS = 10_000
+
+# A run of at most this many digits has at most MAX_BITS bits, as 10^3 < 2^10.
+_SAFE_DIGITS = MAX_BITS * 3 // 10
 
 
 class _Refused(Exception):
@@ -91,11 +100,12 @@ def _polys(v) -> tuple[UniPoly, ...]:
 
 
 def _max_degree(v) -> int:
-    """The larger of the y-degree and the x-degree of a nonzero v."""
+    """The larger of the y-degree and the x-degree of v, and at most 0 for v = 0."""
     if isinstance(v, UniPoly):
-        return v.degree
-    xdeg = max(p.degree for p in _polys(v))
-    return max(v.deg_y, xdeg) if isinstance(v, YPoly) else xdeg
+        return len(v.ints) - 1
+    if isinstance(v, RatFunc):
+        return max(len(v.num.ints), len(v.den.ints)) - 1
+    return max(v.deg_y, max([len(p.ints) for p in _polys(v)], default=0) - 1)
 
 
 def _bits(c: int, d: int) -> int:
@@ -113,7 +123,7 @@ def _bounded(v, pos: int):
     """v, as a UniPoly if it is a polynomial RatFunc, once its degrees are checked."""
     if isinstance(v, RatFunc) and v.is_polynomial():
         v = v.num
-    if v and _max_degree(v) > MAX_DEGREE:
+    if _max_degree(v) > MAX_DEGREE:
         raise _Refused("degree too large", pos)
     return v
 
@@ -135,15 +145,46 @@ def _divide(num, den, pos: int):
 
 def _ring(terms: dict[int, dict[int, int]]):
     """The sum {b: {a: c}} of monomials as a UniPoly if it is free of y, else as a YPoly."""
-    f = _monomial_sum(terms)
-    if f.terms.keys() - {0}:
-        return f
-    return f.terms[0].num if f.terms else _ZERO
+    if terms.keys() <= {0}:
+        return _sparse_poly(terms[0]) if terms else _ZERO
+    return _from_coeffs(_monomial_sum(terms).terms)
 
 
 def _as_ring(v):
     """v, or the ring value of v if it is a monomial (c, a, b)."""
     return _ring({v[2]: {v[1]: v[0]}}) if type(v) is tuple else v
+
+
+def _add_into(coeffs: dict[int, RatFunc], t, sign: int, pos: int) -> None:
+    """Add sign*t into coeffs {b: nonzero RatFunc} and check the sums made.
+
+    A coefficient that t does not change, or that it brings in alone, was
+    checked when it was made, and a polynomial sum has no degree above its
+    operands'.
+    """
+    for e, r in _coeffs(t).items():
+        s = coeffs.get(e)
+        if s is None:
+            if r:
+                coeffs[e] = r if sign > 0 else -r
+            continue
+        s = s + r if sign > 0 else s - r
+        if not s:
+            del coeffs[e]
+            continue
+        if not s.is_polynomial():
+            _bounded(s, pos)
+        coeffs[e] = s
+
+
+def _from_coeffs(coeffs: dict[int, RatFunc]):
+    """The ring value sum of r*y^b over coeffs {b: nonzero RatFunc}."""
+    if coeffs.keys() - {0}:
+        return YPoly._canonical(coeffs)
+    r = coeffs.get(0)
+    if r is None:
+        return _ZERO
+    return r.num if r.is_polynomial() else r
 
 
 def _polynomial(v) -> bool:
@@ -158,45 +199,39 @@ def _shifted(p: UniPoly, c: int, a: int) -> UniPoly:
 
 def _times_monomial(v, c: int, a: int, b: int, pos: int):
     """v*c*x^a*y^b, for a = 0 or a polynomial v: each coefficient's numerator
-    is shifted and scaled, and the degrees are read off v's."""
-    if not c or not v:
+    is shifted and scaled, or kept if c*x^a is 1, and the degrees are read
+    off v's."""
+    if isinstance(v, YPoly):
+        coeffs = v.terms
+        if not c or not coeffs:
+            return _ZERO
+        xdeg = max([max(len(r.num.ints) + a, len(r.den.ints)) for r in coeffs.values()]) - 1
+        if xdeg > MAX_DEGREE or max(coeffs) + b > MAX_DEGREE:
+            raise _Refused("degree too large", pos)
+        if c != 1 or a:
+            coeffs = {e: RatFunc._canonical(_shifted(r.num, c, a), r.den) for e, r in coeffs.items()}
+        return YPoly._canonical({e + b: r for e, r in coeffs.items()} if b else coeffs)
+    r = as_ratfunc(v)
+    if not c or r.is_zero():
         return _ZERO
-    coeffs = _coeffs(v)
-    xdeg = max(max(r.num.degree + a, r.den.degree) for r in coeffs.values())
-    if max(xdeg, max(coeffs) + b) > MAX_DEGREE:
+    if max(len(r.num.ints) + a, len(r.den.ints)) - 1 > MAX_DEGREE or b > MAX_DEGREE:
         raise _Refused("degree too large", pos)
-    out = {e + b: RatFunc._canonical(_shifted(r.num, c, a), r.den) for e, r in coeffs.items()}
-    if b or isinstance(v, YPoly):
-        return YPoly._canonical(out)
-    r = out[0]
+    if c != 1 or a:
+        r = RatFunc._canonical(_shifted(r.num, c, a), r.den)
+    if b:
+        return YPoly._canonical({b: r})
     return r.num if r.is_polynomial() else r
 
 
 def _product(u, v, pos: int):
-    """u*v, the product of two factors; a product of monomials is kept as one."""
-    if type(u) is tuple:
-        if type(v) is tuple:
-            c = u[0] * v[0]
-            if not c:
-                return _ZERO_MONOMIAL
-            a, b = u[1] + v[1], u[2] + v[2]
-            if a > MAX_DEGREE or b > MAX_DEGREE:
-                raise _Refused("degree too large", pos)
-            return c, a, b
-        u, v = v, u
+    """u*v, the product of a ring value u and a factor v, which may be a monomial."""
     if type(v) is tuple and (not v[1] or _polynomial(u)):
         return _times_monomial(u, *v, pos)
     return _bounded(u * _as_ring(v), pos)
 
 
 def _fold(terms: dict[int, dict[int, int]], t, sign: int) -> bool:
-    """Add sign*t into terms if t is a monomial or a polynomial over Z; whether it was."""
-    if type(t) is tuple:
-        c, a, b = t
-        if c:
-            row = terms.setdefault(b, {})
-            row[a] = row.get(a, 0) + sign * c
-        return True
+    """Add sign*t into terms if t is a polynomial over Z; whether it was."""
     coeffs = _coeffs(t)
     if not all(r.is_polynomial() and r.num.denom == 1 for r in coeffs.values()):
         return False
@@ -208,28 +243,45 @@ def _fold(terms: dict[int, dict[int, int]], t, sign: int) -> bool:
     return True
 
 
+def _uint(text: str, pos: int) -> int:
+    """The digit run text, the token at pos, once it is checked against MAX_BITS."""
+    # More than MAX_BITS // 3 significant digits always exceed MAX_BITS
+    # bits; refusing them first keeps int() below its own digit limit.
+    if len(text) > MAX_BITS // 3:
+        text = text.lstrip("0") or "0"
+        if len(text) > MAX_BITS // 3:
+            raise _Refused("number too large", pos)
+    n = int(text)
+    if n.bit_length() > MAX_BITS:
+        raise _Refused("number too large", pos)
+    return n
+
+
+def _exponent(toks: list[str], pos: int) -> int:
+    """The exponent at token pos, just after a '^'."""
+    text = toks[pos]
+    if text == "-":
+        raise _Refused("negative exponent", pos)
+    if text[:1] not in _DIGITS:
+        raise _Refused("expected an integer", pos)
+    return _uint(text, pos)
+
+
+def _monomial_power(c: int, a: int, b: int, k: int, pos: int) -> tuple[int, int, int]:
+    """(c*x^a*y^b)^k, once its degrees and bits are checked; refused at pos."""
+    if a * k > MAX_DEGREE or b * k > MAX_DEGREE:
+        raise _Refused("degree too large", pos)
+    if c.bit_length() * k > MAX_BITS:
+        raise _Refused("number too large", pos)
+    return c**k, a * k, b * k
+
+
 class _Parser:
     def __init__(self, toks: list[str]):
         self.toks = toks
         toks.append("")  # the end of the input
         self.i = 0
         self.depth = 0
-
-    def _read_uint(self) -> int:
-        text = self.toks[self.i]
-        if text[:1] not in _DIGITS:
-            raise _Refused("expected an integer", self.i)
-        # More than MAX_BITS // 3 significant digits always exceed MAX_BITS
-        # bits; refusing them first keeps int() below its own digit limit.
-        if len(text) > MAX_BITS // 3:
-            text = text.lstrip("0") or "0"
-            if len(text) > MAX_BITS // 3:
-                raise _Refused("number too large", self.i)
-        n = int(text)
-        if n.bit_length() > MAX_BITS:
-            raise _Refused("number too large", self.i)
-        self.i += 1
-        return n
 
     def _open(self) -> None:
         """Take a '(' or a unary '-' and count it against MAX_NESTING."""
@@ -249,66 +301,134 @@ class _Parser:
 
     def expr(self):
         toks = self.toks
+        # The sum so far is terms, a map {b: {a: c}} of integers, until a
+        # term does not fold into it, and the map coeffs {b: RatFunc} from
+        # then on, in which each sum is checked as it is made.
         terms: dict[int, dict[int, int]] = {}
-        # The sum so far is terms until a term does not fold into it, and
-        # the ring value acc from then on.
-        acc = None
+        coeffs = None
         sign, pos = 1, None
         while True:
             t = self.term()
-            if acc is not None or not _fold(terms, t, sign):
-                if pos is None:
-                    acc = t
-                else:
-                    if acc is None:
-                        acc = _ring(terms)
-                    t = _as_ring(t)
-                    acc = acc + t if sign > 0 else acc - t
-                    # A sum that is a polynomial has no degree above its operands'.
-                    if not _polynomial(acc):
-                        acc = _bounded(acc, pos)
+            if coeffs is None and type(t) is tuple:
+                c, a, b = t
+                if c:
+                    row = terms.get(b)
+                    if row is None:
+                        terms[b] = {a: sign * c}
+                    else:
+                        row[a] = row.get(a, 0) + sign * c
+            elif coeffs is not None or not _fold(terms, t, sign):
+                if coeffs is None:
+                    coeffs = {}
+                    if terms:
+                        _add_into(coeffs, _ring(terms), 1, pos)
+                _add_into(coeffs, _as_ring(t), sign, pos)
             op = toks[self.i]
             if op != "+" and op != "-":
-                return _ring(terms) if acc is None else acc
+                return _ring(terms) if coeffs is None else _from_coeffs(coeffs)
             sign, pos = (1 if op == "+" else -1), ~self.i
             self.i += 1
 
     def term(self):
+        """A product of factors.  An atom (an integer, x or y, with its power
+        and a unary '-' just before it) is read in this loop, and a run of
+        them is multiplied as the ints c, a, b of c*x^a*y^b; factor() reads
+        every other factor."""
         toks = self.toks
-        acc = self.factor()
+        i = self.i
+        c, a, b = 1, 0, 0  # the product so far, while it is a monomial
+        acc = None  # the product so far, once it is a ring value
+        pos = None  # where the factor joins the product; None for the first
+        neg = False  # whether a unary '-' stands before the atom at i
         while True:
-            op = toks[self.i]
-            if op == "*":
-                pos = ~self.i
-                self.i += 1
-                acc = _product(acc, self.factor(), pos)
-            elif op == "/":
-                pos = ~self.i
-                self.i += 1
-                divisor = _as_ring(self.factor())
-                acc = _bounded(_divide(_as_ring(acc), divisor, pos), pos)
-            elif op[:1] in _ATOM_STARTERS:
-                pos = self.i
-                acc = _product(acc, self.factor(), pos)
+            text = toks[i]
+            f = None
+            if text == "x" or text == "y":
+                i += 1
+                k = 1
+                if toks[i] == "^":
+                    # x^k or y^k: its degree k is the bound to check, as 1^k
+                    # has one bit.
+                    k = toks[i + 1]
+                    k = int(k) if k[:1] in _DIGITS and len(k) <= _SAFE_DIGITS else _exponent(toks, i + 1)
+                    if k > MAX_DEGREE:
+                        raise _Refused("degree too large", i + 1)
+                    i += 2
+                fc = 1
+                if text == "x":
+                    fa, fb = k, 0
+                else:
+                    fa, fb = 0, k
+            elif text[:1] in _DIGITS:
+                fc = int(text) if len(text) <= _SAFE_DIGITS else _uint(text, i)
+                fa = fb = 0
+                i += 1
+                if toks[i] == "^":
+                    fc, fa, fb = _monomial_power(fc, fa, fb, _exponent(toks, i + 1), i + 1)
+                    i += 2
+            elif text == "-" and toks[i + 1][:1] in _ATOMS:
+                if self.depth >= MAX_NESTING:
+                    raise _Refused("expression nested too deeply", i)
+                neg = True
+                i += 1
+                continue
             else:
-                return acc
+                self.i = i
+                f = self.factor()
+                i = self.i
+                if type(f) is tuple:
+                    (fc, fa, fb), f = f, None
+            if neg:
+                neg = False
+                fc = -fc
+                # '-' and an atom make a factor, which may take a power of its own.
+                if toks[i] == "^":
+                    fc, fa, fb = _monomial_power(fc, fa, fb, _exponent(toks, i + 1), i + 1)
+                    i += 2
+            if f is not None:
+                if pos is None:
+                    acc = f
+                elif acc is None:
+                    acc = _product(f, (c, a, b), pos)
+                else:
+                    acc = _product(acc, f, pos)
+            elif acc is not None:
+                acc = _product(acc, (fc, fa, fb), pos)
+            else:
+                c *= fc
+                if not c:
+                    a = b = 0
+                elif fa or fb:
+                    a += fa
+                    b += fb
+                    if a > MAX_DEGREE or b > MAX_DEGREE:
+                        raise _Refused("degree too large", pos)
+            op = toks[i]
+            while op == "/":
+                pos = ~i
+                self.i = i + 1
+                divisor = _as_ring(self.factor())
+                acc = _bounded(_divide(_as_ring((c, a, b) if acc is None else acc), divisor, pos), pos)
+                i = self.i
+                op = toks[i]
+            if op == "*":
+                pos = ~i
+                i += 1
+            elif op[:1] in _ATOM_STARTERS:
+                pos = i
+            else:
+                self.i = i
+                return (c, a, b) if acc is None else acc
 
     def factor(self):
         base = self.base()
         if self.toks[self.i] != "^":
             return base
-        self.i += 1
-        if self.toks[self.i] == "-":
-            raise _Refused("negative exponent", self.i)
-        pos = self.i
-        k = self._read_uint()
+        pos = self.i + 1
+        k = _exponent(self.toks, pos)
+        self.i += 2
         if type(base) is tuple:
-            c, a, b = base
-            if a * k > MAX_DEGREE or b * k > MAX_DEGREE:
-                raise _Refused("degree too large", pos)
-            if c.bit_length() * k > MAX_BITS:
-                raise _Refused("number too large", pos)
-            return c**k, a * k, b * k
+            return _monomial_power(*base, k, pos)
         if base and _max_degree(base) * k > MAX_DEGREE:
             raise _Refused("degree too large", pos)
         if base and _max_bits(base) * k > MAX_BITS:
@@ -324,7 +444,9 @@ class _Parser:
             self.i += 1
             return _Y
         if text[:1] in _DIGITS:
-            return self._read_uint(), 0, 0
+            n = _uint(text, self.i)
+            self.i += 1
+            return n, 0, 0
         if text == "(":
             self._open()
             inner = self.expr()

@@ -216,6 +216,14 @@ def _poly(ints: list[int], denom: int = 1) -> UniPoly:
     return _raw(tuple(ints), denom)
 
 
+def _sparse_poly(row: dict[int, int]) -> UniPoly:
+    """The sum of the terms c*x^a given as {a: c} with integers c."""
+    ints = [0] * (max(row, default=-1) + 1)
+    for a, c in row.items():
+        ints[a] = c
+    return _poly(ints)
+
+
 _ZERO = _raw((), 1)
 _ONE = _raw((1,), 1)
 

@@ -65,6 +65,14 @@ class WitnessChain:
         return WitnessChain(self.polys + (poly,), self.values + (val,))
 
 
+class _BelowChain(ValueError):
+    """The reduction's input has a value below the chain's first value."""
+
+    def __init__(self, val: ValuePair, start: ValuePair):
+        self.value = val
+        super().__init__(f"value {val} of input is below the chain start {start}")
+
+
 def build_bounded_monic(spec: ValuationSpec, d: int) -> YPoly:
     """Monic polynomial of y-degree d*m with plain polynomial coefficients.
 
@@ -112,7 +120,7 @@ def _reduce(spec: ValuationSpec, f: YPoly, exp: WExpansion, chain: WitnessChain,
     while lead is not None:
         # Each step raises the value, so only the input can fail this check.
         if not lead.value >= chain.values[0]:
-            raise ValueError(f"value {lead.value} of input is below the chain start {chain.values[0]}")
+            raise _BelowChain(lead.value, chain.values[0])
         if lead.value > chain.values[-1]:
             return h, steps, lead
         # The chain values are consecutive, so chain.values[k] is
@@ -143,7 +151,9 @@ def increasing_value_sequence(spec: ValuationSpec, d_max: int) -> list[tuple[YPo
     only as far as the element being built: to y^2m for f_0 and f_1, so no
     higher power is built before f_1 has passed the chain's consecutiveness
     check.  The lead terms, the reduction steps and the check run on every
-    call.
+    call.  A builder output whose value is below value(f_0), which no
+    reduction by the chain can raise, means that the bundle has no such
+    sequence (ex52 at d = 1).
     """
     if d_max < 0:
         raise ValueError("d_max must be nonnegative")
@@ -153,7 +163,13 @@ def increasing_value_sequence(spec: ValuationSpec, d_max: int) -> list[tuple[YPo
     chain = WitnessChain((f0,), (lead.value,))
     leads = [lead]
     for d in range(1, d_max + 1):
-        g, _, lead = _reduce(spec, *divisor.bounded_monic((d + 1) * spec.m), chain, leads)
+        try:
+            g, _, lead = _reduce(spec, *divisor.bounded_monic((d + 1) * spec.m), chain, leads)
+        except _BelowChain as err:
+            raise ValueError(
+                f"this bundle has no increasing value sequence: at d={d} the builder output has value "
+                f"{err.value}, below value(f_0) = {chain.values[0]}"
+            ) from None
         chain = chain.extended(g, INF if lead is None else lead.value)
         leads.append(lead)
     return list(zip(chain.polys, chain.values))

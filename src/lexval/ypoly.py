@@ -26,7 +26,7 @@ from itertools import zip_longest
 from math import gcd, lcm
 from operator import add
 
-from .ratfunc import _ONE, _RF_ZERO, NEG_INF, RatFunc, UniPoly, _join_terms, _poly, _power, _zdiv_exact, _zdivmod, _zmul, as_ratfunc, poly_gcd
+from .ratfunc import _ONE, _RF_ZERO, NEG_INF, RatFunc, UniPoly, _join_terms, _poly, _power, _sparse_poly, _zdiv_exact, _zdivmod, _zmul, as_ratfunc, poly_gcd
 
 
 class YPoly:
@@ -192,10 +192,7 @@ def _monomial_sum(terms: dict[int, dict[int, int]]) -> YPoly:
     """The sum of the terms c*x^a*y^b given as {b: {a: c}} with integers c."""
     out = {}
     for b, row in terms.items():
-        ints = [0] * (max(row, default=-1) + 1)
-        for a, c in row.items():
-            ints[a] = c
-        p = _poly(ints)
+        p = _sparse_poly(row)
         if p:
             out[b] = RatFunc._canonical(p, _ONE)
     return YPoly._canonical(out)

@@ -197,6 +197,42 @@ ERROR_GOLDENS = [
     ("3x^200y^200 - 2x^100 x^100 x", "degree too large", 27),
     ("0x^200 x^200 + x^201", "degree too large", 17),
     ("(" * 100 + "-3x" + ")" * 100, "expression nested too deeply", 100),
+    # A unary minus before an atom, recorded before atoms were read in one
+    # loop: it counts against the nesting limit, and the minus and its atom
+    # are one factor, which may take one more power.
+    ("-" * 101 + "x", "expression nested too deeply", 100),
+    ("-x^2^3^4", "unexpected '^'", 6),
+    ("2 -x^2^101", "unexpected '^'", 6),
+    ("-2^2^5000", "number too large", 5),
+    ("x*-2^2^5001", "number too large", 7),
+    ("x*-y^201", "degree too large", 5),
+    ("0*-x^100^3", "degree too large", 9),
+    ("(x+1)*-x^200", "degree too large", 6),
+    ("y^100*-y^100*-y", "degree too large", 13),
+    ("-x^2 ^", "expected an integer", 6),
+    ("- -", "unexpected end of input", 3),
+    ("3*-", "unexpected end of input", 3),
+]
+
+# (input, printed value) at the edges of the atom loop, recorded before it:
+# power binds tighter than unary minus, juxtaposed integers multiply, and a
+# '-' after an operand subtracts.
+PARSE_GOLDENS = [
+    ("-" * 100 + "x", "x"),
+    ("(" * 99 + "-3x^2" + ")" * 99, "-3*x^2"),
+    ("-2^2", "-4"),
+    ("-x^2*y", "-x^2*y"),
+    ("x -2", "x - 2"),
+    ("x(-2)", "-2*x"),
+    ("2 3x", "6*x"),
+    ("2-3x", "-3*x + 2"),
+    ("-x^2^3", "-x^6"),
+    ("-2^2^3", "-64"),
+    ("--x^2^3^2", "x^12"),
+    ("- 2 ^ 2 x", "-4*x"),
+    ("-\t2^2^2", "16"),
+    ("-0^0", "-1"),
+    ("2*-3^2x", "-18*x"),
 ]
 
 
@@ -207,11 +243,40 @@ def test_error_goldens(src, message, offset):
     assert (str(err.value), err.value.offset) == (f"{message} at offset {offset}", offset)
 
 
+@pytest.mark.parametrize("src,printed", PARSE_GOLDENS)
+def test_parse_goldens(src, printed):
+    assert str(parse_poly(src)) == printed
+
+
 def test_monomial_runs_need_no_ring_arithmetic(monkeypatch):
     # A run of monomials is multiplied and summed as integers, a polynomial
     # times a monomial is a shift, and sums of integer polynomials go into
     # one map: parsing these multiplies and adds no UniPoly and rescans no
-    # degree or bit length.
+    # degree or bit length.  A sum of monomials free of y is a UniPoly built
+    # from its map directly, not through _monomial_sum, and a sum of
+    # quotients checks the degrees of the coefficients that each term
+    # changes, not of every coefficient so far.
+    k = 60
+    quotients = " + ".join(f"({j}*x^3 - x + 1)/(x^2 + {j})*y^{j}" for j in range(k))
+    expected_quotients = YPoly({j: RatFunc(j * X**3 - X + 1, X**2 + j) for j in range(k)})
+    scanned = []
+    max_degree = exprs._max_degree
+
+    def counting_max_degree(v):
+        scanned.append(len(v.terms) if isinstance(v, YPoly) else 1)
+        return max_degree(v)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(exprs, "_max_degree", counting_max_degree)
+        assert parse_poly(quotients) == expected_quotients
+    assert len(scanned) <= 2 * k and sum(scanned) <= 2 * k
+
+    free_sum = "(3x^2 - x + 1)"
+    free_cases = {
+        free_sum: YPoly.const(3 * X**2 - X + 1),
+        f"{free_sum}*y^4": YPoly.monomial(4, 3 * X**2 - X + 1),
+        f"{free_sum}*y^4 + (2x - 5)y - {free_sum}": YPoly({4: 3 * X**2 - X + 1, 1: 2 * X - 5, 0: -3 * X**2 + X - 1}),
+    }
     rng = random.Random(16)
     rows = [[rng.randint(-3, 3) for _ in range(6)] + [rng.choice((-3, -2, -1, 1, 2, 3))] for _ in range(17)]
     dense = " + ".join(
@@ -231,6 +296,13 @@ def test_monomial_runs_need_no_ring_arithmetic(monkeypatch):
     monkeypatch.setattr(exprs, "_max_bits", refuse)
     for src, expected in cases.items():
         assert parse_poly(src) == expected, src
+
+    maps = []
+    monomial_sum = exprs._monomial_sum
+    monkeypatch.setattr(exprs, "_monomial_sum", lambda terms: maps.append(terms) or monomial_sum(terms))
+    for src, expected in free_cases.items():
+        assert parse_poly(src) == expected, src
+    assert maps and all(terms.keys() - {0} for terms in maps), maps
 
 
 def test_every_unicode_space_separates_tokens():

@@ -198,3 +198,73 @@ def test_flat_monomial_sums_match_ypoly_reference(case):
             parse_poly(src)
         return
     assert parse_poly(src) == expected, src
+
+
+# Denominators that several terms share, so that equal denominators and
+# repeated y-exponents make the parser add rational coefficients.
+SHARED_DENOMINATORS = [(1, 0, 1), (2, 1), (-3, 0, 1), (1, 1)]
+
+
+@st.composite
+def _x_poly(draw, nonzero: bool = False):
+    """Integer coefficients c_0, ..., c_a of a polynomial in x, and its text as a signed c*x^a run."""
+    coeffs = draw(st.lists(st.integers(-5, 5), min_size=1, max_size=5))
+    if nonzero and not any(coeffs):
+        coeffs[-1] = draw(st.sampled_from([-2, -1, 1, 3]))
+    parts = []
+    for a, c in enumerate(coeffs):
+        if not c and draw(st.booleans()):
+            continue
+        sp = draw(SPACES)
+        parts.append(f"{c}{sp}*{sp}x{sp}^{sp}{a}")
+    text = ""
+    for k, part in enumerate(parts or ["0"]):
+        if not k:
+            text = part
+        elif part.startswith("-") and draw(st.booleans()):
+            text += f"{draw(SPACES)}-{draw(SPACES)}{part[1:]}"  # a binary minus instead of + -c
+        else:
+            text += f"{draw(SPACES)}+{draw(SPACES)}{part}"
+    return coeffs, text
+
+
+@st.composite
+def _quotient_term(draw):
+    """(N)/(D)*y^b, maybe negated and with extra parentheses, as (sign, N, D, b, text)."""
+    num, num_text = draw(_x_poly())
+    if draw(st.booleans()):
+        den = list(draw(st.sampled_from(SHARED_DENOMINATORS)))
+        den_text = " + ".join(f"{c}*x^{a}" for a, c in enumerate(den))
+    else:
+        den, den_text = draw(_x_poly(nonzero=True))
+    b = draw(st.integers(0, 3))
+    for _ in range(draw(st.integers(0, 2))):
+        num_text = f"({num_text})"
+    sp = draw(SPACES)
+    text = f"({num_text}){sp}/{sp}({den_text}){sp}*{sp}y^{b}"
+    sign = 1
+    if draw(st.integers(0, 3)) == 0:
+        text, sign = f"-({text})" if draw(st.booleans()) else f"-{text}", -1
+    return sign, num, den, b, text
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.lists(st.tuples(st.sampled_from(["+", "-"]), _quotient_term(), SPACES), min_size=1, max_size=6))
+def test_quotient_sums_match_ypoly_reference(terms):
+    # The rational_q shape: sums of (N)/(D)*y^b with N and D signed c*x^a runs.
+    src = ""
+    expected = YPoly.zero()
+    for k, (op, (sign, num, den, b, text), sp) in enumerate(terms):
+        value = YPoly.monomial(b, RatFunc(UniPoly(num), UniPoly(den))) * sign
+        if k:
+            src += f"{sp}{op}{sp}{text}"
+            expected = expected + value if op == "+" else expected - value
+        else:
+            src, expected = text, value
+    assert parse_poly(src) == expected, src

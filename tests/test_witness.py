@@ -602,7 +602,10 @@ def test_witness_cli_refusals(tmp_path, capsys):
     assert main(["witness", "--spec", str(path), "--dmax", "0"]) == 0
     assert capsys.readouterr().out == "d=0 deg_y=2 value=(1,-2)\n"
     assert main(["witness", "--spec", "ex52", "--dmax", "1"]) == 1
-    assert capsys.readouterr().err == "error: value (0,-2) of input is below the chain start (0,-1)\n"
+    assert capsys.readouterr().err == (
+        "error: this bundle has no increasing value sequence: at d=1 the builder output has value (0,-2),"
+        " below value(f_0) = (0,-1)\n"
+    )
 
 
 def test_reduce_past_chain_stops_at_its_iteration_cap(ex55, monkeypatch):
@@ -687,7 +690,25 @@ def test_witness_ex52_refusal_past_the_first_element(capsys):
     assert main(["witness", "--spec", "ex52", "--dmax", "3"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: value (0,-2) of input is below the chain start (0,-1)\n"
+    assert captured.err == (
+        "error: this bundle has no increasing value sequence: at d=1 the builder output has value (0,-2),"
+        " below value(f_0) = (0,-1)\n"
+    )
+    assert main(["target", "--spec", "ex52", "--i", "1", "--j", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "this bundle has no increasing value sequence: at d=1" in captured.err
+
+
+def test_reduce_past_chain_keeps_its_own_refusal(ex52):
+    # The chain reduction names the chain it was given; only
+    # increasing_value_sequence turns that into the bundle having no
+    # increasing sequence.
+    f0, f1 = build_bounded_monic(ex52, 1), build_bounded_monic(ex52, 2)
+    chain = WitnessChain((f0,), (value(ex52, f0),))
+    with pytest.raises(ValueError) as err:
+        reduce_past_chain(ex52, f1, chain)
+    assert str(err.value) == "value (0,-2) of input is below the chain start (0,-1)"
 
 
 def test_sample_image_checks_its_mode_before_algebra(ex55, monkeypatch):
