@@ -14,17 +14,16 @@ integer, x or y, each with an optional '^' uint, and a unary '-' directly
 before one) in one loop over the tokens, and multiplies a run of them, joined
 by '*' or juxtaposition, into a monomial c*x^a*y^b held as three Python ints;
 only '(' and a '-' before a non-atom enter `factor`.  A sum adds its
-monomials, and its terms that are polynomials over Z, into one sparse map
-{b: {a: c}}.  A sum that ends in that map is a ring value built once from
-it: a `UniPoly` if it is free of y, else a `YPoly`.  From its first other
-term on, a sum adds into a map {b: RatFunc} instead, and only the
-coefficients that a term changes are added and checked.  Every other
-subexpression is evaluated in the smallest ring that holds it: a `UniPoly`
-while it is a polynomial in x, a `RatFunc` once it has a proper denominator,
-and a `YPoly` only when it contains y.  A product of such a value and a
-monomial shifts and scales its coefficients where that keeps them reduced,
-and moves them over when the monomial is a power of y.  `parse_poly`
-returns a `YPoly` in every case.
+monomials into one sparse map {b: {a: c}}.  A sum that ends in that map is
+a ring value built once from it: a `UniPoly` if it is free of y, else a
+`YPoly`.  From its first term that is not a monomial on, a sum adds into a
+map {b: RatFunc} instead, and only the coefficients that a term changes are
+added and checked.  Every other subexpression is evaluated in the smallest
+ring that holds it: a `UniPoly` while it is a polynomial in x, a `RatFunc`
+once it has a proper denominator, and a `YPoly` only when it contains y.
+A value free of y times y^b becomes the coefficient of y^b as it is; every
+other product is reduced and then checked.  `parse_poly` returns a `YPoly`
+in every case.
 
 Division is only defined by y-free expressions, since results must stay in
 Q(x)[y].  Parentheses and unary minus together nest at most MAX_NESTING
@@ -45,7 +44,7 @@ from __future__ import annotations
 import re
 from math import gcd
 
-from .ratfunc import _ZERO, RatFunc, UniPoly, _poly, _sparse_poly, as_ratfunc
+from .ratfunc import _ZERO, RatFunc, UniPoly, _sparse_poly, as_ratfunc
 from .ypoly import YPoly, _monomial_sum
 
 
@@ -187,60 +186,13 @@ def _from_coeffs(coeffs: dict[int, RatFunc]):
     return r.num if r.is_polynomial() else r
 
 
-def _polynomial(v) -> bool:
-    """Whether a ring value v lies in Q[x, y]."""
-    return all(r.is_polynomial() for r in _coeffs(v).values())
-
-
-def _shifted(p: UniPoly, c: int, a: int) -> UniPoly:
-    """c*x^a*p."""
-    return _poly([0] * a + [c * n for n in p.ints], p.denom)
-
-
-def _times_monomial(v, c: int, a: int, b: int, pos: int):
-    """v*c*x^a*y^b, for a = 0 or a polynomial v: each coefficient's numerator
-    is shifted and scaled, or kept if c*x^a is 1, and the degrees are read
-    off v's."""
-    if isinstance(v, YPoly):
-        coeffs = v.terms
-        if not c or not coeffs:
-            return _ZERO
-        xdeg = max([max(len(r.num.ints) + a, len(r.den.ints)) for r in coeffs.values()]) - 1
-        if xdeg > MAX_DEGREE or max(coeffs) + b > MAX_DEGREE:
-            raise _Refused("degree too large", pos)
-        if c != 1 or a:
-            coeffs = {e: RatFunc._canonical(_shifted(r.num, c, a), r.den) for e, r in coeffs.items()}
-        return YPoly._canonical({e + b: r for e, r in coeffs.items()} if b else coeffs)
-    r = as_ratfunc(v)
-    if not c or r.is_zero():
-        return _ZERO
-    if max(len(r.num.ints) + a, len(r.den.ints)) - 1 > MAX_DEGREE or b > MAX_DEGREE:
-        raise _Refused("degree too large", pos)
-    if c != 1 or a:
-        r = RatFunc._canonical(_shifted(r.num, c, a), r.den)
-    if b:
-        return YPoly._canonical({b: r})
-    return r.num if r.is_polynomial() else r
-
-
 def _product(u, v, pos: int):
-    """u*v, the product of a ring value u and a factor v, which may be a monomial."""
-    if type(v) is tuple and (not v[1] or _polynomial(u)):
-        return _times_monomial(u, *v, pos)
+    """u*v, the product of a ring value u and a factor v, which may be a
+    monomial.  A u free of y times y^b is moved over as the coefficient of
+    y^b; every other product is reduced and its degrees checked."""
+    if type(v) is tuple and v[0] == 1 and not v[1] and not isinstance(u, YPoly):
+        return YPoly._canonical({v[2]: as_ratfunc(u)}) if u and v[2] else u
     return _bounded(u * _as_ring(v), pos)
-
-
-def _fold(terms: dict[int, dict[int, int]], t, sign: int) -> bool:
-    """Add sign*t into terms if t is a polynomial over Z; whether it was."""
-    coeffs = _coeffs(t)
-    if not all(r.is_polynomial() and r.num.denom == 1 for r in coeffs.values()):
-        return False
-    for b, r in coeffs.items():
-        row = terms.setdefault(b, {})
-        for a, c in enumerate(r.num.ints):
-            if c:
-                row[a] = row.get(a, 0) + sign * c
-    return True
 
 
 def _uint(text: str, pos: int) -> int:
@@ -302,8 +254,8 @@ class _Parser:
     def expr(self):
         toks = self.toks
         # The sum so far is terms, a map {b: {a: c}} of integers, until a
-        # term does not fold into it, and the map coeffs {b: RatFunc} from
-        # then on, in which each sum is checked as it is made.
+        # term is not a monomial, and the map coeffs {b: RatFunc} from then
+        # on, in which each sum is checked as it is made.
         terms: dict[int, dict[int, int]] = {}
         coeffs = None
         sign, pos = 1, None
@@ -317,7 +269,7 @@ class _Parser:
                         terms[b] = {a: sign * c}
                     else:
                         row[a] = row.get(a, 0) + sign * c
-            elif coeffs is not None or not _fold(terms, t, sign):
+            else:
                 if coeffs is None:
                     coeffs = {}
                     if terms:

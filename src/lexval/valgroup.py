@@ -14,9 +14,10 @@ from functools import total_ordering
 from math import gcd
 
 
-# The generated comparisons, like __add__, return NotImplemented for anything
-# but a pair, so `pair < INF` and `pair + INF` are answered by Infinity's
-# reflected methods.
+# The generated comparisons, like __add__ and __sub__, return NotImplemented
+# for anything but a pair, so `pair < INF` and `pair + INF` are answered by
+# Infinity's reflected methods, and `pair - INF`, which has none, is a
+# TypeError.
 @dataclass(frozen=True, order=True)
 class ValuePair:
     """An element (a, b) of Z (+) Z, ordered lexicographically."""
@@ -30,6 +31,8 @@ class ValuePair:
         return ValuePair(self.a + other.a, self.b + other.b)
 
     def __sub__(self, other: "ValuePair") -> "ValuePair":
+        if not isinstance(other, ValuePair):
+            return NotImplemented
         return ValuePair(self.a - other.a, self.b - other.b)
 
     def __neg__(self) -> "ValuePair":

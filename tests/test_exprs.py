@@ -212,6 +212,13 @@ ERROR_GOLDENS = [
     ("-x^2 ^", "expected an integer", 6),
     ("- -", "unexpected end of input", 3),
     ("3*-", "unexpected end of input", 3),
+    # Products that took a monomial shortcut, recorded before only a y-free
+    # value times a power of y kept one: the degree is checked on the
+    # product at the operator that makes it.
+    ("(x^150 + 1)*x^51", "degree too large", 12),
+    ("x^150*(x^51 + 1)", "degree too large", 6),
+    ("(y^150 + 1)*y^51", "degree too large", 12),
+    ("(y + 1)*2*y^200", "degree too large", 10),
 ]
 
 # (input, printed value) at the edges of the atom loop, recorded before it:
@@ -233,6 +240,13 @@ PARSE_GOLDENS = [
     ("-\t2^2^2", "16"),
     ("-0^0", "-1"),
     ("2*-3^2x", "-18*x"),
+    # Products of a value and a monomial, recorded before only a y-free value
+    # times a power of y kept a shortcut.
+    ("(y+1)*x^3*2", "2*x^3*y + 2*x^3"),
+    ("2(x+1)", "2*x + 2"),
+    ("y^3(x+1)/(x-1)", "(x + 1)/(x - 1)*y^3"),
+    ("(x - x)*y^5", "0"),
+    ("(x+1)*y^2*x*3", "(3*x^2 + 3*x)*y^2"),
 ]
 
 
@@ -249,27 +263,36 @@ def test_parse_goldens(src, printed):
 
 
 def test_monomial_runs_need_no_ring_arithmetic(monkeypatch):
-    # A run of monomials is multiplied and summed as integers, a polynomial
-    # times a monomial is a shift, and sums of integer polynomials go into
-    # one map: parsing these multiplies and adds no UniPoly and rescans no
-    # degree or bit length.  A sum of monomials free of y is a UniPoly built
-    # from its map directly, not through _monomial_sum, and a sum of
-    # quotients checks the degrees of the coefficients that each term
-    # changes, not of every coefficient so far.
+    # A run of monomials is multiplied and summed as integers, and a sum of
+    # monomials goes into one map: parsing these multiplies and adds no
+    # UniPoly and rescans no degree or bit length.  Only a sum of monomials
+    # with y goes through _monomial_sum; a y-free sum is a UniPoly built from
+    # its map directly, and a y-free value times y^b is moved over as its
+    # coefficient.  A sum of quotients normalises each quotient once and
+    # checks the degrees of the coefficients that each term changes, not of
+    # every coefficient so far.
     k = 60
     quotients = " + ".join(f"({j}*x^3 - x + 1)/(x^2 + {j})*y^{j}" for j in range(k))
     expected_quotients = YPoly({j: RatFunc(j * X**3 - X + 1, X**2 + j) for j in range(k)})
     scanned = []
+    built = []
     max_degree = exprs._max_degree
+    ratfunc_init = RatFunc.__init__
 
     def counting_max_degree(v):
         scanned.append(len(v.terms) if isinstance(v, YPoly) else 1)
         return max_degree(v)
 
+    def counting_init(self, *args):
+        built.append(args)
+        ratfunc_init(self, *args)
+
     with monkeypatch.context() as patch:
         patch.setattr(exprs, "_max_degree", counting_max_degree)
+        patch.setattr(RatFunc, "__init__", counting_init)
         assert parse_poly(quotients) == expected_quotients
     assert len(scanned) <= 2 * k and sum(scanned) <= 2 * k
+    assert len(built) == k
 
     free_sum = "(3x^2 - x + 1)"
     free_cases = {
@@ -282,27 +305,37 @@ def test_monomial_runs_need_no_ring_arithmetic(monkeypatch):
     dense = " + ".join(
         "(" + " + ".join(f"{c}*x^{a}" for a, c in enumerate(row) if c) + f")*y^{b}" for b, row in enumerate(rows)
     )
+    flat = "3*x^2*y + 2x - y^3 + 7"
     cases = {
-        "3*x^2*y + 2x - y^3 + 7": YPoly({3: -1, 1: 3 * X**2, 0: 2 * X + 7}),
+        flat: YPoly({3: -1, 1: 3 * X**2, 0: 2 * X + 7}),
         dense: YPoly({b: UniPoly(row) for b, row in enumerate(rows)}),
     }
+    maps = []
+    monomial_sum = exprs._monomial_sum
+
+    def counting_monomial_sum(terms):
+        maps.append(terms)
+        return monomial_sum(terms)
 
     def refuse(*args):
         raise AssertionError("ring arithmetic or a degree rescan in a monomial run")
 
-    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
-        monkeypatch.setattr(UniPoly, name, refuse)
-    monkeypatch.setattr(exprs, "_max_degree", refuse)
-    monkeypatch.setattr(exprs, "_max_bits", refuse)
-    for src, expected in cases.items():
-        assert parse_poly(src) == expected, src
-
-    maps = []
-    monomial_sum = exprs._monomial_sum
-    monkeypatch.setattr(exprs, "_monomial_sum", lambda terms: maps.append(terms) or monomial_sum(terms))
+    monkeypatch.setattr(exprs, "_monomial_sum", counting_monomial_sum)
+    with monkeypatch.context() as patch:
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+            patch.setattr(UniPoly, name, refuse)
+        patch.setattr(exprs, "_max_degree", refuse)
+        patch.setattr(exprs, "_max_bits", refuse)
+        for src, expected in cases.items():
+            maps.clear()
+            assert parse_poly(src) == expected, src
+            assert len(maps) == (src == flat), (src, maps)
     for src, expected in free_cases.items():
         assert parse_poly(src) == expected, src
-    assert maps and all(terms.keys() - {0} for terms in maps), maps
+        assert not maps, (src, maps)
+    # The one map that reached _monomial_sum, the flat sum's, holds y.
+    assert parse_poly(flat) == cases[flat]
+    assert len(maps) == 1 and maps[0].keys() - {0}, maps
 
 
 def test_every_unicode_space_separates_tokens():

@@ -47,6 +47,16 @@ def test_infinity_is_maximum():
         ValuePair(0, 0) < 0
 
 
+def test_pair_minus_a_non_pair_is_a_type_error():
+    # value(spec, f) - value(spec, 0) is a pair minus INF: a TypeError that
+    # names both operands, not an AttributeError from reading INF.a.
+    with pytest.raises(TypeError, match="'ValuePair' and 'Infinity'"):
+        ValuePair(-1, 2) - INF
+    with pytest.raises(TypeError, match="'ValuePair' and 'int'"):
+        ValuePair(-1, 2) - 0
+    assert ValuePair(-1, 2) - ValuePair(3, -5) == ValuePair(-4, 7)
+
+
 def test_pair_arithmetic():
     assert ValuePair(1, 2) + ValuePair(3, -5) == ValuePair(4, -3)
     assert 3 * ValuePair(-1, 2) == ValuePair(-3, 6)
