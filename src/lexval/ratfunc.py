@@ -7,9 +7,11 @@ loops.  Its `coeffs` gives the same coefficients as `fractions.Fraction`s.  A
 `RatFunc` is a reduced quotient num/den with monic denominator.  Its gcds
 are taken over Z[x] by the heuristic GCDHEU (Char, Geddes & Gonnet,
 J. Symbolic Comput. 7, 1989), which also returns both cofactors, with
-Euclid's algorithm as the fallback.  On top of the field arithmetic this
-module provides the degree valuation at infinity `v_inf` and its leading
-residue.
+Euclid's algorithm as the fallback.  `_zdivmod` is the one division of
+integer lists, exact or not: it tests GCDHEU's candidates, gives the
+cofactors of an exact division and underlies `uni_divmod`.  On top of the
+field arithmetic this module provides the degree valuation at infinity
+`v_inf` and its leading residue.
 
 Zero's degree (of a `UniPoly`, or in y of a `YPoly`) is `NEG_INF` =
 `-math.inf`, its `v_inf` is `math.inf`, and its lex `value` is `valgroup.INF`.
@@ -294,9 +296,11 @@ def _zmul(a, b) -> list[int]:
 def _zdivmod(a, b) -> tuple[list[int], list[int], int]:
     """Division in Z[x] of a by the nonzero b: Q, R and s >= 1 with a*s = Q*b + R.
 
-    deg R < deg b, and R has no trailing zeros.  The remainder is scaled up
-    only when lc(b) does not divide its leading coefficient, so s = 1 when
-    lc(b) = +-1.  Only the nonzero lower coefficients of b are subtracted.
+    The one division of integer lists, exact or not.  deg R < deg b, and
+    neither Q nor R has trailing zeros.  The remainder is scaled up only when
+    lc(b) does not divide its leading coefficient, so s = 1 when lc(b) = +-1,
+    and s = 1 with R = [] exactly when b divides a in Z[x].  Only the nonzero
+    lower coefficients of b are subtracted.
     """
     rem = list(a)
     db = len(b) - 1
@@ -306,7 +310,7 @@ def _zdivmod(a, b) -> tuple[list[int], list[int], int]:
     s = 1
     for i in range(len(rem) - 1, db - 1, -1):
         if rem[i] % lead:
-            f = lead // gcd(rem[i], lead)
+            f = abs(lead) // gcd(rem[i], lead)
             rem, q, s = [x * f for x in rem], [x * f for x in q], s * f
         t = rem[i] // lead
         if t:
@@ -325,28 +329,6 @@ def _primitive(a) -> tuple[int, list[int]]:
     return c, list(a) if c == 1 else [x // c for x in a]
 
 
-def _zdiv_exact(a, g) -> list[int] | None:
-    """a / g in Z[x] if g divides the nonzero a exactly, else None."""
-    dg = len(g) - 1
-    n = len(a) - dg
-    g0 = g[0]
-    if n <= 0 or (a[0] % g0 if g0 else a[0]):
-        return None
-    lead = g[-1]
-    rem = list(a)
-    q = [0] * n
-    for i in range(n - 1, -1, -1):
-        c = rem[i + dg]
-        if c:
-            t, r = divmod(c, lead)
-            if r:
-                return None
-            q[i] = t
-            for j in range(dg):
-                rem[i + j] -= t * g[j]
-    return None if any(rem[:dg]) else q
-
-
 def _heu_gcd(a, b) -> tuple[list[int], list[int], list[int]] | None:
     """GCDHEU: the gcd of primitive a, b in Z[x] and both cofactors, or None.
 
@@ -354,9 +336,9 @@ def _heu_gcd(a, b) -> tuple[list[int], list[int], list[int]] | None:
     base xi, is a candidate.  With xi >= 2*min(|a|, |b|) + 2 in max-norm, a
     candidate whose primitive part divides both a and b is their gcd
     (Geddes, Czapor & Labahn, Algorithms for Computer Algebra, Thm 7.7).
-    The divisions that check this give the cofactors; a constant candidate,
-    whose primitive part is 1, needs none.  None means that no candidate of
-    _HEU_POINTS points divided.
+    The divisions that check this, exact when they give s = 1 and R = [],
+    give the cofactors; a constant candidate, whose primitive part is 1,
+    needs none.  None means that no candidate of _HEU_POINTS points divided.
     """
     xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
     for _ in range(_HEU_POINTS):
@@ -378,10 +360,10 @@ def _heu_gcd(a, b) -> tuple[list[int], list[int], list[int]] | None:
         if g:
             content = gcd(*g) if g[-1] > 0 else -gcd(*g)
             g = [c // content for c in g]
-            qa = _zdiv_exact(a, g)
-            if qa is not None:
-                qb = _zdiv_exact(b, g)
-                if qb is not None:
+            qa, ra, sa = _zdivmod(a, g)
+            if sa == 1 and not ra:
+                qb, rb, sb = _zdivmod(b, g)
+                if sb == 1 and not rb:
                     return g, qa, qb
         xi = xi * 73794 // 27011
     return None
@@ -401,7 +383,7 @@ def _zgcd(a, b) -> tuple[list[int], list[int], list[int]]:
         if out is None:
             # A monic gcd in lowest terms has primitive integer coefficients.
             g = list(_euclid(_poly(list(a1)), _poly(list(b1))).ints)
-            out = g, _zdiv_exact(a1, g), _zdiv_exact(b1, g)
+            out = g, _zdivmod(a1, g)[0], _zdivmod(b1, g)[0]
         g, qa, qb = out
     return [0] * t + g, [0] * (ta - t) + qa, [0] * (tb - t) + qb
 

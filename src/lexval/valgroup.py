@@ -15,9 +15,10 @@ from math import gcd
 
 
 # The generated comparisons, like __add__ and __sub__, return NotImplemented
-# for anything but a pair, so `pair < INF` and `pair + INF` are answered by
-# Infinity's reflected methods, and `pair - INF`, which has none, is a
-# TypeError.
+# for anything but a pair, and __rmul__ for anything but an int, so
+# `pair < INF` and `pair + INF` are answered by Infinity's reflected methods,
+# and `pair - INF`, which has none, is a TypeError.  Infinity in turn refuses
+# every operand but a pair or itself.
 @dataclass(frozen=True, order=True)
 class ValuePair:
     """An element (a, b) of Z (+) Z, ordered lexicographically."""
@@ -39,6 +40,8 @@ class ValuePair:
         return ValuePair(-self.a, -self.b)
 
     def __rmul__(self, k: int) -> "ValuePair":
+        if not isinstance(k, int):
+            return NotImplemented
         return ValuePair(k * self.a, k * self.b)
 
     def is_zero(self) -> bool:
@@ -60,7 +63,7 @@ class Infinity:
         return cls._instance
 
     def __lt__(self, other):
-        return False
+        return False if isinstance(other, (ValuePair, Infinity)) else NotImplemented
 
     def __eq__(self, other):
         return other is self
@@ -69,7 +72,7 @@ class Infinity:
         return hash("lexval-infinity")
 
     def __add__(self, other):
-        return self
+        return self if isinstance(other, (ValuePair, Infinity)) else NotImplemented
 
     __radd__ = __add__
 

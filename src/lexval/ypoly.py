@@ -5,12 +5,13 @@ divisor w has one route: a `Divisor` holds w with its denominators cleared
 over Z[x] and gives the grid expansion f = sum_{i,j} f[i][j] * y^j * w^i
 with 0 <= j < deg_y(w).  The grids of the pure powers y^e have one home,
 the divisor's store (`Divisor.ypower`), and dividing builds none of them:
-the grid of y^(e+1) is that of y^e shifted one place, with a carry through
-y^m = w - sum_k A_k y^k / H (the step of MacLane's augmentation).  The
-division, products and sums f + lam*g also run on an element's cleared
-rows: the pair (den, nums) of `_clear_denominators`, with f = sum_e nums[e]
-y^e / den over Z[x] and no zero list in nums (the zero element is
-(den, {})), so a caller that holds rows builds no `YPoly`.  den
+the grid of y^(e+1) is that of y^e shifted one place, and each row,
+moved, goes through one step of the division loop, which folds its top cell
+back through y^m = w - sum_k A_k y^k / H (the step of MacLane's
+augmentation).  The division, products and sums f + lam*g also run on an
+element's cleared rows: the pair (den, nums) of `_clear_denominators`, with
+f = sum_e nums[e] y^e / den over Z[x] and no zero list in nums (the zero
+element is (den, {})), so a caller that holds rows builds no `YPoly`.  den
 is the product of f's distinct denominators, which is their lcm when they
 are pairwise coprime, so clearing an element takes no gcd.  A divisor's H is
 the lcm of w's denominators, computed once per divisor.
@@ -26,7 +27,7 @@ from itertools import zip_longest
 from math import gcd, lcm
 from operator import add
 
-from .ratfunc import _ONE, _RF_ZERO, NEG_INF, RatFunc, UniPoly, _join_terms, _poly, _power, _sparse_poly, _zdiv_exact, _zdivmod, _zmul, as_ratfunc, poly_gcd
+from .ratfunc import _ONE, _RF_ZERO, NEG_INF, RatFunc, UniPoly, _join_terms, _poly, _power, _sparse_poly, _zdivmod, _zmul, as_ratfunc, poly_gcd
 
 
 class YPoly:
@@ -247,7 +248,7 @@ def _cofactors(dens: list) -> tuple[list[int], list[list[int]]]:
     product = [1]
     for d in dens:
         product = _zmul(product, d)
-    return product, [_zdiv_exact(product, d) for d in dens]
+    return product, [_zdivmod(product, d)[0] for d in dens]
 
 
 def _zadd(a: list[int], b: list[int]) -> list[int]:
@@ -341,8 +342,8 @@ class Divisor:
         den, nums = _clear_denominators(w)
         self.h = _zmul(denominator_clearer(w).ints, (gcd(*den),))
         if self.h != den:
-            u = _zdiv_exact(den, self.h)
-            nums = {j: _zdiv_exact(n, u) for j, n in nums.items()}
+            u = _zdivmod(den, self.h)[0]
+            nums = {j: _zdivmod(n, u)[0] for j, n in nums.items()}
         self.neg_a = [(j, [-c for c in nums[j]]) for j in range(self.m) if j in nums]
         # Dividing by w raises a cell's exponent of H by this much; with H = 1
         # every exponent stays 0 and nothing is ever lifted.
@@ -408,29 +409,25 @@ class Divisor:
     def times_y(self, grid: list[list]) -> list[list]:
         """The grid of y*f from the whole unreduced grid of f, over the same den.
 
-        Cell (i, j) moves to (i, j+1).  The top column folds back through
-        y^m = w - sum_k A_k y^k / H: a top cell N / H^k adds itself to cell
-        (i+1, 0) and N * (-A_k) / H^(k+1) to cell (i, k).  No division is made.
+        Cell (i, j) moves to (i, j+1), and row i, moved, goes through one step
+        of the division loop: [carry, row i] holds the top cell at y^m, which
+        `_rows` folds back through y^m = w - sum_k A_k y^k / H, giving the new
+        row i and then the carry into cell (i+1, 0).
         """
-        out = [[([], 0)] + row[:-1] for row in grid]
-        out.append([([], 0)] * self.m)
-        for i, row in enumerate(grid):
-            q, k = row[-1]
-            if not q:
-                continue
-            out[i + 1][0] = (q, k)
-            k += self.step
-            for j, a in self.neg_a:
-                out[i][j] = self._plus(out[i][j], _zmul(q, a), k)
-        if not any(n for n, _ in out[-1]):
-            out.pop()
+        out, carry = [], ([], 0)
+        for row in grid:
+            new, top = self._rows([carry, *row])
+            out.append(new)
+            carry = top[0]
+        if carry[0]:
+            out.append(top)
         return out
 
     def ypower(self, e: int) -> list[list]:
         """The whole unreduced grid of y^e over den 1, kept for later calls.
 
         The grids of y^0 .. y^e are built in increasing order, each from the
-        last by `times_y`, so the store divides nothing.
+        last by `times_y`, so the store divides no power of y.
         """
         try:
             return self._ypow[e]

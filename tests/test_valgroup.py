@@ -57,6 +57,25 @@ def test_pair_minus_a_non_pair_is_a_type_error():
     assert ValuePair(-1, 2) - ValuePair(3, -5) == ValuePair(-4, 7)
 
 
+def test_foreign_operands_are_type_errors():
+    # A float or a string times a pair is no lattice value, and INF absorbs
+    # and outranks only values.
+    for op in (
+        lambda: 1.5 * ValuePair(1, 1),
+        lambda: "ab" * ValuePair(1, 2),
+        lambda: INF + "x",
+        lambda: "x" + INF,
+        lambda: INF > "abc",
+        lambda: INF < 0,
+    ):
+        with pytest.raises(TypeError):
+            op()
+    pair = ValuePair(1, -2)
+    assert pair + INF is INF and INF + pair is INF and INF + INF is INF
+    assert pair < INF and INF > pair and not INF < INF and INF <= INF
+    assert 3 * pair == ValuePair(3, -6)
+
+
 def test_pair_arithmetic():
     assert ValuePair(1, 2) + ValuePair(3, -5) == ValuePair(4, -3)
     assert 3 * ValuePair(-1, 2) == ValuePair(-3, 6)

@@ -59,6 +59,6 @@ def test_unit_candidate_divides_nothing(monkeypatch):
     def refuse(a, g):
         raise AssertionError(f"trial division by {g}")
 
-    monkeypatch.setattr(ratfunc_mod, "_zdiv_exact", refuse)
+    monkeypatch.setattr(ratfunc_mod, "_zdivmod", refuse)
     for a, b in (([1, 1], [-1, 1]), ([3, 0, 2], [1, 5, 0, 7]), ((2, -1, 1), (5, 3))):
         assert _zgcd(a, b) == ([1], list(a), list(b))

@@ -1,12 +1,14 @@
-"""Products in Z[x] against the schoolbook reference, on lists with low zero runs."""
+"""Products and divisions in Z[x], on lists with low zero runs."""
+
+from itertools import zip_longest
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from lexval.ratfunc import _zmul  # noqa: E402
+from lexval.ratfunc import _zdivmod, _zmul  # noqa: E402
 
 
 def _schoolbook(a, b):
@@ -34,3 +36,24 @@ ZLISTS = st.builds(
 @example([5], [0, 0, 0, 0, 0, 0, 1])
 def test_zmul_matches_schoolbook(a, b):
     assert _zmul(a, b) == _schoolbook(a, b)
+
+
+def _strip(c):
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
+@settings(derandomize=True)
+@given(st.one_of(st.just([]), ZLISTS), ZLISTS, ZLISTS)
+@example(a=[1], b=[-2], q=[1])
+@example(a=[0, 4, 0, 6], b=[0, 0, -3], q=[5, 0, -1])
+def test_zdivmod_contract(a, b, q):
+    quo, rem, s = _zdivmod(a, b)
+    assert s >= 1
+    qb = _zmul(quo, b) if quo else []
+    assert _strip([x + y for x, y in zip_longest(qb, rem, fillvalue=0)]) == [c * s for c in a]
+    assert len(rem) < len(b)
+    assert quo[-1:] != [0] and rem[-1:] != [0]
+    # A multiple of b divides exactly, with no scaling step.
+    assert _zdivmod(_zmul(q, b), b) == (q, [], 1)
