@@ -20,6 +20,9 @@ stops once the best cell so far lies below the bound of the next row (a
 bundle that fails validation, one built around `make_spec`, has every row
 built).  Or it takes a whole expansion that the caller holds, such as one
 summed cell by cell (`WExpansion.plus`), and divides nothing.
+The one lead-cancellation loop, f <- f + lambda * g while the caller's
+match gives a g of f's value, reads each lead that way; it checks that
+every step raises the value strictly, and has no iteration cap.
 """
 
 from __future__ import annotations
@@ -242,6 +245,29 @@ def _lead(spec: ValuationSpec, den=None, nums=None, exp: WExpansion | None = Non
     if exp is None:
         exp = WExpansion(grid=rows, den=den, divisor=spec.divisor)
     return LeadTerm(*cell, ValuePair(*key), exp)
+
+
+def _cancel_leads(spec: ValuationSpec, f: YPoly, lead: LeadTerm | None, match):
+    """Lead cancellation: while match(value of f) gives (key, g, lead of g),
+    f <- f + lambda * g with lambda = lead.cancel_scalar(lead of g), which
+    must raise the value strictly (else RuntimeError).  Returns
+    (f, [(key, lambda), ...], lead of f), the lead None for f = 0.
+
+    Every lead must be over a whole expansion (a `lead_term` result holds
+    only the rows its search built): a step sets E(f) <- E(f) + lambda * E(g)
+    and reads the new lead off that sum, dividing nothing.
+    """
+    steps = []
+    while lead is not None and (found := match(lead.value)) is not None:
+        key, g, other = found
+        lam = lead.cancel_scalar(other)
+        f = f + g.scale(lam)
+        steps.append((key, lam))
+        raised = _lead(spec, exp=lead.exp.plus(lam, other.exp))
+        if raised is not None and not raised.value > lead.value:
+            raise RuntimeError(f"lead cancellation by {key!r} did not raise the value {lead.value}")
+        lead = raised
+    return f, steps, lead
 
 
 def _cleared_value(spec: ValuationSpec, den: list[int], nums: dict[int, list[int]]) -> ExtValue:

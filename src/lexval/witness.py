@@ -11,9 +11,11 @@ plain polynomials (so the attained value set has no largest element):
     value climbs past the end of the chain;
   * `increasing_value_sequence` alternates the two.
 
-Both drivers reduce through one core, which reads each lead term off a
-held expansion.  It takes a list of the chain's lead terms, in which an
-entry left empty is filled by one expansion when a step first uses it.
+Both drivers check f's value against the chain start, then run the one
+lead-cancellation loop of `lexval.valuation` through one chain match,
+which fills a chain element's lead term, by one expansion, when a step
+first uses it.  Each step must raise the value strictly, so over a run of
+consecutive values the loop ends within len(chain) steps; no cap is left.
 The builder's outputs, their expansions and the y-power grids under them
 depend on w and a degree only, so they are built once per divisor, in the
 store of `spec.divisor`, and shared by every later sequence, witness and
@@ -39,7 +41,7 @@ from fractions import Fraction
 
 from .ratfunc import UniPoly, _poly, _zmul
 from .valgroup import INF, ExtValue, ValuePair, _check_mode, _check_unimodular, _in_monoid, decompose, quotient_class
-from .valuation import LeadTerm, ValuationSpec, _cleared_value, _lead, value
+from .valuation import LeadTerm, ValuationSpec, _cancel_leads, _cleared_value, _lead, value
 from .ypoly import WExpansion, YPoly, _cofactors, _from_rows, denominator_clearer
 
 
@@ -65,14 +67,6 @@ class WitnessChain:
         return WitnessChain(self.polys + (poly,), self.values + (val,))
 
 
-class _BelowChain(ValueError):
-    """The reduction's input has a value below the chain's first value."""
-
-    def __init__(self, val: ValuePair, start: ValuePair):
-        self.value = val
-        super().__init__(f"value {val} of input is below the chain start {start}")
-
-
 def build_bounded_monic(spec: ValuationSpec, d: int) -> YPoly:
     """Monic polynomial of y-degree d*m with plain polynomial coefficients.
 
@@ -94,48 +88,36 @@ def reduce_past_chain(
     """Add scalar multiples of chain elements until the value exceeds the chain.
 
     Returns (g, steps, value(g)) with g = f + sum lambda * chain.polys[i] over
-    the recorded steps and value(g) > chain.values[-1].  If f lies in the
-    scalar span of the chain the reduction lands exactly on zero, with value
-    INF, which still satisfies the postcondition.  f is expanded once, and
-    each chain element used once per call; the steps divide nothing.
+    the recorded steps (i, lambda) and value(g) > chain.values[-1].  If f lies
+    in the scalar span of the chain the reduction lands exactly on zero, with
+    value INF, which still satisfies the postcondition.  f is expanded once,
+    and each chain element used once per call; the steps divide nothing.
     """
-    g, steps, lead = _reduce(spec, f, spec.divisor.expand(f), chain, [None] * len(chain.polys))
+    lead = _lead(spec, exp=spec.divisor.expand(f))
+    if lead is not None and not lead.value >= chain.values[0]:
+        raise ValueError(f"value {lead.value} of input is below the chain start {chain.values[0]}")
+    g, steps, lead = _cancel_leads(spec, f, lead, _chain_match(spec, chain, [None] * len(chain.polys)))
     return g, steps, INF if lead is None else lead.value
 
 
-def _reduce(spec: ValuationSpec, f: YPoly, exp: WExpansion, chain: WitnessChain, leads: list[LeadTerm | None]):
-    """reduce_past_chain from the whole expansion exp of f, with the lead term
-    of g at the end (None for g = 0) in place of its value.
-
-    leads[idx] is the lead term of chain.polys[idx] over its whole
-    expansion; a None entry is filled, by one expansion, when a step first
-    uses it.  A step h <- h + lambda * chain.polys[idx] sets
-    E(h) <- E(h) + lambda * E(chain.polys[idx]) and reads the new lead term
-    off that sum.
+def _chain_match(spec: ValuationSpec, chain: WitnessChain, leads: list[LeadTerm | None]):
+    """The match of `_cancel_leads` over a chain: a value from the chain's
+    first to its last maps to (index, element, lead), and a higher value to
+    None.  The values are consecutive, so chain.values[k] is
+    chain.values[0] + (0, k).  leads[k] is the lead of chain.polys[k] over
+    its whole expansion; a None entry is filled, by one expansion, on first
+    use.
     """
-    h = f
-    lead = _lead(spec, exp=exp)
-    steps: list[tuple[int, Fraction]] = []
-    cap = 4 * (len(chain.polys) + 2)
-    while lead is not None:
-        # Each step raises the value, so only the input can fail this check.
-        if not lead.value >= chain.values[0]:
-            raise _BelowChain(lead.value, chain.values[0])
-        if lead.value > chain.values[-1]:
-            return h, steps, lead
-        # The chain values are consecutive, so chain.values[k] is
-        # chain.values[0] + (0, k).
-        idx = lead.value.b - chain.values[0].b
-        other = leads[idx]
-        if other is None:
-            other = leads[idx] = _lead(spec, exp=spec.divisor.expand(chain.polys[idx]))
-        lam = lead.cancel_scalar(other)
-        h = h + chain.polys[idx].scale(lam)
-        steps.append((idx, lam))
-        if len(steps) > cap:
-            raise RuntimeError("reduction exceeded its iteration cap")
-        lead = _lead(spec, exp=lead.exp.plus(lam, other.exp))
-    return h, steps, None
+
+    def match(v: ValuePair):
+        if v > chain.values[-1]:
+            return None
+        idx = v.b - chain.values[0].b
+        if leads[idx] is None:
+            leads[idx] = _lead(spec, exp=spec.divisor.expand(chain.polys[idx]))
+        return idx, chain.polys[idx], leads[idx]
+
+    return match
 
 
 def increasing_value_sequence(spec: ValuationSpec, d_max: int) -> list[tuple[YPoly, ValuePair]]:
@@ -163,13 +145,14 @@ def increasing_value_sequence(spec: ValuationSpec, d_max: int) -> list[tuple[YPo
     chain = WitnessChain((f0,), (lead.value,))
     leads = [lead]
     for d in range(1, d_max + 1):
-        try:
-            g, _, lead = _reduce(spec, *divisor.bounded_monic((d + 1) * spec.m), chain, leads)
-        except _BelowChain as err:
+        f, exp = divisor.bounded_monic((d + 1) * spec.m)
+        lead = _lead(spec, exp=exp)
+        if not lead.value >= chain.values[0]:
             raise ValueError(
                 f"this bundle has no increasing value sequence: at d={d} the builder output has value "
-                f"{err.value}, below value(f_0) = {chain.values[0]}"
-            ) from None
+                f"{lead.value}, below value(f_0) = {chain.values[0]}"
+            )
+        g, _, lead = _cancel_leads(spec, f, lead, _chain_match(spec, chain, leads))
         chain = chain.extended(g, INF if lead is None else lead.value)
         leads.append(lead)
     return list(zip(chain.polys, chain.values))

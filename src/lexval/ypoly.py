@@ -480,7 +480,7 @@ class Divisor:
                 cells = {s: ([x * scale for x in c], kc) for s, (c, kc) in cells.items()}
             ints[t] = [-x for x in q]
             cells[t] = (r, k)
-        poly = YPoly._canonical({s: RatFunc._canonical(_poly(c, den), _ONE) for s, c in ints.items() if c})
+        poly = _from_rows([den], {s: c for s, c in ints.items() if c})
         grid = [[cells.get(i * m + j, ([], 0)) for j in range(m)] for i in range(dm // m + 1)]
         return poly, WExpansion(grid=grid, den=[den], divisor=self)
 

@@ -40,6 +40,8 @@ from lexval.valuation import (
     V_W_COEFF_TOO_LOW,
     V_W_DEGREE,
     V_W_NOT_MONIC,
+    _cancel_leads,
+    _lead,
 )
 from lexval.ypoly import Divisor, WExpansion
 
@@ -126,6 +128,25 @@ def test_cancel_lambda_preconditions(ex55):
         cancel_lambda(ex55, parse_poly("x"), parse_poly("y"))
     with pytest.raises(ValueError):
         cancel_lambda(ex55, parse_poly("0"), parse_poly("0"))
+
+
+def test_cancel_leads_runs_on_any_match(ex52):
+    # A match that is not a chain: a table from values to named elements.
+    # Under ex52, v(y^2) = v(x^3) = (-6,-6), and y^2 + x^3 is w itself, of
+    # value beta = (0,-1); with w in the table too, the loop ends at 0.
+    def whole_lead(f):
+        return _lead(ex52, exp=ex52.divisor.expand(f))
+
+    y2, x3, w = parse_poly("y^2"), parse_poly("x^3"), ex52.w
+    table = {value(ex52, x3): ("x^3", x3, whole_lead(x3))}
+    f, steps, lead = _cancel_leads(ex52, y2, whole_lead(y2), table.get)
+    assert steps == [("x^3", 1)]
+    assert f == w and lead.value == ValuePair(0, -1) == value(ex52, w)
+
+    table[value(ex52, w)] = ("w", w, whole_lead(w))
+    f, steps, lead = _cancel_leads(ex52, y2, whole_lead(y2), table.get)
+    assert steps == [("x^3", 1), ("w", -1)]
+    assert f.is_zero() and lead is None
 
 
 def test_monomial_law(ex55, ex52):

@@ -128,20 +128,20 @@ def test_reduce_past_chain_precondition(ex55):
 
 
 def test_increasing_value_sequence_reduces_through_the_core(ex55, monkeypatch):
-    # The sequence reduces each builder output through the grid core that
-    # reduce_past_chain runs, and each result is what the public function
-    # gives for that output and the chain before it.
+    # The sequence reduces each builder output through the lead-cancellation
+    # loop that reduce_past_chain runs, and each result is what the public
+    # function gives for that output and the chain before it.
     import lexval.witness as witness_mod
 
     results = []
-    core = witness_mod._reduce
+    core = witness_mod._cancel_leads
 
     def counted(*args):
         out = core(*args)
         results.append(out)
         return out
 
-    monkeypatch.setattr(witness_mod, "_reduce", counted)
+    monkeypatch.setattr(witness_mod, "_cancel_leads", counted)
     seq = increasing_value_sequence(ex55, 5)
     monkeypatch.undo()
     assert len(results) == 5
@@ -608,23 +608,51 @@ def test_witness_cli_refusals(tmp_path, capsys):
     )
 
 
-def test_reduce_past_chain_stops_at_its_iteration_cap(ex55, monkeypatch):
-    # A scalar of zero never raises the value; the cap ends the loop.
+def test_reduce_past_chain_refuses_a_step_that_does_not_raise_the_value(ex55, monkeypatch):
+    # A scalar of zero leaves the value where it was; the loop's check ends
+    # the reduction at that first step.
     from lexval.valuation import LeadTerm
 
     calls = []
 
     def no_progress(self, other):
         calls.append(other)
-        assert len(calls) < 1000, "reduction ran past its cap"
+        assert len(calls) < 1000, "reduction ran past a step that did not raise the value"
         return 0
 
     monkeypatch.setattr(LeadTerm, "cancel_scalar", no_progress)
     f0 = parse_poly("y^2 + x^3")
     chain = WitnessChain((f0,), (value(ex55, f0),))
-    with pytest.raises(RuntimeError, match="reduction exceeded its iteration cap"):
+    with pytest.raises(RuntimeError, match="did not raise the value"):
         reduce_past_chain(ex55, f0, chain)
-    assert len(calls) == 4 * (1 + 2) + 1
+    assert len(calls) == 1
+
+
+# The (index, lambda) steps of reduce_past_chain(ex55, builder output of
+# degree 2(d+1), chain of seq[:d]) for d = 1..15, recorded when the
+# reduction ran a loop of its own in the witness module.
+_EX55_REDUCTION_STEPS = [
+    [], [], [], [],
+    [(0, 72)],
+    [(1, 324)],
+    [(2, 1056)],
+    [(3, 2808)],
+    [(4, 6480)],
+    [(0, -1142208), (5, 13464)],
+    [(1, -9839232), (6, Fraction(180576, 7))],
+    [(2, -57566592), (7, 46332)],
+    [(3, -260705088), (8, 78936)],
+    [(4, -980683200), (9, 128700)],
+    [(0, 271337361408), (5, -3200408064), (10, 202176)],
+]
+
+
+def test_reduce_past_chain_step_lists_are_unchanged(ex55):
+    seq = increasing_value_sequence(ex55, 15)
+    for d, want in enumerate(_EX55_REDUCTION_STEPS, start=1):
+        _, steps, _ = reduce_past_chain(ex55, build_bounded_monic(ex55, d + 1), WitnessChain(*zip(*seq[:d])))
+        assert steps == want, d
+        assert all(isinstance(lam, Fraction) for _, lam in steps)
 
 
 def test_structure_checks_records_violations(ex55, monkeypatch):
