@@ -36,7 +36,6 @@ from .valuation import (
     InvalidSpecError,
     LeadTerm,
     ValuationSpec,
-    cancel_lambda,
     check_axioms,
     lead_term,
     make_spec,
@@ -47,8 +46,6 @@ from .witness import (
     CorpusSpec,
     ImageReport,
     StructureReport,
-    WitnessChain,
-    build_bounded_monic,
     class_witness,
     increasing_value_sequence,
     quotient_census,
@@ -85,12 +82,9 @@ __all__ = [
     "ValuationSpec",
     "ValuePair",
     "WExpansion",
-    "WitnessChain",
     "YPoly",
     "as_ratfunc",
-    "build_bounded_monic",
     "bundled_config_path",
-    "cancel_lambda",
     "check_axioms",
     "class_witness",
     "commensurable",

@@ -24,7 +24,7 @@ from typing import NamedTuple
 from .exprs import MAX_DEGREE, parse_poly
 from .presets import SpecConfig, load_config, load_spec
 from .valgroup import ValuePair
-from .valuation import ValuationSpec, cancel_lambda, check_axioms, lead_term, spec_violations, value
+from .valuation import ValuationSpec, check_axioms, lead_term, spec_violations, value
 from .witness import (
     CorpusSpec,
     increasing_value_sequence,
@@ -106,7 +106,10 @@ def _cmd_lead(spec: ValuationSpec, args) -> _Output:
 
 
 def _cmd_lambda(spec: ValuationSpec, args) -> _Output:
-    lam = str(cancel_lambda(spec, parse_poly(args.f), parse_poly(args.g)))
+    f, g = parse_poly(args.f), parse_poly(args.g)
+    if f.is_zero() or g.is_zero():
+        raise ValueError("cancellation scalar needs nonzero inputs")
+    lam = str(lead_term(spec, f).cancel_scalar(lead_term(spec, g)))
     return _Output({"lambda": lam}, [lam])
 
 

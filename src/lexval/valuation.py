@@ -23,6 +23,11 @@ summed cell by cell (`WExpansion.plus`), and divides nothing.
 The one lead-cancellation loop, f <- f + lambda * g while the caller's
 match gives a g of f's value, reads each lead that way; it checks that
 every step raises the value strictly, and has no iteration cap.
+lambda has one rule, `LeadTerm.cancel_scalar`: minus the ratio of the two
+lead cells' residues at infinity.  The loop and the `lambda` command take
+it from the lead terms; `check_axioms` keeps of each corpus lead only the
+value and the residue, so that it holds no expansion, and takes the same
+ratio of those.
 """
 
 from __future__ import annotations
@@ -290,13 +295,6 @@ def value(spec: ValuationSpec, f: YPoly) -> ExtValue:
     """Value of f; INF exactly for f = 0.  The cell search of `lead_term`,
     without building the expansion."""
     return _cleared_value(spec, *ypoly._clear_denominators(f))
-
-
-def cancel_lambda(spec: ValuationSpec, f: YPoly, g: YPoly) -> Fraction:
-    """The unique scalar with value(f + lambda*g) > value(f) = value(g)."""
-    if f.is_zero() or g.is_zero():
-        raise ValueError("cancellation scalar needs nonzero inputs")
-    return lead_term(spec, f).cancel_scalar(lead_term(spec, g))
 
 
 @dataclass

@@ -1,15 +1,21 @@
 """Constructive witnesses and empirical structure checks for a valuation.
 
-The centerpiece is the pair of procedures that produce, for suitable
+The centerpiece is the set of procedures that produce, for suitable
 parameters, an infinite strictly increasing sequence of values attained on
 plain polynomials (so the attained value set has no largest element):
 
-  * `build_bounded_monic` builds a monic polynomial of prescribed y-degree
-    whose value is bounded below by (m*n - m - n) * alpha, via a descending
-    corrector recursion over the grids of the powers of y;
+  * `Divisor.bounded_monic(d*m)`, on `spec.divisor`, builds the monic
+    polynomial of y-degree d*m with Q[x] coefficients whose expansion cells
+    below the top one all have strictly positive valuation at infinity, via
+    a descending corrector recursion over the grids of the powers of y.
+    When beta > (0,0) this forces value >= (m*n - m - n) * alpha; for other
+    bundles the bound is not guaranteed in general and is checked
+    empirically by the tests;
   * `reduce_past_chain` adds scalar multiples of chain elements until the
     value climbs past the end of the chain;
-  * `increasing_value_sequence` alternates the two.
+  * `increasing_value_sequence` alternates the two.  The pairs
+    (f_d, value(f_d)) it returns are the chain: a prefix seq[:d] is what
+    `reduce_past_chain` takes, and one check keeps its values consecutive.
 
 Both drivers check f's value against the chain start, then run the one
 lead-cancellation loop of `lexval.valuation` through one chain match,
@@ -45,77 +51,54 @@ from .valuation import LeadTerm, ValuationSpec, _cancel_leads, _cleared_value, _
 from .ypoly import WExpansion, YPoly, _cofactors, _from_rows, denominator_clearer
 
 
-@dataclass(frozen=True)
-class WitnessChain:
-    """Polynomials whose values form a run of consecutive lex values.
-
-    Consecutive means each value is the immediate successor of the previous
-    one; in Z (+) Z under lex that is exactly a step of (0, 1).
-    """
-
-    polys: tuple[YPoly, ...]
-    values: tuple[ValuePair, ...]
-
-    def __post_init__(self):
-        if len(self.polys) != len(self.values) or not self.polys:
-            raise ValueError("chain needs matching nonempty polys and values")
-        for prev, nxt in zip(self.values, self.values[1:]):
-            if nxt != prev + ValuePair(0, 1):
-                raise ValueError(f"chain values not consecutive: {prev} then {nxt}")
-
-    def extended(self, poly: YPoly, val: ValuePair) -> "WitnessChain":
-        return WitnessChain(self.polys + (poly,), self.values + (val,))
-
-
-def build_bounded_monic(spec: ValuationSpec, d: int) -> YPoly:
-    """Monic polynomial of y-degree d*m with plain polynomial coefficients.
-
-    Coefficients are produced by a descending corrector recursion so that
-    every expansion cell below the top one has strictly positive coefficient
-    valuation at infinity.  When beta > (0,0) this forces
-    value >= (m*n - m - n) * alpha; for other parameter bundles the bound is
-    not guaranteed in general and is checked empirically by the tests.  The
-    output is kept in the store of `spec.divisor` (`Divisor.bounded_monic`).
-    """
-    if d < 0:
-        raise ValueError("d must be nonnegative")
-    return spec.divisor.bounded_monic(d * spec.m)[0]
+def _check_chain(chain: list[tuple[YPoly, ValuePair]]) -> None:
+    """Refuse an empty chain, or one whose values are not consecutive: each
+    the immediate successor of the one before, which in Z (+) Z under lex is
+    a step of (0, 1)."""
+    if not chain:
+        raise ValueError("chain needs matching nonempty polys and values")
+    for (_, prev), (_, nxt) in zip(chain, chain[1:]):
+        if nxt != prev + ValuePair(0, 1):
+            raise ValueError(f"chain values not consecutive: {prev} then {nxt}")
 
 
 def reduce_past_chain(
-    spec: ValuationSpec, f: YPoly, chain: WitnessChain
+    spec: ValuationSpec, f: YPoly, chain: list[tuple[YPoly, ValuePair]]
 ) -> tuple[YPoly, list[tuple[int, Fraction]], ExtValue]:
     """Add scalar multiples of chain elements until the value exceeds the chain.
 
-    Returns (g, steps, value(g)) with g = f + sum lambda * chain.polys[i] over
-    the recorded steps (i, lambda) and value(g) > chain.values[-1].  If f lies
-    in the scalar span of the chain the reduction lands exactly on zero, with
-    value INF, which still satisfies the postcondition.  f is expanded once,
-    and each chain element used once per call; the steps divide nothing.
+    chain is a list of pairs (f_k, value(f_k)) with consecutive values, such
+    as a prefix seq[:d] of `increasing_value_sequence`'s output.  Returns
+    (g, steps, value(g)) with g = f + sum lambda * f_i over the recorded
+    steps (i, lambda) and value(g) > the last chain value.  If f lies in the
+    scalar span of the chain the reduction lands exactly on zero, with value
+    INF, which still satisfies the postcondition.  f is expanded once, and
+    each chain element used once per call; the steps divide nothing.
     """
+    _check_chain(chain)
     lead = _lead(spec, exp=spec.divisor.expand(f))
-    if lead is not None and not lead.value >= chain.values[0]:
-        raise ValueError(f"value {lead.value} of input is below the chain start {chain.values[0]}")
-    g, steps, lead = _cancel_leads(spec, f, lead, _chain_match(spec, chain, [None] * len(chain.polys)))
+    if lead is not None and not lead.value >= chain[0][1]:
+        raise ValueError(f"value {lead.value} of input is below the chain start {chain[0][1]}")
+    g, steps, lead = _cancel_leads(spec, f, lead, _chain_match(spec, chain, [None] * len(chain)))
     return g, steps, INF if lead is None else lead.value
 
 
-def _chain_match(spec: ValuationSpec, chain: WitnessChain, leads: list[LeadTerm | None]):
-    """The match of `_cancel_leads` over a chain: a value from the chain's
-    first to its last maps to (index, element, lead), and a higher value to
-    None.  The values are consecutive, so chain.values[k] is
-    chain.values[0] + (0, k).  leads[k] is the lead of chain.polys[k] over
-    its whole expansion; a None entry is filled, by one expansion, on first
-    use.
+def _chain_match(spec: ValuationSpec, chain: list[tuple[YPoly, ValuePair]], leads: list[LeadTerm | None]):
+    """The match of `_cancel_leads` over a chain of pairs (f_k, value(f_k)):
+    a value from the chain's first to its last maps to (index, element,
+    lead), and a higher value to None.  The values are consecutive, so the
+    value of f_k is the first value plus (0, k).  leads[k] is the lead of f_k
+    over its whole expansion; a None entry is filled, by one expansion, on
+    first use.
     """
 
     def match(v: ValuePair):
-        if v > chain.values[-1]:
+        if v > chain[-1][1]:
             return None
-        idx = v.b - chain.values[0].b
+        idx = v.b - chain[0][1].b
         if leads[idx] is None:
-            leads[idx] = _lead(spec, exp=spec.divisor.expand(chain.polys[idx]))
-        return idx, chain.polys[idx], leads[idx]
+            leads[idx] = _lead(spec, exp=spec.divisor.expand(chain[idx][0]))
+        return idx, chain[idx][0], leads[idx]
 
     return match
 
@@ -123,39 +106,40 @@ def _chain_match(spec: ValuationSpec, chain: WitnessChain, leads: list[LeadTerm 
 def increasing_value_sequence(spec: ValuationSpec, d_max: int) -> list[tuple[YPoly, ValuePair]]:
     """Sequence f_0, f_1, ... with strictly increasing (consecutive) values.
 
-    f_0 is the bounded monic builder's degree-m output; each later element
-    reduces a fresh higher-degree builder output past the chain built so
-    far.  For the ex55 preset this yields deg_y(f_d) = 2(d+1) and
-    value(f_d) = (-1, d-1) exactly.  Every element is valued and reduced
-    from the builder's expansion and those kept for the chain, with no
-    division by w.  The builder outputs, their expansions and the y-power
-    grids under them are read from the store of `spec.divisor`, which grows
-    only as far as the element being built: to y^2m for f_0 and f_1, so no
-    higher power is built before f_1 has passed the chain's consecutiveness
-    check.  The lead terms, the reduction steps and the check run on every
-    call.  A builder output whose value is below value(f_0), which no
-    reduction by the chain can raise, means that the bundle has no such
-    sequence (ex52 at d = 1).
+    The pairs (f_d, value(f_d)) it returns are the chain: f_0 is the
+    builder's degree-m output, and each later element reduces a fresh
+    higher-degree builder output past the chain built so far, whose values
+    must stay consecutive.  For the ex55 preset this yields
+    deg_y(f_d) = 2(d+1) and value(f_d) = (-1, d-1) exactly.  Every element is
+    valued and reduced from the builder's expansion and those kept for the
+    chain, with no division by w.  The builder outputs, their expansions and
+    the y-power grids under them are read from the store of `spec.divisor`,
+    which grows only as far as the element being built: to y^2m for f_0 and
+    f_1, so no higher power is built before value(f_1) has passed the
+    consecutiveness check.  The lead terms, the reduction steps and the
+    check run on every call.  A builder output whose value is below
+    value(f_0), which no reduction by the chain can raise, means that the
+    bundle has no such sequence (ex52 at d = 1).
     """
     if d_max < 0:
         raise ValueError("d_max must be nonnegative")
     divisor = spec.divisor
     f0, exp0 = divisor.bounded_monic(spec.m)
     lead = _lead(spec, exp=exp0)
-    chain = WitnessChain((f0,), (lead.value,))
-    leads = [lead]
+    seq, leads = [(f0, lead.value)], [lead]
     for d in range(1, d_max + 1):
         f, exp = divisor.bounded_monic((d + 1) * spec.m)
         lead = _lead(spec, exp=exp)
-        if not lead.value >= chain.values[0]:
+        if not lead.value >= seq[0][1]:
             raise ValueError(
                 f"this bundle has no increasing value sequence: at d={d} the builder output has value "
-                f"{lead.value}, below value(f_0) = {chain.values[0]}"
+                f"{lead.value}, below value(f_0) = {seq[0][1]}"
             )
-        g, _, lead = _cancel_leads(spec, f, lead, _chain_match(spec, chain, leads))
-        chain = chain.extended(g, INF if lead is None else lead.value)
+        g, _, lead = _cancel_leads(spec, f, lead, _chain_match(spec, seq, leads))
+        seq.append((g, INF if lead is None else lead.value))
+        _check_chain(seq[-2:])
         leads.append(lead)
-    return list(zip(chain.polys, chain.values))
+    return seq
 
 
 def class_witness(spec: ValuationSpec, q: int, r: int) -> YPoly:

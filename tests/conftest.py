@@ -4,6 +4,13 @@ import pytest
 
 from lexval import RatFunc, UniPoly, YPoly, load_spec, poly_gcd, uni_divmod
 
+try:
+    import sympy as sp
+
+    SX, SY = sp.symbols("x y")
+except ImportError:  # the sympy oracle tests skip themselves through importorskip
+    sp = None
+
 # Elements whose denominators share factors: repeated, nested and constant
 # ones, so that the product of the distinct denominators is not their lcm.
 SHARED_FACTOR_INPUTS = ("y/(x^2-1) + y^3/(x+1)", "y^5/(2x+2) + y/(x+1)^2 + 3/(x+1)", "y^4/(x^2+x) + y/x")
@@ -138,3 +145,45 @@ def clear_by_lcm(f: YPoly) -> tuple[list[int], dict[int, list[int]]]:
         assert n.is_polynomial() and n.num.denom == 1
         nums[e] = list(n.num.ints)
     return list(den.ints), nums
+
+
+# The sympy oracle: the expansion and the value along a separate route, sympy
+# polynomial division over QQ(x) and sympy degree bookkeeping.
+
+
+def to_sympy_scalar(c: RatFunc):
+    num = sum(sp.Rational(q.numerator, q.denominator) * SX**i for i, q in enumerate(c.num.coeffs))
+    den = sum(sp.Rational(q.numerator, q.denominator) * SX**i for i, q in enumerate(c.den.coeffs))
+    return num / den
+
+
+def to_sympy(f: YPoly):
+    return sp.together(sum((to_sympy_scalar(c) * SY**e for e, c in f.items()), sp.Integer(0)))
+
+
+def sympy_rows(f_expr, w_expr):
+    Pw = sp.Poly(w_expr, SY)
+    cur = sp.Poly(f_expr, SY)
+    rows = []
+    while True:
+        # Over sympy's ZZ[x] or ZZ(x) a zero quotient is exactly the zero Poly.
+        cur, r = sp.div(cur, Pw, SY)
+        rows.append(r)
+        if cur.is_zero:
+            return rows
+
+
+def sympy_value(f_expr, w_expr, m, n, alpha, beta):
+    best = None
+    for i, r in enumerate(sympy_rows(f_expr, w_expr)):
+        for j in range(m):
+            c = sp.cancel(r.as_expr().coeff(SY, j))
+            if c == 0:
+                continue
+            num, den = sp.fraction(c)
+            vi = int(sp.degree(den, SX)) - int(sp.degree(num, SX))
+            k = -vi * m + j * n
+            val = (k * alpha[0] + i * beta[0], k * alpha[1] + i * beta[1])
+            if best is None or val < best:
+                best = val
+    return best

@@ -13,7 +13,6 @@ from lexval import (
     CorpusSpec,
     InvalidSpecError,
     ValuePair,
-    build_bounded_monic,
     check_axioms,
     increasing_value_sequence,
     make_spec,
@@ -131,12 +130,12 @@ def test_criterion_07_bounded_builder(ex55, ex52):
     for spec in (ex55, ex52):
         bound = (spec.m * spec.n - spec.m - spec.n) * spec.alpha
         for d in range(7):
-            f = build_bounded_monic(spec, d)
+            f = spec.divisor.bounded_monic(d * spec.m)[0]
             ok = ok and f.is_monic_in_y() and f.deg_y == 2 * d
             ok = ok and value(spec, f) >= bound
     # hand recursion for ex55, d=1: c2 = 1; c1 corrects -1/x, already strictly
     # proper, so c1 = 0; c0 corrects -x^3, so c0 = x^3
-    ok = ok and build_bounded_monic(ex55, 1) == parse_poly("y^2 + x^3")
+    ok = ok and ex55.divisor.bounded_monic(ex55.m)[0] == parse_poly("y^2 + x^3")
     _criterion(7, "bounded builder yields monic deg 2d polynomials with value >= (-1,-1)", ok)
 
 

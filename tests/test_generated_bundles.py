@@ -17,7 +17,6 @@ from lexval import (  # noqa: E402
     ValuePair,
     WExpansion,
     YPoly,
-    build_bounded_monic,
     check_axioms,
     class_witness,
     lead_term,
@@ -43,6 +42,8 @@ from conftest import (  # noqa: E402
     bounded_monic_reference,
     expand_by_division,
     product_reference,
+    sympy_value,
+    to_sympy,
 )
 
 X = UniPoly.x()
@@ -154,6 +155,28 @@ def test_generated_bundle(bundle, seed):
         assert divisor.bounded_monic(dm)[0] == bounded_monic_reference(spec.w, dm, powers)
 
 
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=10,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(bundles(), st.integers(0, 10**6))
+def test_generated_value_against_sympy(bundle, seed):
+    # The sympy oracle's separate route, division over QQ(x), on three
+    # polynomial elements and one rational element per bundle.
+    pytest.importorskip("sympy")
+    spec = make_spec(*bundle)
+    rng = random.Random(seed)
+    corpus = [random_xy_poly(rng, 4) for _ in range(3)] + [random_rational_poly(rng, 3, 2 * spec.m)]
+    w_expr = to_sympy(spec.w)
+    alpha, beta = (spec.alpha.a, spec.alpha.b), (spec.beta.a, spec.beta.b)
+    for f in corpus:
+        v = value(spec, f)
+        assert (v.a, v.b) == sympy_value(to_sympy(f), w_expr, spec.m, spec.n, alpha, beta), str(f)
+
+
 def _check_builder_by_uniqueness(spec, d_max=3):
     """The builder's output at d = 0 .. d_max against the property that
     determines it, not against the recursion: it is the only monic
@@ -161,7 +184,7 @@ def _check_builder_by_uniqueness(spec, d_max=3):
     or proper (numerator degree below denominator degree) except the top
     cell (d, 0), which is 1."""
     for d in range(d_max + 1):
-        f = build_bounded_monic(spec, d)
+        f = spec.divisor.bounded_monic(d * spec.m)[0]
         assert f.deg_y == d * spec.m and f.is_monic_in_y()
         assert all(c.is_polynomial() for c in f.terms.values())
         rows = expand_by_division(f, spec.w)
@@ -252,7 +275,7 @@ def test_generated_bounded_monic_in_any_order_matches_the_reference(bundle):
     spec = make_spec(*bundle)
     powers = [expand_by_division(YPoly.monomial(e), spec.w) for e in range(3 * spec.m + 1)]
     for d in (2, 0, 3, 1, 3, 2, 0):
-        assert build_bounded_monic(spec, d) == bounded_monic_reference(spec.w, d * spec.m, powers)
+        assert spec.divisor.bounded_monic(d * spec.m)[0] == bounded_monic_reference(spec.w, d * spec.m, powers)
 
 
 @settings(

@@ -14,63 +14,19 @@ sp = sympy
 
 from lexval import load_spec, parse_poly, random_xy_poly, value, w_expand
 
-X, Y = sp.symbols("x y")
-
-
-def to_sympy(f):
-    total = sp.Integer(0)
-    for e, c in f.items():
-        num = sum(sp.Rational(q.numerator, q.denominator) * X**i for i, q in enumerate(c.num.coeffs))
-        den = sum(sp.Rational(q.numerator, q.denominator) * X**i for i, q in enumerate(c.den.coeffs))
-        total += (num / den) * Y**e
-    return sp.together(total)
-
-
-def sympy_rows(f_expr, w_expr):
-    Pw = sp.Poly(w_expr, Y)
-    cur = sp.Poly(f_expr, Y)
-    rows = []
-    while True:
-        q, r = sp.div(cur, Pw, Y)
-        rows.append(r)
-        if sp.simplify(q.as_expr()) == 0:
-            break
-        cur = sp.Poly(q.as_expr(), Y)
-    return rows
-
-
-def sympy_value(f_expr, w_expr, m, n, alpha, beta):
-    best = None
-    for i, r in enumerate(sympy_rows(f_expr, w_expr)):
-        for j in range(m):
-            c = sp.cancel(r.as_expr().coeff(Y, j))
-            if c == 0:
-                continue
-            num, den = sp.fraction(c)
-            vi = int(sp.degree(den, X)) - int(sp.degree(num, X))
-            k = -vi * m + j * n
-            val = (k * alpha[0] + i * beta[0], k * alpha[1] + i * beta[1])
-            if best is None or val < best:
-                best = val
-    return best
+from conftest import SY, sympy_rows, sympy_value, to_sympy, to_sympy_scalar  # noqa: E402
 
 
 def test_y4_expansion_against_sympy(ex55):
     w_expr = to_sympy(ex55.w)
-    rows = sympy_rows(Y**4, w_expr)
+    rows = sympy_rows(SY**4, w_expr)
     exp = w_expand(parse_poly("y^4"), ex55.w)
     assert len(rows) == len(exp.rows)
     for i, r in enumerate(rows):
         for j in range(2):
             ours = exp.cell(i, j)
-            theirs = sp.cancel(r.as_expr().coeff(Y, j))
+            theirs = sp.cancel(r.as_expr().coeff(SY, j))
             assert sp.simplify(to_sympy_scalar(ours) - theirs) == 0
-
-
-def to_sympy_scalar(c):
-    num = sum(sp.Rational(q.numerator, q.denominator) * X**i for i, q in enumerate(c.num.coeffs))
-    den = sum(sp.Rational(q.numerator, q.denominator) * X**i for i, q in enumerate(c.den.coeffs))
-    return num / den
 
 
 @pytest.mark.parametrize("label", ["ex55", "ex52"])

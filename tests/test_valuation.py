@@ -9,12 +9,12 @@ import pytest
 from lexval import (
     INF,
     InvalidSpecError,
+    LeadTerm,
     RatFunc,
     UniPoly,
     ValuePair,
     YPoly,
     bundled_config_path,
-    cancel_lambda,
     check_axioms,
     lead_term,
     load_spec,
@@ -112,22 +112,35 @@ def test_lead_term_examples(ex55):
         lead_term(ex55, parse_poly("0"))
 
 
+def _lam(spec, f, g):
+    """The cancellation scalar of f against g, by its one rule."""
+    return lead_term(spec, f).cancel_scalar(lead_term(spec, g))
+
+
 def test_cancel_lambda_examples(ex55):
     f = parse_poly("y^2")
     g = parse_poly("-x^3")
-    lam = cancel_lambda(ex55, f, g)
+    lam = _lam(ex55, f, g)
     assert lam == -1
     assert value(ex55, f + g.scale(lam)) == ValuePair(-1, -1)
 
-    assert cancel_lambda(ex55, f, f) == -1
-    assert cancel_lambda(ex55, parse_poly("x"), parse_poly("2x")) == Fraction(-1, 2)
+    assert _lam(ex55, f, f) == -1
+    assert _lam(ex55, parse_poly("x"), parse_poly("2x")) == Fraction(-1, 2)
 
 
-def test_cancel_lambda_preconditions(ex55):
-    with pytest.raises(ValueError):
-        cancel_lambda(ex55, parse_poly("x"), parse_poly("y"))
-    with pytest.raises(ValueError):
-        cancel_lambda(ex55, parse_poly("0"), parse_poly("0"))
+def test_cancel_lambda_preconditions(ex55, capsys):
+    from lexval.cli import main
+
+    with pytest.raises(ValueError, match="^cancellation scalar needs equal values$"):
+        _lam(ex55, parse_poly("x"), parse_poly("y"))
+    with pytest.raises(ValueError, match="^zero polynomial has no lead term$"):
+        _lam(ex55, parse_poly("0"), parse_poly("0"))
+    # The lambda command refuses a zero input before it asks for a lead term.
+    for f, g in (("0", "y"), ("y", "0"), ("0", "0"), ("x", "y")):
+        assert main(["lambda", f, "--", g]) == 1
+        out, err = capsys.readouterr()
+        reason = "nonzero inputs" if "0" in (f, g) else "equal values"
+        assert (out, err) == ("", f"error: cancellation scalar needs {reason}\n")
 
 
 def test_cancel_leads_runs_on_any_match(ex52):
@@ -224,7 +237,7 @@ def test_lead_term_matches_reduced_expansion():
             g = f.scale(RatFunc(UniPoly([1, 3]), UniPoly([0, 2])))
             g_ref = _reference_lead(spec, g)
             assert g_ref[3] == ref[3]
-            assert cancel_lambda(spec, f, g) == -residue_at_inf(ref[2]) / residue_at_inf(g_ref[2])
+            assert _lam(spec, f, g) == -residue_at_inf(ref[2]) / residue_at_inf(g_ref[2])
             z = spec.divisor.expand(f)
             for i, row in enumerate(z.grid):
                 for j, (n, _) in enumerate(row):
@@ -352,7 +365,7 @@ def test_questions_reduce_no_cell(ex55, ex52, monkeypatch):
     f = parse_poly("y^3/(x^2+1) + y - 5/(3*x)")
     g = parse_poly("2*y^3/(x^2+x) + y/x")
     assert value(ex55, f) == value(ex55, g) == ValuePair(-5, -5)
-    assert cancel_lambda(ex55, f, g) == Fraction(-1, 2)
+    assert _lam(ex55, f, g) == Fraction(-1, 2)
     for spec in (ex55, ex52):
         assert check_axioms(spec, _corpus(5, 15), 30, seed=5).ok
 
@@ -479,7 +492,7 @@ def _audit_pairs(spec, corpus, pair_budget, seed):
         zero_sums += (f + g).is_zero()
         if value(spec, f) == value(spec, g):
             equal += 1
-            lam = cancel_lambda(spec, f, g)
+            lam = _lam(spec, f, g)
             zero_sums += sum((f + g.scale(s)).is_zero() for s in (lam, lam + 1, lam - 1))
     return equal, zero_sums
 
@@ -494,7 +507,8 @@ def test_check_axioms_reads_lambda_off_stored_lead_terms(ex52, monkeypatch):
     def refuse(*args):
         raise AssertionError("the audit expanded f and g again for lambda")
 
-    monkeypatch.setattr(valuation_mod, "cancel_lambda", refuse)
+    monkeypatch.setattr(valuation_mod, "lead_term", refuse)
+    monkeypatch.setattr(LeadTerm, "cancel_scalar", refuse)
     assert check_axioms(ex52, corpus, 80, seed=103) == expected
 
 

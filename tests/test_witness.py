@@ -11,9 +11,7 @@ from lexval import (
     RatFunc,
     UniPoly,
     ValuePair,
-    WitnessChain,
     YPoly,
-    build_bounded_monic,
     class_witness,
     increasing_value_sequence,
     make_spec,
@@ -51,7 +49,7 @@ def fresh_spec(name):
 
 
 def test_build_bounded_monic_d0(ex55):
-    f = build_bounded_monic(ex55, 0)
+    f = ex55.divisor.bounded_monic(0)[0]
     assert f == parse_poly("1")
     assert value(ex55, f) == ValuePair(0, 0)
 
@@ -60,46 +58,55 @@ def test_build_bounded_monic_d1_exact(ex55):
     # hand execution of the corrector recursion: the top coefficient is 1,
     # the y-coefficient corrects -1/x (already proper, so 0), and the
     # constant corrects -x^3 to x^3
-    assert build_bounded_monic(ex55, 1) == parse_poly("y^2 + x^3")
+    assert ex55.divisor.bounded_monic(ex55.m)[0] == parse_poly("y^2 + x^3")
 
 
 def test_build_bounded_monic_bound_and_shape(ex55, ex52):
     for spec in (ex55, ex52):
         bound = (spec.m * spec.n - spec.m - spec.n) * spec.alpha
         for d in range(7):
-            f = build_bounded_monic(spec, d)
+            f = spec.divisor.bounded_monic(d * spec.m)[0]
             assert f.deg_y == d * spec.m
             assert f.is_monic_in_y()
             assert all(c.is_polynomial() for c in f.terms.values())
             assert value(spec, f) >= bound
 
 
-def test_witness_chain_validation(ex55):
+def test_witness_chain_validation(ex55, monkeypatch):
+    # A chain is a list of (f_k, value(f_k)) pairs with consecutive values,
+    # such as a prefix of the sequence; reduce_past_chain refuses an empty or
+    # non-consecutive one on entry, before it expands anything.
     f0 = parse_poly("y^2 + x^3")
-    chain = WitnessChain((f0,), (ValuePair(-1, -1),))
-    assert chain.extended(f0, ValuePair(-1, 0)).values[-1] == ValuePair(-1, 0)
-    with pytest.raises(ValueError):
-        WitnessChain((f0, f0), (ValuePair(-1, -1), ValuePair(-1, 1)))
-    with pytest.raises(ValueError):
-        WitnessChain((), ())
+    seq = increasing_value_sequence(ex55, 1)
+    assert [v for _, v in seq] == [ValuePair(-1, -1), ValuePair(-1, 0)]
+    assert reduce_past_chain(ex55, f0, seq) == (YPoly.zero(), [(0, -1)], INF)
+
+    def refuse(f):
+        raise AssertionError("a refused chain expanded its input")
+
+    monkeypatch.setattr(ex55.divisor, "expand", refuse)
+    with pytest.raises(ValueError, match=r"^chain values not consecutive: \(-1,-1\) then \(-1,1\)$"):
+        reduce_past_chain(ex55, f0, [(f0, ValuePair(-1, -1)), (f0, ValuePair(-1, 1))])
+    with pytest.raises(ValueError, match="^chain needs matching nonempty polys and values$"):
+        reduce_past_chain(ex55, f0, [])
 
 
 def test_reduce_past_chain_first_step(ex55):
     f0 = parse_poly("y^2 + x^3")
-    chain = WitnessChain((f0,), (value(ex55, f0),))
-    raw = build_bounded_monic(ex55, 2)
+    chain = [(f0, value(ex55, f0))]
+    raw = ex55.divisor.bounded_monic(2 * ex55.m)[0]
     g, steps, v = reduce_past_chain(ex55, raw, chain)
     assert v == value(ex55, g)
     assert v > ValuePair(-1, -1)
     rebuilt = raw
     for idx, lam in steps:
-        rebuilt = rebuilt + chain.polys[idx].scale(lam)
+        rebuilt = rebuilt + chain[idx][0].scale(lam)
     assert rebuilt == g
 
 
 def test_reduce_past_chain_noop_when_already_above(ex55):
     f0 = parse_poly("y^2 + x^3")
-    chain = WitnessChain((f0,), (value(ex55, f0),))
+    chain = [(f0, value(ex55, f0))]
     g, steps, v = reduce_past_chain(ex55, ex55.w, chain)  # value (0,1) > (-1,-1)
     assert v == value(ex55, g) == ValuePair(0, 1)
     assert steps == []
@@ -110,7 +117,7 @@ def test_reduce_past_chain_span_lands_on_zero(ex55):
     # 2*f0 reduces by the unique scalar -2 straight to zero, whose value INF
     # still exceeds the chain end
     f0 = parse_poly("y^2 + x^3")
-    chain = WitnessChain((f0,), (value(ex55, f0),))
+    chain = [(f0, value(ex55, f0))]
     g, steps, v = reduce_past_chain(ex55, f0 + f0, chain)
     assert g.is_zero()
     assert v == value(ex55, g) == INF
@@ -119,7 +126,7 @@ def test_reduce_past_chain_span_lands_on_zero(ex55):
 
 def test_reduce_past_chain_precondition(ex55):
     f0 = parse_poly("y^2 + x^3")
-    chain = WitnessChain((f0,), (value(ex55, f0),))
+    chain = [(f0, value(ex55, f0))]
     with pytest.raises(ValueError):
         reduce_past_chain(ex55, parse_poly("y^4"), chain)  # value (-12,-12)
     # The zero element has value INF, past every chain, and takes no step.
@@ -147,8 +154,7 @@ def test_increasing_value_sequence_reduces_through_the_core(ex55, monkeypatch):
     assert len(results) == 5
     assert [(g, lead.value) for g, _, lead in results] == seq[1:]
     for d in range(1, 6):
-        chain = WitnessChain(*zip(*seq[:d]))
-        g, _, v = reduce_past_chain(ex55, build_bounded_monic(ex55, d + 1), chain)
+        g, _, v = reduce_past_chain(ex55, ex55.divisor.bounded_monic((d + 1) * ex55.m)[0], seq[:d])
         assert (g, v) == seq[d]
 
 
@@ -157,8 +163,7 @@ def test_reduce_past_chain_divides_only_the_chain_elements_it_uses(ex55, monkeyp
     # are never expanded.  Reducing the builder's d = 7 output past seq[:6]
     # takes one step, on chain element 1.
     seq = increasing_value_sequence(ex55, 5)
-    chain = WitnessChain(*zip(*seq))
-    f = build_bounded_monic(ex55, 7)
+    f = ex55.divisor.bounded_monic(7 * ex55.m)[0]
     divisor = ex55.divisor
     calls = []
     division = divisor.division
@@ -168,11 +173,11 @@ def test_reduce_past_chain_divides_only_the_chain_elements_it_uses(ex55, monkeyp
         return division(nums)
 
     monkeypatch.setattr(divisor, "division", counted)
-    g, steps, v = reduce_past_chain(ex55, f, chain)
+    g, steps, v = reduce_past_chain(ex55, f, seq)
     monkeypatch.undo()
     assert [idx for idx, _ in steps] == [1]
     assert len(calls) == 2
-    assert v > chain.values[-1] and v == value(ex55, g)
+    assert v > seq[-1][1] and v == value(ex55, g)
 
 
 def test_increasing_value_sequence_exact(ex55):
@@ -227,7 +232,7 @@ def test_increasing_value_sequence_reduces_no_question_cell(monkeypatch):
 
     monkeypatch.setattr(WExpansion, "cell", refuse)
     monkeypatch.setattr(ratfunc_mod, "_reduced", refuse)
-    f4 = build_bounded_monic(ex55, 4)
+    f4 = ex55.divisor.bounded_monic(4 * ex55.m)[0]
     seq = increasing_value_sequence(ex55, 5)
     target = witness_for_value(ex55, 3, 2)
     monkeypatch.undo()
@@ -548,9 +553,8 @@ def test_image_violation_report_golden(capsys):
 
 def test_reduce_past_chain_steps_on_an_inner_chain_element(ex55):
     seq = increasing_value_sequence(ex55, 2)
-    chain = WitnessChain(*zip(*seq))
-    assert len(chain.polys) == 3
-    g, steps, v = reduce_past_chain(ex55, chain.polys[1].scale(3), chain)
+    assert len(seq) == 3
+    g, steps, v = reduce_past_chain(ex55, seq[1][0].scale(3), seq)
     assert steps == [(1, -3)]
     assert g.is_zero() and v == INF
 
@@ -622,7 +626,7 @@ def test_reduce_past_chain_refuses_a_step_that_does_not_raise_the_value(ex55, mo
 
     monkeypatch.setattr(LeadTerm, "cancel_scalar", no_progress)
     f0 = parse_poly("y^2 + x^3")
-    chain = WitnessChain((f0,), (value(ex55, f0),))
+    chain = [(f0, value(ex55, f0))]
     with pytest.raises(RuntimeError, match="did not raise the value"):
         reduce_past_chain(ex55, f0, chain)
     assert len(calls) == 1
@@ -650,7 +654,7 @@ _EX55_REDUCTION_STEPS = [
 def test_reduce_past_chain_step_lists_are_unchanged(ex55):
     seq = increasing_value_sequence(ex55, 15)
     for d, want in enumerate(_EX55_REDUCTION_STEPS, start=1):
-        _, steps, _ = reduce_past_chain(ex55, build_bounded_monic(ex55, d + 1), WitnessChain(*zip(*seq[:d])))
+        _, steps, _ = reduce_past_chain(ex55, ex55.divisor.bounded_monic((d + 1) * ex55.m)[0], seq[:d])
         assert steps == want, d
         assert all(isinstance(lam, Fraction) for _, lam in steps)
 
@@ -694,7 +698,7 @@ def test_builder_expansion_matches_division(ex55, ex52):
         divisor = Divisor(spec.w)
         for d in range(9):
             f, exp = divisor.bounded_monic(d * spec.m)
-            assert f == build_bounded_monic(spec, d)
+            assert f == spec.divisor.bounded_monic(d * spec.m)[0]
             assert len(exp.den) == 1
             rows = expand_by_division(f, spec.w)
             assert len(exp.grid) == len(rows)
@@ -707,7 +711,7 @@ def test_reduce_past_chain_of_its_own_chain_element_lands_on_zero(ex55, ex52):
     rng = random.Random(3)
     for spec in (ex55, ex52):
         for f in [random_rational_poly(rng, 3, 6) for _ in range(5)] + [spec.w]:
-            chain = WitnessChain((f,), (value(spec, f),))
+            chain = [(f, value(spec, f))]
             g, steps, v = reduce_past_chain(spec, f, chain)
             assert g.is_zero() and steps == [(0, -1)] and v == INF
 
@@ -732,8 +736,8 @@ def test_reduce_past_chain_keeps_its_own_refusal(ex52):
     # The chain reduction names the chain it was given; only
     # increasing_value_sequence turns that into the bundle having no
     # increasing sequence.
-    f0, f1 = build_bounded_monic(ex52, 1), build_bounded_monic(ex52, 2)
-    chain = WitnessChain((f0,), (value(ex52, f0),))
+    f0, f1 = ex52.divisor.bounded_monic(ex52.m)[0], ex52.divisor.bounded_monic(2 * ex52.m)[0]
+    chain = [(f0, value(ex52, f0))]
     with pytest.raises(ValueError) as err:
         reduce_past_chain(ex52, f1, chain)
     assert str(err.value) == "value (0,-2) of input is below the chain start (0,-1)"
@@ -813,7 +817,7 @@ def test_bounded_monic_in_any_order_matches_the_reference():
         spec = fresh_spec(name)
         powers = [expand_by_division(YPoly.monomial(e), spec.w) for e in range(4 * spec.m + 1)]
         for d in SHUFFLED_DEGREES:
-            assert build_bounded_monic(spec, d) == bounded_monic_reference(spec.w, d * spec.m, powers)
+            assert spec.divisor.bounded_monic(d * spec.m)[0] == bounded_monic_reference(spec.w, d * spec.m, powers)
 
 
 def test_increasing_value_sequence_grows_the_store_as_it_builds():
@@ -865,9 +869,8 @@ def test_the_divisor_store_is_shared_and_never_changed(monkeypatch):
     for (i, j), f in targets.items():
         assert value(spec, f) == ValuePair(-i, j - i)
     assert increasing_value_sequence(spec, 5) == seq
-    chain = WitnessChain(*zip(*seq))
     for d in range(1, 8):
-        g, _, v = reduce_past_chain(spec, build_bounded_monic(spec, d), chain)
+        g, _, v = reduce_past_chain(spec, spec.divisor.bounded_monic(d * spec.m)[0], seq)
         assert v == value(spec, g)
     assert divisor._ypow.keys() >= ypow.keys()
     assert {e: divisor._ypow[e] for e in ypow} == ypow
