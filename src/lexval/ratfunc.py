@@ -27,8 +27,6 @@ NEG_INF = -inf  # degree of the zero polynomial
 # Evaluation points GCDHEU tries before it falls back to Euclid.
 _HEU_POINTS = 6
 
-_set = object.__setattr__
-
 
 class UniPoly:
     """Polynomial in x over Q: the integer coefficients `ints` over `denom`.
@@ -50,8 +48,8 @@ class UniPoly:
         # Over the lcm of reduced denominators the numerators share no
         # factor with it, so this is already in lowest terms.
         d = lcm(*[c.denominator for c in cs])
-        _set(self, "ints", tuple([c.numerator * (d // c.denominator) for c in cs]))
-        _set(self, "denom", d)
+        _set_ints(self, tuple([c.numerator * (d // c.denominator) for c in cs]))
+        _set_denom(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("UniPoly is immutable")
@@ -176,6 +174,11 @@ class UniPoly:
         return f"UniPoly({str(self)!r})"
 
 
+# The slots' own setters: they skip the __setattr__ that keeps the value
+# types immutable, and cost less per call than object.__setattr__.
+_set_ints, _set_denom = UniPoly.ints.__set__, UniPoly.denom.__set__
+
+
 def _join_terms(var: str, terms) -> str:
     """The sum of (coefficient text, exponent) terms in var, highest first.
 
@@ -200,8 +203,8 @@ def _join_terms(var: str, terms) -> str:
 def _raw(ints: tuple[int, ...], denom: int) -> UniPoly:
     """ints/denom, which must already satisfy UniPoly's invariants."""
     p = object.__new__(UniPoly)
-    _set(p, "ints", ints)
-    _set(p, "denom", denom)
+    _set_ints(p, ints)
+    _set_denom(p, denom)
     return p
 
 
@@ -330,7 +333,8 @@ def _primitive(a) -> tuple[int, list[int]]:
 
 
 def _heu_gcd(a, b) -> tuple[list[int], list[int], list[int]] | None:
-    """GCDHEU: the gcd of primitive a, b in Z[x] and both cofactors, or None.
+    """GCDHEU: the gcd of primitive a, b in Z[x] with nonzero constant terms
+    and both cofactors, or None.
 
     At an integer point xi the gcd of a(xi) and b(xi), written in balanced
     base xi, is a candidate.  With xi >= 2*min(|a|, |b|) + 2 in max-norm, a
@@ -338,7 +342,9 @@ def _heu_gcd(a, b) -> tuple[list[int], list[int], list[int]] | None:
     (Geddes, Czapor & Labahn, Algorithms for Computer Algebra, Thm 7.7).
     The divisions that check this, exact when they give s = 1 and R = [],
     give the cofactors; a constant candidate, whose primitive part is 1,
-    needs none.  None means that no candidate of _HEU_POINTS points divided.
+    needs none, and one with a zero constant term or a lead or constant term
+    that does not divide a's and b's is rejected before any division.  None
+    means that no candidate of _HEU_POINTS points divided.
     """
     xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
     for _ in range(_HEU_POINTS):
@@ -360,6 +366,9 @@ def _heu_gcd(a, b) -> tuple[list[int], list[int], list[int]] | None:
         if g:
             content = gcd(*g) if g[-1] > 0 else -gcd(*g)
             g = [c // content for c in g]
+        # A divisor's lead and constant term divide those of a and b, so a
+        # candidate that fails these integer tests needs no trial division.
+        if g and g[0] and not (a[-1] % g[-1] or b[-1] % g[-1] or a[0] % g[0] or b[0] % g[0]):
             qa, ra, sa = _zdivmod(a, g)
             if sa == 1 and not ra:
                 qb, rb, sb = _zdivmod(b, g)
@@ -416,15 +425,15 @@ class RatFunc:
                 den = _ONE
         else:
             num, den = _reduced(num, den)
-        _set(self, "num", num)
-        _set(self, "den", den)
+        _set_num(self, num)
+        _set_den(self, den)
 
     @classmethod
     def _canonical(cls, num: UniPoly, den: UniPoly) -> "RatFunc":
         """num/den, which must already be reduced with a monic den."""
         r = object.__new__(cls)
-        _set(r, "num", num)
-        _set(r, "den", den)
+        _set_num(r, num)
+        _set_den(r, den)
         return r
 
     def __setattr__(self, name, value):
@@ -533,6 +542,7 @@ class RatFunc:
         return f"RatFunc({str(self)!r})"
 
 
+_set_num, _set_den = RatFunc.num.__set__, RatFunc.den.__set__
 _RF_ZERO = RatFunc._canonical(_ZERO, _ONE)
 
 

@@ -15,7 +15,11 @@ plain polynomials (so the attained value set has no largest element):
     value climbs past the end of the chain;
   * `increasing_value_sequence` alternates the two.  The pairs
     (f_d, value(f_d)) it returns are the chain: a prefix seq[:d] is what
-    `reduce_past_chain` takes, and one check keeps its values consecutive.
+    `reduce_past_chain` takes, and one check keeps its values consecutive;
+  * `witness_for_value` multiplies them: f = f_j * f_0^(i-1) is formed as
+    cleared rows, and the `target` command reads its value off
+    E(f_j) * E(f_0)^(i-1), the product of the whole expansions that the
+    sequence keeps, with no division by w.
 
 Both drivers check f's value against the chain start, then run the one
 lead-cancellation loop of `lexval.valuation` through one chain match,
@@ -31,7 +35,9 @@ terms, reduction steps, the consecutiveness check) runs on every call.
 The remaining operations sample the attained image, count quotient classes,
 and check the structural containments of the image monoid.  The census
 builds and divides none of its class witnesses: it reads each value off
-the witness's one-cell expansion.  Every corpus generator yields cleared
+the witness's one-cell expansion, and each seeded monomial x^a*y^b of the
+corpus family off x^a times the stored grid of y^b; only the drawn rows
+are divided.  Every corpus generator yields cleared
 rows (den, nums); a rational element's rows stand over the product of its
 drawn denominators, with no gcd and no division.
 The image audit and both structure audits run one loop: it values each
@@ -48,7 +54,7 @@ from fractions import Fraction
 from .ratfunc import UniPoly, _poly, _zmul
 from .valgroup import INF, ExtValue, ValuePair, _check_mode, _check_unimodular, _in_monoid, decompose, quotient_class
 from .valuation import LeadTerm, ValuationSpec, _cancel_leads, _cleared_value, _lead, value
-from .ypoly import WExpansion, YPoly, _cofactors, _from_rows, denominator_clearer
+from .ypoly import WExpansion, YPoly, _clear_denominators, _cofactors, _from_rows, _rows_times, denominator_clearer
 
 
 def _check_chain(chain: list[tuple[YPoly, ValuePair]]) -> None:
@@ -121,6 +127,12 @@ def increasing_value_sequence(spec: ValuationSpec, d_max: int) -> list[tuple[YPo
     value(f_0), which no reduction by the chain can raise, means that the
     bundle has no such sequence (ex52 at d = 1).
     """
+    return _sequence(spec, d_max)[0]
+
+
+def _sequence(spec: ValuationSpec, d_max: int) -> tuple[list[tuple[YPoly, ValuePair]], list[LeadTerm]]:
+    """`increasing_value_sequence` with the lead term of each element over
+    its whole expansion."""
     if d_max < 0:
         raise ValueError("d_max must be nonnegative")
     divisor = spec.divisor
@@ -139,7 +151,7 @@ def increasing_value_sequence(spec: ValuationSpec, d_max: int) -> list[tuple[YPo
         seq.append((g, INF if lead is None else lead.value))
         _check_chain(seq[-2:])
         leads.append(lead)
-    return seq
+    return seq, leads
 
 
 def class_witness(spec: ValuationSpec, q: int, r: int) -> YPoly:
@@ -160,11 +172,24 @@ def witness_for_value(spec: ValuationSpec, i: int, j: int) -> YPoly:
     For the ex55 preset this attains exactly (-i, j-i), covering every
     element of the attained image monoid apart from (0,0).
     """
+    return _target_witness(spec, i, j)[0]
+
+
+def _target_witness(spec: ValuationSpec, i: int, j: int) -> tuple[YPoly, ValuePair]:
+    """`witness_for_value`'s f = f_j * f_0^(i-1) with its value.
+
+    f is formed as cleared rows, and its expansion as E(f_j) * E(f_0)^(i-1)
+    from the whole expansions that the sequence keeps, so f is not divided.
+    """
     if i < 1 or j < 0:
         raise ValueError("need i >= 1 and j >= 0")
-    seq = increasing_value_sequence(spec, j)
-    base = seq[0][0]
-    return seq[j][0] * base ** (i - 1)
+    seq, leads = _sequence(spec, j)
+    rows, base = _clear_denominators(seq[j][0]), _clear_denominators(seq[0][0])
+    exp = leads[j].exp
+    for _ in range(i - 1):
+        rows = _rows_times(rows, base)
+        exp = exp.times(leads[0].exp)
+    return _from_rows(*rows), _lead(spec, exp=exp).value
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +372,13 @@ def quotient_census(
     """Count distinct quotient classes attained by y-degree <= ell elements.
 
     family "h_family" uses the witnesses class_witness(spec, q, r) for
-    q*m + r <= ell; family "corpus" adds x,y-monomials and seeded random
-    polynomials, whose drawn rows are divided by w.  A witness's value is
-    read off its one-cell grid, with H^q at (q, r) over den 1: H^q is h^q
-    times a nonzero rational, which changes no value.  The count can never
+    q*m + r <= ell; family "corpus" adds the monomials x^a*y^b with a <= 4
+    and b <= ell and seeded random polynomials, whose drawn rows are divided
+    by w.  A witness's value is read off its one-cell grid, with H^q at
+    (q, r) over den 1: H^q is h^q times a nonzero rational, which changes no
+    value.  A monomial's is read off E(y^b) * E(x^a), the grid of y^b from
+    the divisor's store with each cell shifted by x^a, so the store grows to
+    y^ell.  The count can never
     exceed ell + 1.
     """
     _check_unimodular(spec.alpha, spec.beta)
@@ -364,8 +392,14 @@ def quotient_census(
         row = zero[:r] + [(divisor.hpower(q), 0)] + zero[r + 1 :]
         values.append(_lead(spec, exp=WExpansion([zero] * q + [row], [1], divisor)).value)
     if family == "corpus":
-        corpus = _seeded_corpus(random.Random(seed), 4, ell, _CENSUS_RANDOM_COUNT)
-        values += [_cleared_value(spec, *rows) for rows in corpus]
+        # The monomials that `_seeded_corpus` lists first, then its drawn
+        # rows, from the same stream.
+        xs = [WExpansion([[([0] * a + [1], 0)] + zero[1:]], [1], divisor) for a in range(5)]
+        for b in range(ell + 1):
+            ypow = WExpansion(divisor.ypower(b), [1], divisor)
+            values += [_lead(spec, exp=ypow.times(xa)).value for xa in xs]
+        rng = random.Random(seed)
+        values += [_cleared_value(spec, *_random_rows(rng, 4, ell)) for _ in range(_CENSUS_RANDOM_COUNT)]
     return len({quotient_class(v, spec.m, spec.alpha, spec.beta) for v in values})
 
 

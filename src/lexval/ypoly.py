@@ -8,13 +8,17 @@ the divisor's store (`Divisor.ypower`), and dividing builds none of them:
 the grid of y^(e+1) is that of y^e shifted one place, and each row,
 moved, goes through one step of the division loop, which folds its top cell
 back through y^m = w - sum_k A_k y^k / H (the step of MacLane's
-augmentation).  The division, products and sums f + lam*g also run on an
-element's cleared rows: the pair (den, nums) of `_clear_denominators`, with
-f = sum_e nums[e] y^e / den over Z[x] and no zero list in nums (the zero
-element is (den, {})), so a caller that holds rows builds no `YPoly`.  den
-is the product of f's distinct denominators, which is their lcm when they
-are pairwise coprime, so clearing an element takes no gcd.  A divisor's H is
-the lcm of w's denominators, computed once per divisor.
+augmentation).  The expansion is unique and Q(x)-linear, so from the grids
+of f and g neither f + lam*g nor f*g is divided: `WExpansion.plus` sums
+the grids cell by cell, and `WExpansion.times` multiplies them and sends
+each row that reaches y^m through the same step.  The division, products
+and sums f + lam*g also run on an element's cleared rows: the pair
+(den, nums) of `_clear_denominators`, with f = sum_e nums[e] y^e / den over
+Z[x] and no zero list in nums (the zero element is (den, {})), so a caller
+that holds rows builds no `YPoly`.  den is the product of f's distinct
+denominators, which is their lcm when they are pairwise coprime, so
+clearing an element takes no gcd.  A divisor's H is the lcm of w's
+denominators, computed once per divisor.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ class YPoly:
                 c = as_ratfunc(c)
                 if not c.is_zero():
                     clean[e] = c
-        object.__setattr__(self, "terms", clean)
+        _set_terms(self, clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("YPoly is immutable")
@@ -53,7 +57,7 @@ class YPoly:
     def _canonical(cls, terms: dict[int, RatFunc]) -> "YPoly":
         """terms, which must map nonnegative exponents to nonzero RatFuncs."""
         f = object.__new__(cls)
-        object.__setattr__(f, "terms", terms)
+        _set_terms(f, terms)
         return f
 
     @classmethod
@@ -179,6 +183,10 @@ class YPoly:
 
     def __repr__(self) -> str:
         return f"YPoly({str(self)!r})"
+
+
+# The slot's own setter, as for UniPoly and RatFunc in lexval.ratfunc.
+_set_terms = YPoly.terms.__set__
 
 
 def _as_ypoly(value):
@@ -558,6 +566,45 @@ class WExpansion:
         while len(grid) > 1 and not any(n for n, _ in grid[-1]):
             grid.pop()
         return WExpansion(grid=grid, den=den, divisor=self.divisor)
+
+    def times(self, other: "WExpansion") -> "WExpansion":
+        """The expansion of f*g from the whole grids of f (self) and g.
+
+        The expansion is unique and Q(x)-linear, so this is a product of grids
+        and no division of f*g: cell (i1, j1) times cell (i2, j2) lands in row
+        i1 + i2 at position j1 + j2 <= 2m - 2, summed at the larger exponent
+        of H.  A row with anything at a position >= m goes once through the
+        division step `Divisor._rows`, which folds it back through
+        y^m = w - sum_k A_k y^k / H, and its quotient carries into the next
+        row; a row with nothing there skips the fold, so a y-free factor costs
+        one product per cell.  The den is the product of the dens, and a zero
+        factor gives a single all-zero row.
+        """
+        divisor, m = self.divisor, self.m
+        plus = divisor._plus
+        acc = [[([], 0)] * (2 * m - 1) for _ in range(len(self.grid) + len(other.grid) - 1)]
+        cells = [(i, j, n, k) for i, row in enumerate(other.grid) for j, (n, k) in enumerate(row) if n]
+        for i1, ra in enumerate(self.grid):
+            for j1, (na, ka) in enumerate(ra):
+                if na:
+                    for i2, j2, nb, kb in cells:
+                        row, j = acc[i1 + i2], j1 + j2
+                        row[j] = plus(row[j], _zmul(na, nb), ka + kb)
+        grid, carry = [], []
+        for row in acc:
+            for j, (n, k) in enumerate(carry):
+                if n:
+                    row[j] = plus(row[j], n, k)
+            if any(n for n, _ in row[m:]):
+                row, carry = divisor._rows(row)
+            else:
+                row, carry = row[:m], []
+            grid.append(row)
+        if any(n for n, _ in carry):
+            grid.append(carry)
+        while len(grid) > 1 and not any(n for n, _ in grid[-1]):
+            grid.pop()
+        return WExpansion(grid=grid, den=_zmul(self.den, other.den), divisor=divisor)
 
 
 def w_expand(f: YPoly, w: YPoly) -> WExpansion:

@@ -549,7 +549,7 @@ def _refuse_algebra(monkeypatch):
     def reached(*args, **kwargs):
         raise _Reached
 
-    for name in ("increasing_value_sequence", "quotient_census", "witness_for_value",
+    for name in ("increasing_value_sequence", "quotient_census", "_target_witness",
                  "random_xy_poly", "sample_image", "structure_checks"):
         monkeypatch.setattr(cli, name, reached)
     # ypower's algebra starts when it reads the first grid from the store.

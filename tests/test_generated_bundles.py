@@ -305,9 +305,11 @@ def test_generated_bundle_value_is_lead_term_value(bundle, seed):
 )
 @given(bundles(), st.integers(0, 10**6))
 @example((2, 1, parse_poly("y^2 + x^3/(x^2+1)"), ValuePair(-1, -1), ValuePair(0, 1)), 0)
+# m = 3, so that a product of two cells reaches position 2m - 2 = 4.
+@example((3, 2, parse_poly("y^3 + x*y/(2*x^2 + 2) + 3*x^2/2"), ValuePair(-1, -1), ValuePair(0, 1)), 0)
 def test_generated_bundle_grids_without_division(bundle, seed):
-    # The builder's grid and E(f) + lam*E(g) against division: the same rows
-    # and the same reduced cells.
+    # The builder's grid, E(f) + lam*E(g) and E(f)*E(g) against division: the
+    # same rows and the same reduced cells.
     spec = make_spec(*bundle)
     divisor = Divisor(spec.w)
     for dm in range(3 * spec.m + 1):
@@ -327,6 +329,12 @@ def test_generated_bundle_grids_without_division(bundle, seed):
     for exp in exps:
         zero = exp.plus(Fraction(-1), exp)
         assert len(zero.grid) == 1 and not any(n for n, _ in zero.grid[0])
+    factors = list(zip(corpus, exps)) + [(f, spec.divisor.expand(f)) for f in (parse_poly("2*x^3 - x"), YPoly.zero())]
+    for _ in range(6):
+        (f, ef), (g, eg) = rng.choice(factors), rng.choice(factors)
+        rows = expand_by_division(f * g, spec.w)
+        exp = ef.times(eg)
+        assert len(exp.grid) == len(rows) and exp.rows == rows
 
 
 @settings(

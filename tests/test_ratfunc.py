@@ -20,6 +20,26 @@ def test_unipoly_strips_trailing_zeros():
     assert UniPoly((0, 0)).is_zero()
 
 
+def test_value_types_refuse_attribute_assignment():
+    # The constructors and the canonical builders set the slots through their
+    # own setters; assigning from outside still raises and changes nothing.
+    from lexval import YPoly
+    from lexval.ratfunc import _raw
+
+    values = (
+        (UniPoly((1, 2)), "ints", "UniPoly"), (_raw((1, 2), 3), "denom", "UniPoly"),
+        (RatFunc(X, X + 1), "num", "RatFunc"), (RatFunc._canonical(X, X + 1), "den", "RatFunc"),
+        (YPoly({1: X}), "terms", "YPoly"), (YPoly._canonical({}), "terms", "YPoly"),
+    )
+    for obj, slot, name in values:
+        before = getattr(obj, slot)
+        with pytest.raises(AttributeError, match=f"{name} is immutable"):
+            setattr(obj, slot, None)
+        with pytest.raises(AttributeError, match=f"{name} is immutable"):
+            obj.other = 1
+        assert getattr(obj, slot) is before
+
+
 def test_unipoly_degree_of_zero_below_everything():
     assert UniPoly().degree < -(10**9)
 

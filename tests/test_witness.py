@@ -1,5 +1,6 @@
 """Witness constructions: bounded builders, chain reduction, image sampling."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -33,9 +34,10 @@ from lexval.witness import (
     _random_rational_rows,
     _random_rows,
     _seeded_corpus,
+    _target_witness,
     denominator_clearer,
 )
-from lexval.ypoly import Divisor, _from_rows
+from lexval.ypoly import Divisor, WExpansion, _from_rows
 
 from conftest import bounded_monic_reference, expand_by_division, product_reference
 
@@ -223,22 +225,23 @@ def test_increasing_value_sequence_reduces_no_question_cell(monkeypatch):
     # expansions, so no driver reduces a cell or takes a RatFunc gcd.  A
     # fresh spec's store is empty, so the builder runs under the spies.
     import lexval.ratfunc as ratfunc_mod
-    from lexval.ypoly import WExpansion
 
     ex55 = fresh_spec("ex55")
 
     def refuse(*args):
-        raise AssertionError("a witness driver reduced a fraction")
+        raise AssertionError("a witness driver reduced a fraction or divided by w")
 
     monkeypatch.setattr(WExpansion, "cell", refuse)
     monkeypatch.setattr(ratfunc_mod, "_reduced", refuse)
+    # The target's value is read off E(f_j) * E(f_0)^(i-1), not off a division.
+    monkeypatch.setattr(Divisor, "division", refuse)
     f4 = ex55.divisor.bounded_monic(4 * ex55.m)[0]
     seq = increasing_value_sequence(ex55, 5)
-    target = witness_for_value(ex55, 3, 2)
+    target, v = _target_witness(ex55, 3, 2)
     monkeypatch.undo()
     assert f4.deg_y == 8 and all(c.is_polynomial() for c in f4.terms.values())
     assert [v for _, v in seq] == [ValuePair(-1, d - 1) for d in range(6)]
-    assert value(ex55, target) == ValuePair(-3, -1)
+    assert v == value(ex55, target) == ValuePair(-3, -1)
 
 
 def test_bounded_monic_matches_corrector_reference(ex55, ex52):
@@ -287,6 +290,58 @@ def test_witness_for_value_examples(ex55):
     assert witness_for_value(ex55, 1, 0) == parse_poly("y^2 + x^3")
     assert value(ex55, witness_for_value(ex55, 2, 0)) == ValuePair(-2, -2)
     assert value(ex55, witness_for_value(ex55, 3, 2)) == ValuePair(-3, -1)
+
+
+# (value, sha256 of the printed witness) of `target`, recorded when the value
+# was still found by dividing the witness by w.
+TARGET_DIGESTS = {
+    ("ex55", 1, 0): ("(-1,-1)", "58fed26b6a052b0d7d84c889cfa1ea1ec88879c73331dc2327a3decd78696154"),
+    ("ex55", 1, 1): ("(-1,0)", "e9af136ceaa672940cf958105c63adcbee68dff199b53264245bd466cac488c7"),
+    ("ex55", 1, 2): ("(-1,1)", "0efaad3e7eafcbfc120c206c956a8366678701f590536e769540da3e21189127"),
+    ("ex55", 1, 3): ("(-1,2)", "6940674700dd773d9083ee2e7f2c075907247a27180e962b88b5aaab7b56f26c"),
+    ("ex55", 1, 4): ("(-1,3)", "a2cd3335a7325de7c441de7b98a0ed793ce5f7412521f5e9c2158503cef605a0"),
+    ("ex55", 1, 5): ("(-1,4)", "40749ab79ff64d40ff74271f3dfd9b0f519aa07e03a42d54ad78df3aa9cfc794"),
+    ("ex55", 2, 0): ("(-2,-2)", "9720fc739eae7881442d2784800b9f18c3d7beed72c71257b2bd46b2eb3784d3"),
+    ("ex55", 2, 1): ("(-2,-1)", "6a1e6e55bfc281b447f6e22ce5d2783c0113852033c8888f2cbbb9b54bc99cd6"),
+    ("ex55", 2, 2): ("(-2,0)", "e7668c28dc17144ada2e001c042009d8ddcda6f76f34c3adb6d7b55a28354836"),
+    ("ex55", 2, 3): ("(-2,1)", "44e86e94e29d23143b20804462da8e0d9fad126135b683227ced9e20161140f4"),
+    ("ex55", 2, 4): ("(-2,2)", "abdcfdb64b42401f22f3527d7ea7bfe2824283049c82548e4bed0b1291d05f0d"),
+    ("ex55", 2, 5): ("(-2,3)", "1507af9d52b932cd920fc4661c247b1954f973c1b57837fa367c2d3a4eba4e0e"),
+    ("ex55", 3, 0): ("(-3,-3)", "9f6b0741214d017b96118d28e1392e64f8d16649df7f4d34aeff5ee68c2962e4"),
+    ("ex55", 3, 1): ("(-3,-2)", "5249626542ea415576dab8bab02644f965eeec208c74f60c76604c2cb3379c0f"),
+    ("ex55", 3, 2): ("(-3,-1)", "3a88d52d381f5c0a7cead269dd75435aa6ebc0e4e852cfdad664c7a9669bdad7"),
+    ("ex55", 3, 3): ("(-3,0)", "e6c481fa42d618c855f13cbc3327808e1de1db417cdb7c402271bab49b5bfe04"),
+    ("ex55", 3, 4): ("(-3,1)", "f9ee3b7d2a25ccd5795cd7b86516b3e8d7cd412feb233f9a9d5c70dd43155b66"),
+    ("ex55", 3, 5): ("(-3,2)", "b5bebab50c33275fc919e3c8985789a9d0c13f8a6d8d13f537bc76a0d1888be4"),
+    ("ex55", 4, 0): ("(-4,-4)", "cf62c5c3cbc5538f4faa047105329c434b70617445e51892aaeb8607ab0d51b8"),
+    ("ex55", 4, 1): ("(-4,-3)", "158fa8d468ecb96789c50f9761723791511523bdf145aa6aceca7454ee261161"),
+    ("ex55", 4, 2): ("(-4,-2)", "354adf73ace052c84a758d0eeb8b524ac161469b912cbe3e7b137ddbb622c3e9"),
+    ("ex55", 4, 3): ("(-4,-1)", "39e6f3e170c0060881d9d44848d546b186077678961d427bee96764dcbe34f00"),
+    ("ex55", 4, 4): ("(-4,0)", "1f147f503a2de08e86e49fae8911da6bd38a567cf87c28907c0d13880b01a0e3"),
+    ("ex55", 4, 5): ("(-4,1)", "afaf56357a7b2e5c5c411a6dad628e1950a94dc242526aec06be30fb90e5338c"),
+    ("ex55", 5, 0): ("(-5,-5)", "0edef7f36878ffde4ab2a63259304785adb428ed9f1b303e04f9d2b63012eccc"),
+    ("ex55", 5, 1): ("(-5,-4)", "ce8a7f41fa03e753546ad8c534deceab533062c77618bb23fe2bda5d57b2e426"),
+    ("ex55", 5, 2): ("(-5,-3)", "70b0d38a1205a249565694ab2555448c6695843fa8e362787cf361c1e5d55c0a"),
+    ("ex55", 5, 3): ("(-5,-2)", "a0842971f66eb720f6108299748efbe6cfb7a8b0e1af1dd2653808d83f9738ff"),
+    ("ex55", 5, 4): ("(-5,-1)", "a975d5f90a282a151704d9eaa416439f3ecea7839bbaa56875ab4e2723f3c1a3"),
+    ("ex55", 5, 5): ("(-5,0)", "b8514532267dcd58fc7b80754759ef010018e4e2b9f05263bbba4281fb971bda"),
+    ("ex52", 1, 0): ("(0,-1)", "58fed26b6a052b0d7d84c889cfa1ea1ec88879c73331dc2327a3decd78696154"),
+    ("ex52", 2, 0): ("(0,-2)", "9720fc739eae7881442d2784800b9f18c3d7beed72c71257b2bd46b2eb3784d3"),
+    ("ex52", 3, 0): ("(0,-3)", "9f6b0741214d017b96118d28e1392e64f8d16649df7f4d34aeff5ee68c2962e4"),
+    ("ex52", 4, 0): ("(0,-4)", "cf62c5c3cbc5538f4faa047105329c434b70617445e51892aaeb8607ab0d51b8"),
+    ("ex52", 5, 0): ("(0,-5)", "0edef7f36878ffde4ab2a63259304785adb428ed9f1b303e04f9d2b63012eccc"),
+}
+
+
+@pytest.mark.parametrize("name", ["ex55", "ex52"])
+def test_target_outputs_are_pinned(name, request):
+    spec = request.getfixturevalue(name)
+    for (preset, i, j), pinned in TARGET_DIGESTS.items():
+        if preset != name:
+            continue
+        f, v = _target_witness(spec, i, j)
+        assert (str(v), hashlib.sha256(str(f).encode()).hexdigest()) == pinned
+        assert witness_for_value(spec, i, j) == f and value(spec, f) == v
 
 
 def test_sample_image_ex55(ex55):
@@ -848,8 +903,8 @@ def test_the_divisor_store_is_shared_and_never_changed(monkeypatch):
     monic = {dm: (p, copy.deepcopy((exp.grid, exp.den))) for dm, (p, exp) in divisor._monic.items()}
     assert sorted(monic) == [(d + 1) * spec.m for d in range(6)]
 
-    calls = {"times_y": 0, "build": 0}
-    times_y, build = Divisor.times_y, Divisor._bounded_monic
+    calls = {"times_y": 0, "build": 0, "division": 0, "cell": 0}
+    times_y, build, division, cell = Divisor.times_y, Divisor._bounded_monic, Divisor.division, WExpansion.cell
 
     def counted(name, fn):
         def wrapper(*args):
@@ -860,14 +915,16 @@ def test_the_divisor_store_is_shared_and_never_changed(monkeypatch):
 
     monkeypatch.setattr(Divisor, "times_y", counted("times_y", times_y))
     monkeypatch.setattr(Divisor, "_bounded_monic", counted("build", build))
-    targets = {(i, j): witness_for_value(spec, i, j) for i in range(1, 5) for j in range(6)}
-    assert calls == {"times_y": 0, "build": 0}
+    monkeypatch.setattr(Divisor, "division", counted("division", division))
+    monkeypatch.setattr(WExpansion, "cell", counted("cell", cell))
+    targets = {(i, j): _target_witness(spec, i, j) for i in range(1, 5) for j in range(6)}
+    assert calls == {"times_y": 0, "build": 0, "division": 0, "cell": 0}
     monkeypatch.undo()
 
-    # The target path's value check, and reductions of stored outputs and
-    # of a fresh one past chains of stored outputs.
-    for (i, j), f in targets.items():
-        assert value(spec, f) == ValuePair(-i, j - i)
+    # The target path's values against division, and reductions of stored
+    # outputs and of a fresh one past chains of stored outputs.
+    for (i, j), (f, v) in targets.items():
+        assert v == value(spec, f) == ValuePair(-i, j - i)
     assert increasing_value_sequence(spec, 5) == seq
     for d in range(1, 8):
         g, _, v = reduce_past_chain(spec, spec.divisor.bounded_monic(d * spec.m)[0], seq)

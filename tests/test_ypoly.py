@@ -563,3 +563,24 @@ def test_expansion_plus_matches_division(w):
         zero = exp.plus(Fraction(-1), exp)
         assert len(zero.grid) == 1 and not any(n for n, _ in zero.grid[0])
         assert exp.plus(Fraction(0), exp) is exp
+
+
+@pytest.mark.parametrize("w", [W55, parse_poly("y^2 + x^3"), W_FRAC], ids=["ex55", "ex52", "fractions"])
+def test_expansion_times_matches_division(w, monkeypatch):
+    # E(f)*E(g) is the expansion of f*g for polynomial, rational, y-free and
+    # zero factors: the same row count and the same reduced rows.
+    divisor = Divisor(w)
+    rng = random.Random(7)
+    polys = [random_xy_poly(rng, 5) for _ in range(3)] + [random_rational_poly(rng, 3, 5) for _ in range(3)]
+    polys += [parse_poly("3*x^4 - x"), parse_poly("2/(x^2 + 1)"), YPoly.zero(), w]
+    exps = [divisor.expand(f) for f in polys]
+    for f, ef in zip(polys, exps):
+        for g, eg in zip(polys, exps):
+            exp = ef.times(eg)
+            rows = expand_by_division(f * g, w)
+            assert len(exp.grid) == len(rows) and exp.rows == rows
+    # A y-free factor puts nothing at a position >= m, so no row is folded.
+    monkeypatch.setattr(Divisor, "_rows", lambda *args: pytest.fail("a row was folded"))
+    for f, ef in zip(polys, exps):
+        for c, ec in zip(polys[6:9], exps[6:9]):
+            assert ef.times(ec).rows == ec.times(ef).rows == expand_by_division(f * c, w)
