@@ -212,9 +212,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="preset name (ex55, ex52) or config file path (default: ex55)",
     )
     common.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized corpora")
     # `echo` names the arguments the JSON payload repeats.
     common.set_defaults(echo=())
+    # Only the subcommands that draw a random corpus take a seed.
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="seed for randomized corpora")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -232,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("g")
     p.set_defaults(func=_cmd_lambda, echo=("f", "g"))
 
-    p = sub.add_parser("axioms", parents=[common], help="audit valuation axioms on a random corpus")
+    p = sub.add_parser("axioms", parents=[common, seeded], help="audit valuation axioms on a random corpus")
     p.add_argument("--count", type=_count, default=200, help="corpus size")
     p.add_argument("--pairs", type=_count, default=500, help="sampled pair budget")
     p.add_argument("--max-deg", type=_count, default=5, help="total degree bound for corpus elements")
@@ -242,12 +244,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dmax", type=_count, default=5)
     p.set_defaults(func=_cmd_witness)
 
-    p = sub.add_parser("image", parents=[common], help="sample attained values and test membership")
+    p = sub.add_parser("image", parents=[common, seeded], help="sample attained values and test membership")
     p.add_argument("--mode", choices=("ex55", "cone"), default="ex55")
     _add_corpus_flags(p, random_count=1000)
     p.set_defaults(func=_cmd_image)
 
-    p = sub.add_parser("census", parents=[common], help="count quotient classes up to a y-degree")
+    p = sub.add_parser("census", parents=[common, seeded], help="count quotient classes up to a y-degree")
     p.add_argument("--ell", type=_count, required=True)
     p.add_argument("--family", choices=("h_family", "corpus"), default="h_family")
     p.set_defaults(func=_cmd_census, echo=("ell", "family"))
@@ -259,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emax", type=_count, required=True)
     p.set_defaults(func=_cmd_ypower)
 
-    p = sub.add_parser("structure", parents=[common], help="structural containment checks")
+    p = sub.add_parser("structure", parents=[common, seeded], help="structural containment checks")
     _add_corpus_flags(p, random_count=200)
     p.set_defaults(func=_cmd_structure)
 

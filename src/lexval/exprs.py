@@ -44,8 +44,8 @@ from __future__ import annotations
 import re
 from math import gcd
 
-from .ratfunc import _ZERO, RatFunc, UniPoly, _sparse_poly, as_ratfunc
-from .ypoly import YPoly, _monomial_sum
+from .ratfunc import _ONE, _ZERO, RatFunc, UniPoly, _sparse_poly, as_ratfunc
+from .ypoly import YPoly
 
 
 class ExprError(ValueError):
@@ -146,7 +146,11 @@ def _ring(terms: dict[int, dict[int, int]]):
     """The sum {b: {a: c}} of monomials as a UniPoly if it is free of y, else as a YPoly."""
     if terms.keys() <= {0}:
         return _sparse_poly(terms[0]) if terms else _ZERO
-    return _from_coeffs(_monomial_sum(terms).terms)
+    coeffs = {}
+    for b, row in terms.items():
+        if p := _sparse_poly(row):
+            coeffs[b] = RatFunc._canonical(p, _ONE)
+    return _from_coeffs(coeffs)
 
 
 def _as_ring(v):

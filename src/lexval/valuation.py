@@ -20,14 +20,13 @@ stops once the best cell so far lies below the bound of the next row (a
 bundle that fails validation, one built around `make_spec`, has every row
 built).  Or it takes a whole expansion that the caller holds, such as one
 summed cell by cell (`WExpansion.plus`), and divides nothing.
-The one lead-cancellation loop, f <- f + lambda * g while the caller's
-match gives a g of f's value, reads each lead that way; it checks that
-every step raises the value strictly, and has no iteration cap.
-lambda has one rule, `LeadTerm.cancel_scalar`: minus the ratio of the two
-lead cells' residues at infinity.  The loop and the `lambda` command take
-it from the lead terms; `check_axioms` keeps of each corpus lead only the
-value and the residue, so that it holds no expansion, and takes the same
-ratio of those.
+A `LeadTerm` keeps its cell and no expansion, and lambda has one rule,
+`LeadTerm.cancel_scalar`: minus the ratio of the two lead cells' residues
+at infinity, which the loop, the `lambda` command and `check_axioms` all
+take.  The one lead-cancellation loop, f <- f + lambda * g while the
+caller's match gives a g of f's value, is handed f's expansion and each
+g's, sums them and reads each new lead off the sum; it checks that every
+step raises the value strictly, and has no iteration cap.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from functools import cached_property
 from math import gcd
 
 from . import ypoly
-from .ratfunc import RatFunc, v_inf
+from .ratfunc import RatFunc, _poly, _zmul, v_inf
 from .valgroup import INF, ExtValue, ValuePair, commensurable, is_indivisible
 from .ypoly import Divisor, WExpansion, YPoly, _rows_plus, _rows_times
 
@@ -157,34 +156,33 @@ def make_spec(m: int, n: int, w: YPoly, alpha: ValuePair, beta: ValuePair) -> Va
 class LeadTerm:
     """The unique expansion cell realizing value(f), with that value.
 
-    `exp` holds the unreduced rows the question built, rows 0 .. i' with
-    i' >= i: `lead_term` stops once the row bound proves the minimum, so it
-    need not be the whole expansion (a lead read off a whole expansion
-    keeps all of it).  That is enough for `coeff` and `cancel_scalar`,
-    which read only the lead cell; the cell's coefficient is reduced only
-    when `coeff` is first read.
+    The cell N / (den * H^k) is kept unreduced, as the two Z[x] lists
+    num = N and den = den * H^k; `coeff` reduces it when first read.
     """
 
     i: int
     j: int
     value: ValuePair
-    exp: WExpansion = field(repr=False, compare=False)
+    num: list[int] = field(repr=False, compare=False)
+    den: list[int] = field(repr=False, compare=False)
 
     @cached_property
     def coeff(self) -> RatFunc:
-        return self.exp.cell(self.i, self.j)
+        return RatFunc(_poly(list(self.num)), _poly(list(self.den)))
 
     def cancel_scalar(self, other: "LeadTerm") -> Fraction:
         """The unique lambda with value(f + lambda*g) > value(f), where self
-        and other are the lead terms of f and g."""
+        and other are the lead terms of f and g: minus the ratio of the two
+        cells' residues at infinity, lc(num) / lc(den), which a common
+        factor of num and den leaves unchanged."""
         if self.value != other.value:
             raise ValueError("cancellation scalar needs equal values")
-        return -self.exp.residue(self.i, self.j) / other.exp.residue(other.i, other.j)
+        return -Fraction(self.num[-1] * other.den[-1], self.den[-1] * other.num[-1])
 
 
 def _least_cell(spec: ValuationSpec, den: list[int] | None, nums, exp: WExpansion | None = None):
     """The key scan behind every question: the least cell of f != 0 as
-    (key, (i, j), rows scanned), None when every cell is zero.
+    (key, (i, j), (N, k)), None when every cell is zero.
 
     Entered with f's cleared rows (den, nums), it divides them from row 0 up
     and, for a valid bundle, stops after row i once the best key is below
@@ -196,10 +194,10 @@ def _least_cell(spec: ValuationSpec, den: list[int] | None, nums, exp: WExpansio
     a0, a1 = spec.alpha.a, spec.alpha.b
     b0, b1 = spec.beta.a, spec.beta.b
     step = None
+    divisor = spec.divisor
     if exp is not None:
-        den, rows, divisor = exp.den, exp.grid, exp.divisor
+        den, rows = exp.den, exp.grid
     else:
-        divisor = spec.divisor
         rows = divisor.division(nums)
         if max(nums) >= m and spec.row_step is not None:
             step = spec.row_step
@@ -211,11 +209,9 @@ def _least_cell(spec: ValuationSpec, den: list[int] | None, nums, exp: WExpansio
     # An unreduced cell N / (den * H^k) has -order = deg N - deg den - k * deg H,
     # and value (-order * m + j * n) * alpha + i * beta, ranked as an integer
     # pair: tuples compare as ValuePair does.
-    scanned = []
     best = None
     ties = 0
     for i, row in enumerate(rows):
-        scanned.append(row)
         ib0, ib1 = i * b0, i * b1
         for j, (num, k) in enumerate(row):
             if not num:
@@ -223,7 +219,7 @@ def _least_cell(spec: ValuationSpec, den: list[int] | None, nums, exp: WExpansio
             c = (len(num) - dd - k * dh) * m + j * n
             key = (c * a0 + ib0, c * a1 + ib1)
             if best is None or key < best:
-                best, cell, ties = key, (i, j), 1
+                best, cell, lead, ties = key, (i, j), (num, k), 1
             elif key == best:
                 ties += 1
         if step is not None:
@@ -237,42 +233,40 @@ def _least_cell(spec: ValuationSpec, den: list[int] | None, nums, exp: WExpansio
         # and coprime m, n force a unique minimizer); reaching this means
         # corrupted state, not a domain error.
         raise RuntimeError("minimizing expansion cell is not unique")
-    return best, cell, scanned
+    return best, cell, lead
 
 
 def _lead(spec: ValuationSpec, den=None, nums=None, exp: WExpansion | None = None) -> LeadTerm | None:
-    """The lead term from either entry of `_least_cell`, None when f = 0.
-    From exp it keeps exp itself; from rows, the rows the scan built."""
+    """The lead term from either entry of `_least_cell`, None when f = 0."""
     found = _least_cell(spec, den, nums, exp)
     if found is None:
         return None
-    key, cell, rows = found
-    if exp is None:
-        exp = WExpansion(grid=rows, den=den, divisor=spec.divisor)
-    return LeadTerm(*cell, ValuePair(*key), exp)
+    key, cell, (num, k) = found
+    if exp is not None:
+        den = exp.den
+    return LeadTerm(*cell, ValuePair(*key), num, _zmul(den, spec.divisor.hpower(k)))
 
 
-def _cancel_leads(spec: ValuationSpec, f: YPoly, lead: LeadTerm | None, match):
-    """Lead cancellation: while match(value of f) gives (key, g, lead of g),
-    f <- f + lambda * g with lambda = lead.cancel_scalar(lead of g), which
-    must raise the value strictly (else RuntimeError).  Returns
-    (f, [(key, lambda), ...], lead of f), the lead None for f = 0.
-
-    Every lead must be over a whole expansion (a `lead_term` result holds
-    only the rows its search built): a step sets E(f) <- E(f) + lambda * E(g)
-    and reads the new lead off that sum, dividing nothing.
+def _cancel_leads(spec: ValuationSpec, f: YPoly, exp: WExpansion, lead: LeadTerm | None, match):
+    """Lead cancellation on f, its whole expansion exp and its lead term:
+    while match(value of f) gives (key, g, E(g), lead of g), f <- f + lambda * g
+    with lambda = lead.cancel_scalar(lead of g), which must raise the value
+    strictly (else RuntimeError).  A step sets E(f) <- E(f) + lambda * E(g)
+    and reads the new lead off that sum, dividing nothing.  Returns
+    (f, [(key, lambda), ...], E(f), lead of f), the lead None for f = 0.
     """
     steps = []
     while lead is not None and (found := match(lead.value)) is not None:
-        key, g, other = found
-        lam = lead.cancel_scalar(other)
+        key, g, g_exp, g_lead = found
+        lam = lead.cancel_scalar(g_lead)
         f = f + g.scale(lam)
         steps.append((key, lam))
-        raised = _lead(spec, exp=lead.exp.plus(lam, other.exp))
+        exp = exp.plus(lam, g_exp)
+        raised = _lead(spec, exp=exp)
         if raised is not None and not raised.value > lead.value:
             raise RuntimeError(f"lead cancellation by {key!r} did not raise the value {lead.value}")
         lead = raised
-    return f, steps, lead
+    return f, steps, exp, lead
 
 
 def _cleared_value(spec: ValuationSpec, den: list[int], nums: dict[int, list[int]]) -> ExtValue:
@@ -283,8 +277,8 @@ def _cleared_value(spec: ValuationSpec, den: list[int], nums: dict[int, list[int
 def lead_term(spec: ValuationSpec, f: YPoly) -> LeadTerm:
     """The unique cell of the expansion of f attaining value(f).
 
-    No cell is reduced until `coeff` is read, and the expansion holds only
-    the rows the search built.
+    The division stops at the row bound, and the cell is reduced only when
+    `coeff` is read.
     """
     if f.is_zero():
         raise ValueError("zero polynomial has no lead term")
@@ -336,8 +330,8 @@ def check_axioms(
       * value(f*g) == value(f) + value(g)
       * value(f+g) >= min(value(f), value(g))
       * equality above whenever value(f) != value(g)
-      * when value(f) == value(g): lambda = -residue(f) / residue(g) of the
-        lead cells strictly raises the value, and lambda +- 1 do not
+      * when value(f) == value(g): lambda, the cancellation scalar of the
+        lead terms, strictly raises the value, and lambda +- 1 do not
     and, on pairs (p, g) with p free of y, the scaling law
     value(p*g) == value(p) + value(g).
 
@@ -354,7 +348,7 @@ def check_axioms(
     # valued as cleared rows.  Pairs are drawn as corpus indices:
     # rng.choice(range(n)) makes the same draw as rng.choice(corpus).
     rows = [ypoly._clear_denominators(f) for f in corpus]
-    leads = [(t.value, t.exp.residue(t.i, t.j)) for t in (_lead(spec, *r) for r in rows)]
+    leads = [_lead(spec, *r) for r in rows]
     indices = range(len(corpus))
 
     for _ in range(pair_budget):
@@ -362,8 +356,7 @@ def check_axioms(
         b = rng.choice(indices)
         f, g = corpus[a], corpus[b]
         fr, gr = rows[a], rows[b]
-        vf, rf = leads[a]
-        vg, rg = leads[b]
+        vf, vg = leads[a].value, leads[b].value
         report.pairs_checked += 1
 
         if _cleared_value(spec, *_rows_times(fr, gr)) != vf + vg:
@@ -377,7 +370,7 @@ def check_axioms(
             report.record("strict_triangle", f"value(f+g) != min for f={f}, g={g}")
 
         if vf == vg:
-            lam = -rf / rg
+            lam = leads[a].cancel_scalar(leads[b])
             if not _cleared_value(spec, *_rows_plus(fr, lam, gr)) > vf:
                 report.record("lambda_raises", f"lambda={lam} fails to raise for f={f}, g={g}")
             for other in (lam + 1, lam - 1):
@@ -393,6 +386,6 @@ def check_axioms(
             b = rng.choice(indices)
             p, g = corpus[a], corpus[b]
             report.x_pairs_checked += 1
-            if _cleared_value(spec, *_rows_times(rows[a], rows[b])) != leads[a][0] + leads[b][0]:
+            if _cleared_value(spec, *_rows_times(rows[a], rows[b])) != leads[a].value + leads[b].value:
                 report.record("x_scaling", f"value(pg) != value(p)+value(g) for p={p}, g={g}")
     return report

@@ -22,10 +22,11 @@ plain polynomials (so the attained value set has no largest element):
     sequence keeps, with no division by w.
 
 Both drivers check f's value against the chain start, then run the one
-lead-cancellation loop of `lexval.valuation` through one chain match,
-which fills a chain element's lead term, by one expansion, when a step
-first uses it.  Each step must raise the value strictly, so over a run of
-consecutive values the loop ends within len(chain) steps; no cap is left.
+lead-cancellation loop of `lexval.valuation` on f's expansion through one
+chain match, which fills a chain element's expansion and lead term, by one
+division, when a step first uses it.  Each step must raise the value
+strictly, so over a run of consecutive values the loop ends within
+len(chain) steps; no cap is left.
 The builder's outputs, their expansions and the y-power grids under them
 depend on w and a degree only, so they are built once per divisor, in the
 store of `spec.divisor`, and shared by every later sequence, witness and
@@ -62,7 +63,7 @@ def _check_chain(chain: list[tuple[YPoly, ValuePair]]) -> None:
     the immediate successor of the one before, which in Z (+) Z under lex is
     a step of (0, 1)."""
     if not chain:
-        raise ValueError("chain needs matching nonempty polys and values")
+        raise ValueError("chain needs at least one (f, value) pair")
     for (_, prev), (_, nxt) in zip(chain, chain[1:]):
         if nxt != prev + ValuePair(0, 1):
             raise ValueError(f"chain values not consecutive: {prev} then {nxt}")
@@ -82,29 +83,31 @@ def reduce_past_chain(
     each chain element used once per call; the steps divide nothing.
     """
     _check_chain(chain)
-    lead = _lead(spec, exp=spec.divisor.expand(f))
+    exp = spec.divisor.expand(f)
+    lead = _lead(spec, exp=exp)
     if lead is not None and not lead.value >= chain[0][1]:
         raise ValueError(f"value {lead.value} of input is below the chain start {chain[0][1]}")
-    g, steps, lead = _cancel_leads(spec, f, lead, _chain_match(spec, chain, [None] * len(chain)))
+    g, steps, _, lead = _cancel_leads(spec, f, exp, lead, _chain_match(spec, chain, [None] * len(chain)))
     return g, steps, INF if lead is None else lead.value
 
 
-def _chain_match(spec: ValuationSpec, chain: list[tuple[YPoly, ValuePair]], leads: list[LeadTerm | None]):
+def _chain_match(spec: ValuationSpec, chain: list[tuple[YPoly, ValuePair]], known: list):
     """The match of `_cancel_leads` over a chain of pairs (f_k, value(f_k)):
     a value from the chain's first to its last maps to (index, element,
-    lead), and a higher value to None.  The values are consecutive, so the
-    value of f_k is the first value plus (0, k).  leads[k] is the lead of f_k
-    over its whole expansion; a None entry is filled, by one expansion, on
-    first use.
+    expansion, lead), and a higher value to None.  The values are
+    consecutive, so the value of f_k is the first value plus (0, k).
+    known[k] is the pair (whole expansion, lead term) of f_k; a None entry
+    is filled, by one division, on first use.
     """
 
     def match(v: ValuePair):
         if v > chain[-1][1]:
             return None
         idx = v.b - chain[0][1].b
-        if leads[idx] is None:
-            leads[idx] = _lead(spec, exp=spec.divisor.expand(chain[idx][0]))
-        return idx, chain[idx][0], leads[idx]
+        if known[idx] is None:
+            exp = spec.divisor.expand(chain[idx][0])
+            known[idx] = exp, _lead(spec, exp=exp)
+        return (idx, chain[idx][0], *known[idx])
 
     return match
 
@@ -130,15 +133,15 @@ def increasing_value_sequence(spec: ValuationSpec, d_max: int) -> list[tuple[YPo
     return _sequence(spec, d_max)[0]
 
 
-def _sequence(spec: ValuationSpec, d_max: int) -> tuple[list[tuple[YPoly, ValuePair]], list[LeadTerm]]:
-    """`increasing_value_sequence` with the lead term of each element over
-    its whole expansion."""
+def _sequence(spec: ValuationSpec, d_max: int) -> tuple[list[tuple[YPoly, ValuePair]], list[tuple[WExpansion, LeadTerm]]]:
+    """`increasing_value_sequence` with the whole expansion and the lead
+    term of each element."""
     if d_max < 0:
         raise ValueError("d_max must be nonnegative")
     divisor = spec.divisor
-    f0, exp0 = divisor.bounded_monic(spec.m)
-    lead = _lead(spec, exp=exp0)
-    seq, leads = [(f0, lead.value)], [lead]
+    f0, exp = divisor.bounded_monic(spec.m)
+    lead = _lead(spec, exp=exp)
+    seq, known = [(f0, lead.value)], [(exp, lead)]
     for d in range(1, d_max + 1):
         f, exp = divisor.bounded_monic((d + 1) * spec.m)
         lead = _lead(spec, exp=exp)
@@ -147,11 +150,11 @@ def _sequence(spec: ValuationSpec, d_max: int) -> tuple[list[tuple[YPoly, ValueP
                 f"this bundle has no increasing value sequence: at d={d} the builder output has value "
                 f"{lead.value}, below value(f_0) = {seq[0][1]}"
             )
-        g, _, lead = _cancel_leads(spec, f, lead, _chain_match(spec, seq, leads))
+        g, _, exp, lead = _cancel_leads(spec, f, exp, lead, _chain_match(spec, seq, known))
         seq.append((g, INF if lead is None else lead.value))
         _check_chain(seq[-2:])
-        leads.append(lead)
-    return seq, leads
+        known.append((exp, lead))
+    return seq, known
 
 
 def class_witness(spec: ValuationSpec, q: int, r: int) -> YPoly:
@@ -183,12 +186,12 @@ def _target_witness(spec: ValuationSpec, i: int, j: int) -> tuple[YPoly, ValuePa
     """
     if i < 1 or j < 0:
         raise ValueError("need i >= 1 and j >= 0")
-    seq, leads = _sequence(spec, j)
+    seq, known = _sequence(spec, j)
     rows, base = _clear_denominators(seq[j][0]), _clear_denominators(seq[0][0])
-    exp = leads[j].exp
+    exp = known[j][0]
     for _ in range(i - 1):
         rows = _rows_times(rows, base)
-        exp = exp.times(leads[0].exp)
+        exp = exp.times(known[0][0])
     return _from_rows(*rows), _lead(spec, exp=exp).value
 
 

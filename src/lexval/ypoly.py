@@ -31,7 +31,7 @@ from itertools import zip_longest
 from math import gcd, lcm
 from operator import add
 
-from .ratfunc import _ONE, _RF_ZERO, NEG_INF, RatFunc, UniPoly, _join_terms, _poly, _power, _sparse_poly, _zdivmod, _zmul, as_ratfunc, poly_gcd
+from .ratfunc import _ONE, _RF_ZERO, NEG_INF, RatFunc, UniPoly, _join_terms, _poly, _power, _zdivmod, _zmul, as_ratfunc, poly_gcd
 
 
 class YPoly:
@@ -195,16 +195,6 @@ def _as_ypoly(value):
     if isinstance(value, (int, Fraction, UniPoly, RatFunc)):
         return YPoly({0: value})
     return NotImplemented
-
-
-def _monomial_sum(terms: dict[int, dict[int, int]]) -> YPoly:
-    """The sum of the terms c*x^a*y^b given as {b: {a: c}} with integers c."""
-    out = {}
-    for b, row in terms.items():
-        p = _sparse_poly(row)
-        if p:
-            out[b] = RatFunc._canonical(p, _ONE)
-    return YPoly._canonical(out)
 
 
 def denominator_clearer(w: YPoly) -> UniPoly:
@@ -504,11 +494,9 @@ class WExpansion:
 
     grid[i][j] is a pair (N, k) standing for the cell N / (den * H^k), with N
     and den in Z[x] as integer lists (no trailing zeros), H the divisor's and
-    N = [] the zero cell; a cell is reduced only when it is read.  From
-    `Divisor.expand` the grid is whole and its top row is nonzero unless the
-    expanded element is zero (a single all-zero row).  A `LeadTerm` keeps
-    only the rows its question built, its first rows, so there the top row
-    may be zero and `rows` is not the whole expansion.
+    N = [] the zero cell; a cell is reduced only when it is read.  The grid
+    is whole, and from `Divisor.expand` its top row is nonzero unless the
+    expanded element is zero (a single all-zero row).
     """
 
     grid: list[list[tuple[list[int], int]]]
@@ -519,15 +507,6 @@ class WExpansion:
     @property
     def m(self) -> int:
         return self.divisor.m
-
-    def residue(self, i: int, j: int) -> Fraction:
-        """residue_at_inf of the nonzero cell (i, j): lc(N) / lc(den * H^k).
-
-        A common factor divides both leading coefficients alike, so it is
-        also the residue of the reduced cell.
-        """
-        n, k = self.grid[i][j]
-        return Fraction(n[-1], self.den[-1] * self.divisor.h[-1] ** k)
 
     def fraction(self, i: int, j: int) -> tuple[UniPoly, UniPoly]:
         """Cell (i, j) unreduced: the numerator N and the denominator den * H^k."""

@@ -393,6 +393,41 @@ def test_usage_error_exit_code(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["value", "--seed", "1", "y"],
+        ["expand", "--seed", "1", "y"],
+        ["lead", "--seed", "1", "y"],
+        ["lambda", "--seed", "1", "y", "y"],
+        ["witness", "--seed", "1"],
+        ["spec-check", "--seed", "1"],
+        ["ypower", "--seed", "1", "--emax", "2"],
+        ["target", "--seed", "1", "--i", "1", "--j", "1"],
+    ],
+)
+def test_seed_is_refused_where_nothing_is_drawn(capsys, argv):
+    # Only axioms, image, structure and census draw a random corpus, so only
+    # they take --seed; any other subcommand refuses it as a usage error.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --seed" in captured.err
+
+
+def test_seed_is_taken_where_a_corpus_is_drawn(capsys):
+    for argv in (
+        ["axioms", "--count", "5", "--pairs", "5"],
+        ["image", "--random-count", "5"],
+        ["structure", "--random-count", "5"],
+        ["census", "--ell", "3", "--family", "corpus"],
+    ):
+        assert main([*argv, "--seed", "1"]) == 0, argv
+        assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["axioms", "--count", "-1"],
         ["axioms", "--pairs", "-1"],
         ["axioms", "--max-deg", "-1"],

@@ -266,9 +266,9 @@ def test_monomial_runs_need_no_ring_arithmetic(monkeypatch):
     # A run of monomials is multiplied and summed as integers, and a sum of
     # monomials goes into one map: parsing these multiplies and adds no
     # UniPoly and rescans no degree or bit length.  Only a sum of monomials
-    # with y goes through _monomial_sum; a y-free sum is a UniPoly built from
-    # its map directly, and a y-free value times y^b is moved over as its
-    # coefficient.  A sum of quotients normalises each quotient once and
+    # with y takes _ring's route to a YPoly, and builds that YPoly once; a
+    # y-free sum is a UniPoly built from its map directly, and a y-free value
+    # times y^b is moved over as its coefficient.  A sum of quotients normalises each quotient once and
     # checks the degrees of the coefficients that each term changes, not of
     # every coefficient so far.
     k = 60
@@ -311,27 +311,37 @@ def test_monomial_runs_need_no_ring_arithmetic(monkeypatch):
         dense: YPoly({b: UniPoly(row) for b, row in enumerate(rows)}),
     }
     maps = []
-    monomial_sum = exprs._monomial_sum
+    ypolys = []
+    ring = exprs._ring
+    canonical = YPoly._canonical.__func__
 
-    def counting_monomial_sum(terms):
-        maps.append(terms)
-        return monomial_sum(terms)
+    def counting_ring(terms):
+        if terms.keys() - {0}:
+            maps.append(terms)
+        return ring(terms)
+
+    def counting_canonical(cls, terms):
+        ypolys.append(terms)
+        return canonical(cls, terms)
 
     def refuse(*args):
         raise AssertionError("ring arithmetic or a degree rescan in a monomial run")
 
     with monkeypatch.context() as patch:
-        patch.setattr(exprs, "_monomial_sum", counting_monomial_sum)
+        patch.setattr(exprs, "_ring", counting_ring)
+        patch.setattr(YPoly, "_canonical", classmethod(counting_canonical))
         for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
             patch.setattr(UniPoly, name, refuse)
         patch.setattr(exprs, "_max_degree", refuse)
         patch.setattr(exprs, "_max_bits", refuse)
         for src, expected in {**cases, **free_cases}.items():
             maps.clear()
+            ypolys.clear()
             assert parse_poly(src) == expected, src
+            # The one map with y that reaches _ring is the flat sum's, and
+            # its YPoly is built once.
             assert len(maps) == (src == flat), (src, maps)
-            # The one map that reaches _monomial_sum, the flat sum's, holds y.
-            assert src != flat or maps[0].keys() - {0}, maps
+            assert src != flat or len(ypolys) == 1, ypolys
 
 
 def test_every_unicode_space_separates_tokens():

@@ -33,7 +33,7 @@ from lexval import (  # noqa: E402
 import lexval.witness as witness_mod  # noqa: E402
 from lexval.ratfunc import residue_at_inf, v_inf  # noqa: E402
 from lexval.valgroup import basis_det  # noqa: E402
-from lexval.valuation import _cleared_value  # noqa: E402
+from lexval.valuation import _cleared_value, _lead  # noqa: E402
 from lexval.witness import _seeded_corpus  # noqa: E402
 from lexval.ypoly import Divisor, _clear_denominators, _from_rows, _rows_plus, _rows_times  # noqa: E402
 
@@ -116,8 +116,30 @@ def _check_by_division(spec, f):
     lead = lead_term(spec, f)
     v, i, j, coeff = _reference_lead(spec, f)
     assert (lead.i, lead.j, lead.value, lead.coeff) == (i, j, v, coeff)
-    assert lead.exp.residue(i, j) == residue_at_inf(coeff)
+    assert Fraction(lead.num[-1], lead.den[-1]) == residue_at_inf(coeff)
     assert value(spec, f) == v
+    _check_leads_agree(spec, f)
+
+
+def _check_leads_agree(spec, f):
+    """lead_term(f), which divides f only down to the row bound, and the lead
+    read off f's whole expansion are one lead: the same cell, value and
+    coefficient, and the same cancellation scalar against a third lead, of
+    g = f * (3x + 1)/(2x), whose value is f's and whose residue is 3/2 of f's."""
+    lead = lead_term(spec, f)
+    whole = _lead(spec, exp=spec.divisor.expand(f))
+    assert (whole.i, whole.j, whole.value, whole.coeff) == (lead.i, lead.j, lead.value, lead.coeff)
+    third = lead_term(spec, f.scale(RatFunc(UniPoly([1, 3]), UniPoly([0, 2]))))
+    assert lead.cancel_scalar(third) == whole.cancel_scalar(third) == Fraction(-2, 3)
+    assert third.cancel_scalar(lead) == third.cancel_scalar(whole) == Fraction(-3, 2)
+
+
+def test_lead_term_is_the_lead_of_the_whole_expansion(ex55, ex52):
+    rng = random.Random(23)
+    corpus = [random_xy_poly(rng, 6) for _ in range(30)] + [random_rational_poly(rng, 3, 8) for _ in range(15)]
+    for spec in (ex55, ex52):
+        for f in corpus + [spec.w, spec.w * spec.w + parse_poly("y")]:
+            _check_leads_agree(spec, f)
 
 
 def test_shared_factor_denominators_against_division(ex55, ex52):

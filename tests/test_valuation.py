@@ -147,19 +147,22 @@ def test_cancel_leads_runs_on_any_match(ex52):
     # A match that is not a chain: a table from values to named elements.
     # Under ex52, v(y^2) = v(x^3) = (-6,-6), and y^2 + x^3 is w itself, of
     # value beta = (0,-1); with w in the table too, the loop ends at 0.
-    def whole_lead(f):
-        return _lead(ex52, exp=ex52.divisor.expand(f))
+    def whole(f):
+        exp = ex52.divisor.expand(f)
+        return exp, _lead(ex52, exp=exp)
 
     y2, x3, w = parse_poly("y^2"), parse_poly("x^3"), ex52.w
-    table = {value(ex52, x3): ("x^3", x3, whole_lead(x3))}
-    f, steps, lead = _cancel_leads(ex52, y2, whole_lead(y2), table.get)
+    table = {value(ex52, x3): ("x^3", x3, *whole(x3))}
+    f, steps, exp, lead = _cancel_leads(ex52, y2, *whole(y2), table.get)
     assert steps == [("x^3", 1)]
     assert f == w and lead.value == ValuePair(0, -1) == value(ex52, w)
+    assert exp.rows == ex52.divisor.expand(w).rows
 
-    table[value(ex52, w)] = ("w", w, whole_lead(w))
-    f, steps, lead = _cancel_leads(ex52, y2, whole_lead(y2), table.get)
+    table[value(ex52, w)] = ("w", w, *whole(w))
+    f, steps, exp, lead = _cancel_leads(ex52, y2, *whole(y2), table.get)
     assert steps == [("x^3", 1), ("w", -1)]
     assert f.is_zero() and lead is None
+    assert exp.rows == ((RatFunc.zero(),) * 2,)
 
 
 def test_monomial_law(ex55, ex52):
@@ -283,6 +286,23 @@ def test_lead_term_ranks_cells_by_order(ex55, ex52):
                 assert (t.i, t.j, t.value) == _lead_from_orders(spec, f)
 
 
+def _drawn_rows(monkeypatch):
+    """A list that gets, for each division by w from now on, the number of
+    rows drawn from it."""
+    drawn = []
+    division = Divisor.division
+
+    def counted(self, nums):
+        drawn.append(0)
+        k = len(drawn) - 1
+        for row in division(self, nums):
+            drawn[k] += 1
+            yield row
+
+    monkeypatch.setattr(Divisor, "division", counted)
+    return drawn
+
+
 # Inputs near the degree budget, whose whole division by w takes 0.06-1.5 s
 # on ex55 and ex52; row 0 alone proves each value.
 BUDGET_INPUTS = [
@@ -298,13 +318,14 @@ BUDGET_INPUTS = [
 @pytest.mark.parametrize(
     "preset, text, expected", BUDGET_INPUTS, ids=[f"{p}:{t}" for p, t, _ in BUDGET_INPUTS]
 )
-def test_budget_inputs_build_one_row(preset, text, expected, capsys):
+def test_budget_inputs_build_one_row(preset, text, expected, capsys, monkeypatch):
     from lexval.cli import main
 
     spec = load_spec(preset)
     f = parse_poly(text)
+    drawn = _drawn_rows(monkeypatch)
     t = lead_term(spec, f)
-    assert len(t.exp.grid) == 1
+    assert drawn == [1]
     assert (t.i, t.j, t.value) == _lead_from_orders(spec, f)
     assert t.value == expected
     assert main(["value", "--spec", preset, text]) == 0
@@ -341,27 +362,32 @@ def test_value_is_the_lead_term_value(preset, request):
         assert value(spec, f) == lead_term(spec, f).value
 
 
-def test_lead_term_builds_every_row_for_an_invalid_spec(ex55):
+def test_lead_term_builds_every_row_for_an_invalid_spec(ex55, monkeypatch):
     # The row bound holds for valid bundles only.  A spec built around
     # make_spec that spec_violations rejects has every row built, and its
     # lead term is still the minimum over the whole expansion.
     corrupted = replace(ex55, alpha=-ex55.alpha)
     assert ex55.row_step == (6, 7) and corrupted.row_step is None
     rng = random.Random(43)
+    drawn = _drawn_rows(monkeypatch)
     for f in [random_xy_poly(rng, 8) for _ in range(20)] + [parse_poly("y^9 + x")]:
+        drawn.clear()
         t = lead_term(corrupted, f)
-        assert len(t.exp.grid) == f.deg_y // 2 + 1
+        assert drawn == [f.deg_y // 2 + 1]
         assert (t.i, t.j, t.value) == _lead_from_orders(corrupted, f)
 
 
-def _refuse_reduction(self, i, j):
-    raise AssertionError(f"cell ({i}, {j}) was reduced")
+def _refuse_reduction(*args):
+    raise AssertionError(f"a cell was reduced: {args}")
 
 
 def test_questions_reduce_no_cell(ex55, ex52, monkeypatch):
     # A value and a cancellation scalar need each cell's order and leading
-    # residue only, which the unreduced expansion gives.
+    # residue only, which the unreduced expansion and lead cell give.
+    import lexval.valuation as valuation_mod
+
     monkeypatch.setattr(WExpansion, "cell", _refuse_reduction)
+    monkeypatch.setattr(valuation_mod, "RatFunc", _refuse_reduction)
     f = parse_poly("y^3/(x^2+1) + y - 5/(3*x)")
     g = parse_poly("2*y^3/(x^2+x) + y/x")
     assert value(ex55, f) == value(ex55, g) == ValuePair(-5, -5)
@@ -371,20 +397,23 @@ def test_questions_reduce_no_cell(ex55, ex52, monkeypatch):
 
 
 def test_lead_reduces_one_cell(ex55, monkeypatch, capsys):
+    # The lead term keeps its cell unreduced, and `coeff` reduces it once,
+    # when first read: the one RatFunc the valuation module builds.
+    import lexval.valuation as valuation_mod
     from lexval.cli import main
 
     calls = []
-    cell = WExpansion.cell
 
-    def counted(self, i, j):
-        calls.append((i, j))
-        return cell(self, i, j)
+    def counted(num, den):
+        calls.append((num, den))
+        return RatFunc(num, den)
 
-    monkeypatch.setattr(WExpansion, "cell", counted)
+    monkeypatch.setattr(valuation_mod, "RatFunc", counted)
     t = lead_term(ex55, parse_poly("y^3/(x^2+1) + x*y"))
     assert calls == []
     assert t.coeff == t.coeff == RatFunc(UniPoly([1, 0, 0, 1]), UniPoly([0, 0, 1, 0, 1]))
-    assert calls == [(0, 1)]
+    assert len(calls) == 1
+    assert (t.i, t.j) == (0, 1)
     calls.clear()
     assert main(["lead", "y^3/(x^2+1) + x*y"]) == 0
     assert capsys.readouterr().out == "i = 0\nj = 1\ncoeff = (x^3 + 1)/(x^4 + x^2)\nvalue = (-1,-1)\n"
@@ -508,8 +537,31 @@ def test_check_axioms_reads_lambda_off_stored_lead_terms(ex52, monkeypatch):
         raise AssertionError("the audit expanded f and g again for lambda")
 
     monkeypatch.setattr(valuation_mod, "lead_term", refuse)
-    monkeypatch.setattr(LeadTerm, "cancel_scalar", refuse)
     assert check_axioms(ex52, corpus, 80, seed=103) == expected
+
+
+def test_check_axioms_takes_lambda_from_the_lead_terms(ex52, monkeypatch):
+    # For every equal-value pair the audit draws, in draw order, its lambda
+    # is the cancellation scalar of lead_term(f) and lead_term(g).
+    corpus = _corpus(103, 30)
+    rng = random.Random(103)
+    expected = []
+    for _ in range(80):
+        f, g = rng.choice(corpus), rng.choice(corpus)
+        if value(ex52, f) == value(ex52, g):
+            expected.append(_lam(ex52, f, g))
+    seen = []
+    cancel_scalar = LeadTerm.cancel_scalar
+
+    def spy(self, other):
+        lam = cancel_scalar(self, other)
+        seen.append(lam)
+        return lam
+
+    monkeypatch.setattr(LeadTerm, "cancel_scalar", spy)
+    assert check_axioms(ex52, corpus, 80, seed=103).ok
+    assert expected and seen == expected
+    assert len(set(expected)) > 1
 
 
 # Seed 107 draws one pair whose sum, valued INF, needs no expansion.
@@ -535,8 +587,9 @@ def test_check_axioms_expands_each_question_once(ex52, monkeypatch, seed, zero_s
 
 
 def test_check_axioms_keeps_no_expansion_of_its_corpus(ex52, monkeypatch):
-    # Of each corpus element the audit keeps the value and the lead residue,
-    # not the expansion, so its memory does not grow with corpus x expansion.
+    # Of each corpus element the audit keeps the lead term, which holds its
+    # cell and not the expansion, so its memory does not grow with corpus x
+    # expansion.
     import gc
 
     import lexval.valuation as valuation_mod
