@@ -27,12 +27,12 @@ from .valgroup import ValuePair
 from .valuation import ValuationSpec, check_axioms, lead_term, spec_violations, value
 from .witness import (
     CorpusSpec,
-    _target_witness,
     increasing_value_sequence,
     quotient_census,
     random_xy_poly,
     sample_image,
     structure_checks,
+    witness_for_value,
 )
 from .ypoly import WExpansion, w_expand
 
@@ -196,7 +196,7 @@ def _cmd_structure(spec: ValuationSpec, args) -> _Output:
 def _cmd_target(spec: ValuationSpec, args) -> _Output:
     # The witness has y-degree (i + j) * m.
     _check_degree("--i + --j", args.i + args.j, MAX_DEGREE // spec.m)
-    f, v = _target_witness(spec, args.i, args.j)
+    f, v = witness_for_value(spec, args.i, args.j)
     return _Output({"value": str(v), "poly": str(f)})
 
 

@@ -15,18 +15,19 @@ monomial valuation v0(sum c_e y^e) = min_e (-v_inf(c_e) * m + e * n) * alpha
 (MacLane 1936; Vaquie 2007), so every cell in row i has value at least
 LB_i = v0(f) + i * (beta - m*n*alpha), and LB_i rises strictly with i.
 One key scan answers every question.  It takes cleared rows, which
-`value`, `lead_term` and `check_axioms` form, and divides them lazily: it
-stops once the best cell so far lies below the bound of the next row (a
+`value`, `lead_term` and `check_axioms` form, and either divides them
+lazily or reads a whole expansion of them that the caller holds, such as
+one summed cell by cell (`WExpansion.plus`), dividing nothing.  Either way
+it stops once the best cell so far lies below the bound of the next row (a
 bundle that fails validation, one built around `make_spec`, has every row
-built).  Or it takes a whole expansion that the caller holds, such as one
-summed cell by cell (`WExpansion.plus`), and divides nothing.
-A `LeadTerm` keeps its cell and no expansion, and lambda has one rule,
-`LeadTerm.cancel_scalar`: minus the ratio of the two lead cells' residues
-at infinity, which the loop, the `lambda` command and `check_axioms` all
-take.  The one lead-cancellation loop, f <- f + lambda * g while the
-caller's match gives a g of f's value, is handed f's expansion and each
-g's, sums them and reads each new lead off the sum; it checks that every
-step raises the value strictly, and has no iteration cap.
+read).  A `LeadTerm` keeps its cell and no expansion, and lambda has one
+rule, `LeadTerm.cancel_scalar`: minus the ratio of the two lead cells'
+residues at infinity, which the loop, the `lambda` command and
+`check_axioms` all take.  The one lead-cancellation loop, f <- f + lambda * g
+while the caller's match gives a g of f's value, holds f only as its
+expansion, which carries f's rows: it is handed E(f) and each E(g), sums
+them and reads each new lead off the sum; it checks that every step raises
+the value strictly, and has no iteration cap.
 """
 
 from __future__ import annotations
@@ -152,12 +153,12 @@ def make_spec(m: int, n: int, w: YPoly, alpha: ValuePair, beta: ValuePair) -> Va
     return ValuationSpec(m=m, n=n, w=w, alpha=alpha, beta=beta)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LeadTerm:
     """The unique expansion cell realizing value(f), with that value.
 
     The cell N / (den * H^k) is kept unreduced, as the two Z[x] lists
-    num = N and den = den * H^k; `coeff` reduces it when first read.
+    num = N and den = den * H^k; `coeff` reduces it on each read.
     """
 
     i: int
@@ -166,7 +167,7 @@ class LeadTerm:
     num: list[int] = field(repr=False, compare=False)
     den: list[int] = field(repr=False, compare=False)
 
-    @cached_property
+    @property
     def coeff(self) -> RatFunc:
         return RatFunc(_poly(list(self.num)), _poly(list(self.den)))
 
@@ -180,31 +181,29 @@ class LeadTerm:
         return -Fraction(self.num[-1] * other.den[-1], self.den[-1] * other.num[-1])
 
 
-def _least_cell(spec: ValuationSpec, den: list[int] | None, nums, exp: WExpansion | None = None):
+def _least_cell(spec: ValuationSpec, den: list[int], nums, grid=None):
     """The key scan behind every question: the least cell of f != 0 as
     (key, (i, j), (N, k)), None when every cell is zero.
 
-    Entered with f's cleared rows (den, nums), it divides them from row 0 up
-    and, for a valid bundle, stops after row i once the best key is below
-    LB_(i+1) = v0(f) + (i+1) * row_step, the least value in the rows after i.
-    Entered with exp, a whole expansion of f that the caller holds, it scans
-    every row and reads neither den nor nums.
+    f has the cleared rows (den, nums).  grid, when given, is a whole
+    expansion of f over den that the caller holds; otherwise the rows of
+    nums are divided from row 0 up.  With nums known and a valid bundle,
+    the scan stops after row i once the best key is below
+    LB_(i+1) = v0(f) + (i+1) * row_step, the least value in the rows after
+    i, so later rows are neither divided nor read.  nums None, for a held
+    grid whose element is never formed, scans every row.
     """
     m, n = spec.m, spec.n
     a0, a1 = spec.alpha.a, spec.alpha.b
     b0, b1 = spec.beta.a, spec.beta.b
-    step = None
     divisor = spec.divisor
-    if exp is not None:
-        den, rows = exp.den, exp.grid
-    else:
-        rows = divisor.division(nums)
-        if max(nums) >= m and spec.row_step is not None:
-            step = spec.row_step
-            # v0(f): the key at i = 0 over f's own y-coefficients, least at
-            # the largest c because alpha < 0.
-            c = max((len(p) - len(den)) * m + e * n for e, p in nums.items())
-            lb0, lb1 = c * a0, c * a1
+    rows = divisor.division(nums) if grid is None else grid
+    step = spec.row_step if nums and max(nums) >= m else None
+    if step is not None:
+        # v0(f): the key at i = 0 over f's own y-coefficients, least at
+        # the largest c because alpha < 0.
+        c = max(len(p) * m + e * n for e, p in nums.items()) - len(den) * m
+        lb0, lb1 = c * a0, c * a1
     dd, dh = len(den), len(divisor.h) - 1
     # An unreduced cell N / (den * H^k) has -order = deg N - deg den - k * deg H,
     # and value (-order * m + j * n) * alpha + i * beta, ranked as an integer
@@ -236,37 +235,35 @@ def _least_cell(spec: ValuationSpec, den: list[int] | None, nums, exp: WExpansio
     return best, cell, lead
 
 
-def _lead(spec: ValuationSpec, den=None, nums=None, exp: WExpansion | None = None) -> LeadTerm | None:
-    """The lead term from either entry of `_least_cell`, None when f = 0."""
-    found = _least_cell(spec, den, nums, exp)
+def _lead(spec: ValuationSpec, den: list[int], nums, grid=None) -> LeadTerm | None:
+    """The lead term from the scan of `_least_cell`, None when f = 0."""
+    found = _least_cell(spec, den, nums, grid)
     if found is None:
         return None
     key, cell, (num, k) = found
-    if exp is not None:
-        den = exp.den
     return LeadTerm(*cell, ValuePair(*key), num, _zmul(den, spec.divisor.hpower(k)))
 
 
-def _cancel_leads(spec: ValuationSpec, f: YPoly, exp: WExpansion, lead: LeadTerm | None, match):
-    """Lead cancellation on f, its whole expansion exp and its lead term:
-    while match(value of f) gives (key, g, E(g), lead of g), f <- f + lambda * g
-    with lambda = lead.cancel_scalar(lead of g), which must raise the value
-    strictly (else RuntimeError).  A step sets E(f) <- E(f) + lambda * E(g)
-    and reads the new lead off that sum, dividing nothing.  Returns
-    (f, [(key, lambda), ...], E(f), lead of f), the lead None for f = 0.
+def _cancel_leads(spec: ValuationSpec, exp: WExpansion, lead: LeadTerm | None, match):
+    """Lead cancellation on f, held as its whole expansion exp with its rows,
+    and its lead term: while match(value of f) gives (key, E(g), lead of g),
+    f <- f + lambda * g with lambda = lead.cancel_scalar(lead of g), which
+    must raise the value strictly (else RuntimeError).  A step sets
+    E(f) <- E(f) + lambda * E(g) and reads the new lead off that sum,
+    dividing nothing.  Returns ([(key, lambda), ...], E(f), lead of f), the
+    lead None for f = 0.
     """
     steps = []
     while lead is not None and (found := match(lead.value)) is not None:
-        key, g, g_exp, g_lead = found
+        key, g_exp, g_lead = found
         lam = lead.cancel_scalar(g_lead)
-        f = f + g.scale(lam)
         steps.append((key, lam))
         exp = exp.plus(lam, g_exp)
-        raised = _lead(spec, exp=exp)
+        raised = _lead(spec, exp.den, exp.nums, exp.grid)
         if raised is not None and not raised.value > lead.value:
             raise RuntimeError(f"lead cancellation by {key!r} did not raise the value {lead.value}")
         lead = raised
-    return f, steps, exp, lead
+    return steps, exp, lead
 
 
 def _cleared_value(spec: ValuationSpec, den: list[int], nums: dict[int, list[int]]) -> ExtValue:

@@ -4,10 +4,11 @@ The centerpiece is the set of procedures that produce, for suitable
 parameters, an infinite strictly increasing sequence of values attained on
 plain polynomials (so the attained value set has no largest element):
 
-  * `Divisor.bounded_monic(d*m)`, on `spec.divisor`, builds the monic
-    polynomial of y-degree d*m with Q[x] coefficients whose expansion cells
-    below the top one all have strictly positive valuation at infinity, via
-    a descending corrector recursion over the grids of the powers of y.
+  * `Divisor.bounded_monic(d*m)`, on `spec.divisor`, builds the expansion,
+    with its cleared rows, of the monic polynomial of y-degree d*m with
+    Q[x] coefficients whose expansion cells below the top one all have
+    strictly positive valuation at infinity, via a descending corrector
+    recursion over the grids of the powers of y.
     When beta > (0,0) this forces value >= (m*n - m - n) * alpha; for other
     bundles the bound is not guaranteed in general and is checked
     empirically by the tests;
@@ -16,22 +17,24 @@ plain polynomials (so the attained value set has no largest element):
   * `increasing_value_sequence` alternates the two.  The pairs
     (f_d, value(f_d)) it returns are the chain: a prefix seq[:d] is what
     `reduce_past_chain` takes, and one check keeps its values consecutive;
-  * `witness_for_value` multiplies them: f = f_j * f_0^(i-1) is formed as
-    cleared rows, and the `target` command reads its value off
+  * `witness_for_value` multiplies them: f = f_j * f_0^(i-1) and its value,
+    which the `target` command prints, are both read off
     E(f_j) * E(f_0)^(i-1), the product of the whole expansions that the
     sequence keeps, with no division by w.
 
-Both drivers check f's value against the chain start, then run the one
-lead-cancellation loop of `lexval.valuation` on f's expansion through one
-chain match, which fills a chain element's expansion and lead term, by one
-division, when a step first uses it.  Each step must raise the value
-strictly, so over a run of consecutive values the loop ends within
-len(chain) steps; no cap is left.
-The builder's outputs, their expansions and the y-power grids under them
-depend on w and a degree only, so they are built once per divisor, in the
-store of `spec.divisor`, and shared by every later sequence, witness and
-target on that spec; what depends on alpha and beta or on a chain (lead
-terms, reduction steps, the consecutiveness check) runs on every call.
+On this path an element is one object, its expansion, which carries its
+cleared rows; no `YPoly` arithmetic runs, and a `YPoly` is built once per
+returned element, from the rows.  Both drivers check f's value against
+the chain start, then run the one lead-cancellation loop of
+`lexval.valuation` on f's expansion through one chain match, which fills a
+chain element's expansion and lead term, by one division, when a step
+first uses it.  Each step must raise the value strictly, so over a run of
+consecutive values the loop ends within len(chain) steps; no cap is left.
+The builder's expansions and the y-power grids under them depend on w and
+a degree only, so they are built once per divisor, in the store of
+`spec.divisor`, and shared by every later sequence, witness and target on
+that spec; what depends on alpha and beta or on a chain (lead terms,
+reduction steps, the consecutiveness check) runs on every call.
 
 The remaining operations sample the attained image, count quotient classes,
 and check the structural containments of the image monoid.  The census
@@ -55,16 +58,16 @@ from fractions import Fraction
 from .ratfunc import UniPoly, _poly, _zmul
 from .valgroup import INF, ExtValue, ValuePair, _check_mode, _check_unimodular, _in_monoid, decompose, quotient_class
 from .valuation import LeadTerm, ValuationSpec, _cancel_leads, _cleared_value, _lead, value
-from .ypoly import WExpansion, YPoly, _clear_denominators, _cofactors, _from_rows, _rows_times, denominator_clearer
+from .ypoly import WExpansion, YPoly, _cofactors, _from_rows, denominator_clearer
 
 
-def _check_chain(chain: list[tuple[YPoly, ValuePair]]) -> None:
+def _check_chain(values: list[ExtValue]) -> None:
     """Refuse an empty chain, or one whose values are not consecutive: each
     the immediate successor of the one before, which in Z (+) Z under lex is
     a step of (0, 1)."""
-    if not chain:
+    if not values:
         raise ValueError("chain needs at least one (f, value) pair")
-    for (_, prev), (_, nxt) in zip(chain, chain[1:]):
+    for prev, nxt in zip(values, values[1:]):
         if nxt != prev + ValuePair(0, 1):
             raise ValueError(f"chain values not consecutive: {prev} then {nxt}")
 
@@ -80,34 +83,37 @@ def reduce_past_chain(
     steps (i, lambda) and value(g) > the last chain value.  If f lies in the
     scalar span of the chain the reduction lands exactly on zero, with value
     INF, which still satisfies the postcondition.  f is expanded once, and
-    each chain element used once per call; the steps divide nothing.
+    each chain element used once per call; the steps divide nothing, and g
+    is built once, from the rows of its expansion.
     """
-    _check_chain(chain)
+    values = [v for _, v in chain]
+    _check_chain(values)
     exp = spec.divisor.expand(f)
-    lead = _lead(spec, exp=exp)
-    if lead is not None and not lead.value >= chain[0][1]:
-        raise ValueError(f"value {lead.value} of input is below the chain start {chain[0][1]}")
-    g, steps, _, lead = _cancel_leads(spec, f, exp, lead, _chain_match(spec, chain, [None] * len(chain)))
-    return g, steps, INF if lead is None else lead.value
+    lead = _lead(spec, exp.den, exp.nums, exp.grid)
+    if lead is not None and not lead.value >= values[0]:
+        raise ValueError(f"value {lead.value} of input is below the chain start {values[0]}")
+    match = _chain_match(spec, values, [None] * len(chain), [g for g, _ in chain])
+    steps, exp, lead = _cancel_leads(spec, exp, lead, match)
+    return exp.element(), steps, INF if lead is None else lead.value
 
 
-def _chain_match(spec: ValuationSpec, chain: list[tuple[YPoly, ValuePair]], known: list):
-    """The match of `_cancel_leads` over a chain of pairs (f_k, value(f_k)):
-    a value from the chain's first to its last maps to (index, element,
-    expansion, lead), and a higher value to None.  The values are
-    consecutive, so the value of f_k is the first value plus (0, k).
-    known[k] is the pair (whole expansion, lead term) of f_k; a None entry
-    is filled, by one division, on first use.
+def _chain_match(spec: ValuationSpec, values: list[ValuePair], known: list, elements=()):
+    """The match of `_cancel_leads` over a chain whose consecutive values
+    are listed in values, so that the value of f_k is values[0] + (0, k): a
+    value from the chain's first to its last maps to (k, E(f_k), lead of
+    f_k), and a higher value to None.  known[k] is the pair
+    (E(f_k), lead of f_k); a None entry is filled, by one division of
+    elements[k], on first use.
     """
 
     def match(v: ValuePair):
-        if v > chain[-1][1]:
+        if v > values[-1]:
             return None
-        idx = v.b - chain[0][1].b
-        if known[idx] is None:
-            exp = spec.divisor.expand(chain[idx][0])
-            known[idx] = exp, _lead(spec, exp=exp)
-        return (idx, chain[idx][0], *known[idx])
+        k = v.b - values[0].b
+        if known[k] is None:
+            exp = spec.divisor.expand(elements[k])
+            known[k] = exp, _lead(spec, exp.den, exp.nums, exp.grid)
+        return (k, *known[k])
 
     return match
 
@@ -121,40 +127,42 @@ def increasing_value_sequence(spec: ValuationSpec, d_max: int) -> list[tuple[YPo
     must stay consecutive.  For the ex55 preset this yields
     deg_y(f_d) = 2(d+1) and value(f_d) = (-1, d-1) exactly.  Every element is
     valued and reduced from the builder's expansion and those kept for the
-    chain, with no division by w.  The builder outputs, their expansions and
-    the y-power grids under them are read from the store of `spec.divisor`,
-    which grows only as far as the element being built: to y^2m for f_0 and
-    f_1, so no higher power is built before value(f_1) has passed the
-    consecutiveness check.  The lead terms, the reduction steps and the
-    check run on every call.  A builder output whose value is below
-    value(f_0), which no reduction by the chain can raise, means that the
-    bundle has no such sequence (ex52 at d = 1).
+    chain, with no division by w, and each f_d is built once, from the rows
+    of its expansion.  The builder's expansions and the y-power grids under
+    them are read from the store of `spec.divisor`, which grows only as far
+    as the element being built: to y^2m for f_0 and f_1, so no higher power
+    is built before value(f_1) has passed the consecutiveness check.  The
+    lead terms, the reduction steps and the check run on every call.  A
+    builder output whose value is below value(f_0), which no reduction by
+    the chain can raise, means that the bundle has no such sequence (ex52
+    at d = 1).
     """
-    return _sequence(spec, d_max)[0]
+    seq = _sequence(spec, d_max)
+    # Each expansion is let go as its element is built.
+    for d, (exp, lead) in enumerate(seq):
+        seq[d] = exp.element(), lead.value
+    return seq
 
 
-def _sequence(spec: ValuationSpec, d_max: int) -> tuple[list[tuple[YPoly, ValuePair]], list[tuple[WExpansion, LeadTerm]]]:
-    """`increasing_value_sequence` with the whole expansion and the lead
-    term of each element."""
+def _sequence(spec: ValuationSpec, d_max: int) -> list[tuple[WExpansion, LeadTerm]]:
+    """The pairs (E(f_d), lead of f_d) behind `increasing_value_sequence`."""
     if d_max < 0:
         raise ValueError("d_max must be nonnegative")
-    divisor = spec.divisor
-    f0, exp = divisor.bounded_monic(spec.m)
-    lead = _lead(spec, exp=exp)
-    seq, known = [(f0, lead.value)], [(exp, lead)]
-    for d in range(1, d_max + 1):
-        f, exp = divisor.bounded_monic((d + 1) * spec.m)
-        lead = _lead(spec, exp=exp)
-        if not lead.value >= seq[0][1]:
-            raise ValueError(
-                f"this bundle has no increasing value sequence: at d={d} the builder output has value "
-                f"{lead.value}, below value(f_0) = {seq[0][1]}"
-            )
-        g, _, exp, lead = _cancel_leads(spec, f, exp, lead, _chain_match(spec, seq, known))
-        seq.append((g, INF if lead is None else lead.value))
-        _check_chain(seq[-2:])
-        known.append((exp, lead))
-    return seq, known
+    seq: list[tuple[WExpansion, LeadTerm]] = []
+    for d in range(d_max + 1):
+        exp = spec.divisor.bounded_monic((d + 1) * spec.m)
+        lead = _lead(spec, exp.den, exp.nums, exp.grid)
+        if seq:
+            first = seq[0][1].value
+            if not lead.value >= first:
+                raise ValueError(
+                    f"this bundle has no increasing value sequence: at d={d} the builder output has value "
+                    f"{lead.value}, below value(f_0) = {first}"
+                )
+            _, exp, lead = _cancel_leads(spec, exp, lead, _chain_match(spec, [t.value for _, t in seq], seq))
+            _check_chain([seq[-1][1].value, INF if lead is None else lead.value])
+        seq.append((exp, lead))
+    return seq
 
 
 def class_witness(spec: ValuationSpec, q: int, r: int) -> YPoly:
@@ -169,30 +177,23 @@ def class_witness(spec: ValuationSpec, q: int, r: int) -> YPoly:
     return YPoly.monomial(r) * spec.w.scale(denominator_clearer(spec.w)) ** q
 
 
-def witness_for_value(spec: ValuationSpec, i: int, j: int) -> YPoly:
-    """Polynomial attaining value(f_j) + (i-1) * value(f_0).
+def witness_for_value(spec: ValuationSpec, i: int, j: int) -> tuple[YPoly, ValuePair]:
+    """The polynomial f = f_j * f_0^(i-1) and its value,
+    value(f_j) + (i-1) * value(f_0).
 
-    For the ex55 preset this attains exactly (-i, j-i), covering every
-    element of the attained image monoid apart from (0,0).
-    """
-    return _target_witness(spec, i, j)[0]
-
-
-def _target_witness(spec: ValuationSpec, i: int, j: int) -> tuple[YPoly, ValuePair]:
-    """`witness_for_value`'s f = f_j * f_0^(i-1) with its value.
-
-    f is formed as cleared rows, and its expansion as E(f_j) * E(f_0)^(i-1)
-    from the whole expansions that the sequence keeps, so f is not divided.
+    Both are read off E(f_j) * E(f_0)^(i-1), the product of the whole
+    expansions that the sequence keeps, so f is not divided; f is built
+    once, from the product's rows.  For the ex55 preset the value is
+    exactly (-i, j-i), covering every element of the attained image monoid
+    apart from (0,0).
     """
     if i < 1 or j < 0:
         raise ValueError("need i >= 1 and j >= 0")
-    seq, known = _sequence(spec, j)
-    rows, base = _clear_denominators(seq[j][0]), _clear_denominators(seq[0][0])
-    exp = known[j][0]
+    seq = _sequence(spec, j)
+    exp = seq[j][0]
     for _ in range(i - 1):
-        rows = _rows_times(rows, base)
-        exp = exp.times(known[0][0])
-    return _from_rows(*rows), _lead(spec, exp=exp).value
+        exp = exp.times(seq[0][0])
+    return exp.element(), _lead(spec, exp.den, exp.nums, exp.grid).value
 
 
 # ---------------------------------------------------------------------------
@@ -391,16 +392,18 @@ def quotient_census(
         raise ValueError(f"unknown family {family!r}")
     divisor, zero = spec.divisor, [([], 0)] * spec.m
     values = []
+    # No element is formed, so these grids carry no rows and each scan reads
+    # every row.
     for q, r in (divmod(i, spec.m) for i in range(ell + 1)):
         row = zero[:r] + [(divisor.hpower(q), 0)] + zero[r + 1 :]
-        values.append(_lead(spec, exp=WExpansion([zero] * q + [row], [1], divisor)).value)
+        values.append(_lead(spec, [1], None, [zero] * q + [row]).value)
     if family == "corpus":
         # The monomials that `_seeded_corpus` lists first, then its drawn
         # rows, from the same stream.
         xs = [WExpansion([[([0] * a + [1], 0)] + zero[1:]], [1], divisor) for a in range(5)]
         for b in range(ell + 1):
             ypow = WExpansion(divisor.ypower(b), [1], divisor)
-            values += [_lead(spec, exp=ypow.times(xa)).value for xa in xs]
+            values += [_lead(spec, [1], None, ypow.times(xa).grid).value for xa in xs]
         rng = random.Random(seed)
         values += [_cleared_value(spec, *_random_rows(rng, 4, ell)) for _ in range(_CENSUS_RANDOM_COUNT)]
     return len({quotient_class(v, spec.m, spec.alpha, spec.beta) for v in values})

@@ -18,7 +18,10 @@ Z[x] and no zero list in nums (the zero element is (den, {})), so a caller
 that holds rows builds no `YPoly`.  den is the product of f's distinct
 denominators, which is their lcm when they are pairwise coprime, so
 clearing an element takes no gcd.  A divisor's H is the lcm of w's
-denominators, computed once per divisor.
+denominators, computed once per divisor.  A `WExpansion` carries its
+element's rows over its own den, and `plus` and `times` combine grid and
+rows together, so a caller that holds expansions holds its elements too
+and builds a `YPoly` (`WExpansion.element`) only at its boundary.
 """
 
 from __future__ import annotations
@@ -324,8 +327,8 @@ class Divisor:
     pairs (j, -A_j) for the nonzero A_j.  The powers of H are computed on
     first use and shared by every expansion over this divisor, and so are
     the w-adic store's entries, which depend on w and a degree only: the
-    grids of the powers of y (`ypower`) and the bounded-monic outputs
-    (`bounded_monic`).
+    grids of the powers of y (`ypower`) and the expansions of the
+    bounded-monic outputs (`bounded_monic`).
     """
 
     def __init__(self, w: YPoly):
@@ -346,14 +349,14 @@ class Divisor:
         # Dividing by w raises a cell's exponent of H by this much; with H = 1
         # every exponent stays 0 and nothing is ever lifted.
         self.step = 0 if self.h == [1] else 1
-        # k -> H^k, e -> the grid of y^e and dm -> the bounded-monic output of
-        # y-degree dm with its grid, each filled on first use and only ever by
-        # setdefault: threads racing to fill an entry compute equal values and
-        # all read the first one stored.  Callers share the stored lists and
-        # never change them.
+        # k -> H^k, e -> the grid of y^e and dm -> the expansion of the
+        # bounded-monic output of y-degree dm, each filled on first use and
+        # only ever by setdefault: threads racing to fill an entry compute
+        # equal values and all read the first one stored.  Callers share the
+        # stored lists and never change them.
         self._hpow = {0: [1], 1: self.h}
         self._ypow = {0: [[([1], 0)] + [([], 0)] * (self.m - 1)]}
-        self._monic: dict[int, tuple[YPoly, WExpansion]] = {}
+        self._monic: dict[int, WExpansion] = {}
 
     def hpower(self, k: int) -> list[int]:
         """H^k as an integer coefficient list, kept for later calls."""
@@ -432,23 +435,23 @@ class Divisor:
         except KeyError:
             return _grow(self._ypow, e, self.times_y)
 
-    def bounded_monic(self, dm: int) -> tuple[YPoly, "WExpansion"]:
-        """The bounded monic polynomial P of y-degree dm and its whole
-        unreduced expansion, built on first use and kept for later calls.
+    def bounded_monic(self, dm: int) -> "WExpansion":
+        """The whole unreduced expansion of the bounded monic polynomial P of
+        y-degree dm, with P's cleared rows, built on first use and kept for
+        later calls; `.element()` builds P.
 
         P is the one monic polynomial of y-degree dm with Q[x] coefficients
         whose cells below the top one are all proper: the difference of two
         such is 0, as its top cell would be a polynomial.  So a kept P is the
         P that any route builds.
         """
-        out = self._monic.get(dm)
-        if out is None:
+        if dm not in self._monic:
             if dm < 0:
                 raise ValueError(f"negative degree {dm}")
-            out = self._monic.setdefault(dm, self._bounded_monic(dm))
-        return out
+            self._monic.setdefault(dm, self._bounded_monic(dm))
+        return self._monic[dm]
 
-    def _bounded_monic(self, dm: int) -> tuple[YPoly, "WExpansion"]:
+    def _bounded_monic(self, dm: int) -> "WExpansion":
         """The corrector recursion behind `bounded_monic`.
 
         Coefficient t is minus the polynomial part of S_t, the sum of c_s * cell t
@@ -478,35 +481,45 @@ class Divisor:
                 cells = {s: ([x * scale for x in c], kc) for s, (c, kc) in cells.items()}
             ints[t] = [-x for x in q]
             cells[t] = (r, k)
-        poly = _from_rows([den], {s: c for s, c in ints.items() if c})
         grid = [[cells.get(i * m + j, ([], 0)) for j in range(m)] for i in range(dm // m + 1)]
-        return poly, WExpansion(grid=grid, den=[den], divisor=self)
+        return WExpansion(grid=grid, den=[den], divisor=self, nums={s: c for s, c in ints.items() if c})
 
     def expand(self, f: YPoly) -> "WExpansion":
         """Expand f in powers of w over Z[x]: every row of `division`."""
         den, nums = _clear_denominators(f)
-        return WExpansion(grid=list(self.division(nums)), den=den, divisor=self)
+        return WExpansion(grid=list(self.division(nums)), den=den, divisor=self, nums=nums)
 
 
 @dataclass(frozen=True, eq=False)
 class WExpansion:
-    """The w-expansion f = sum cell(i, j) * y^j * w^i, 0 <= j < m.
+    """The w-expansion f = sum cell(i, j) * y^j * w^i, 0 <= j < m, with f's
+    cleared rows.
 
     grid[i][j] is a pair (N, k) standing for the cell N / (den * H^k), with N
     and den in Z[x] as integer lists (no trailing zeros), H the divisor's and
     N = [] the zero cell; a cell is reduced only when it is read.  The grid
     is whole, and from `Divisor.expand` its top row is nonzero unless the
-    expanded element is zero (a single all-zero row).
+    expanded element is zero (a single all-zero row).  nums holds f's
+    cleared rows over the same den, f = sum_e nums[e] y^e / den, so grid and
+    rows move together under `plus` and `times` and `element` builds f; it
+    is None for a grid whose element is never formed.
     """
 
     grid: list[list[tuple[list[int], int]]]
     den: list[int]
     divisor: Divisor
+    nums: dict[int, list[int]] | None = None
     dens: dict[int, UniPoly] = field(default_factory=dict, init=False, repr=False)
 
     @property
     def m(self) -> int:
         return self.divisor.m
+
+    def element(self) -> YPoly:
+        """The expanded element f, built from its cleared rows."""
+        if self.nums is None:
+            raise ValueError("this expansion holds no rows of its element")
+        return _from_rows(self.den, self.nums)
 
     def fraction(self, i: int, j: int) -> tuple[UniPoly, UniPoly]:
         """Cell (i, j) unreduced: the numerator N and the denominator den * H^k."""
@@ -528,8 +541,9 @@ class WExpansion:
         """The expansion of f + lam*g from the whole grids of f (self) and g.
 
         The expansion is Q(x)-linear, so this is a cell-by-cell sum and no
-        division; the dens combine as in `_lam_dens`.  Top rows that cancel
-        are dropped, so f + lam*g = 0 gives a single all-zero row.
+        division; the dens combine as in `_lam_dens`, and the rows by
+        `_rows_plus`.  Top rows that cancel are dropped, so f + lam*g = 0
+        gives a single all-zero row.
         """
         if not lam:
             return self
@@ -544,7 +558,9 @@ class WExpansion:
             grid.append(row)
         while len(grid) > 1 and not any(n for n, _ in grid[-1]):
             grid.pop()
-        return WExpansion(grid=grid, den=den, divisor=self.divisor)
+        held = self.nums is not None and other.nums is not None
+        nums = _rows_plus((self.den, self.nums), lam, (other.den, other.nums))[1] if held else None
+        return WExpansion(grid=grid, den=den, divisor=self.divisor, nums=nums)
 
     def times(self, other: "WExpansion") -> "WExpansion":
         """The expansion of f*g from the whole grids of f (self) and g.
@@ -556,8 +572,9 @@ class WExpansion:
         division step `Divisor._rows`, which folds it back through
         y^m = w - sum_k A_k y^k / H, and its quotient carries into the next
         row; a row with nothing there skips the fold, so a y-free factor costs
-        one product per cell.  The den is the product of the dens, and a zero
-        factor gives a single all-zero row.
+        one product per cell.  The den is the product of the dens, the rows
+        are those of `_rows_times`, and a zero factor gives a single all-zero
+        row.
         """
         divisor, m = self.divisor, self.m
         plus = divisor._plus
@@ -583,7 +600,9 @@ class WExpansion:
             grid.append(carry)
         while len(grid) > 1 and not any(n for n, _ in grid[-1]):
             grid.pop()
-        return WExpansion(grid=grid, den=_zmul(self.den, other.den), divisor=divisor)
+        held = self.nums is not None and other.nums is not None
+        nums = _rows_times((self.den, self.nums), (other.den, other.nums))[1] if held else None
+        return WExpansion(grid=grid, den=_zmul(self.den, other.den), divisor=divisor, nums=nums)
 
 
 def w_expand(f: YPoly, w: YPoly) -> WExpansion:

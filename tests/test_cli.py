@@ -226,6 +226,23 @@ def test_target_command(capsys):
     )
 
 
+def test_cli_binds_no_private_name_of_another_module():
+    # Each handler calls the library's public functions: cli imports no
+    # underscore name from another lexval module.
+    import ast
+    import inspect
+
+    tree = ast.parse(inspect.getsource(cli))
+    private = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("lexval"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+
+
 def test_spec_check_valid(capsys):
     payload = run_json(capsys, "spec-check", "--spec", "ex52")
     assert payload == {
@@ -584,7 +601,7 @@ def _refuse_algebra(monkeypatch):
     def reached(*args, **kwargs):
         raise _Reached
 
-    for name in ("increasing_value_sequence", "quotient_census", "_target_witness",
+    for name in ("increasing_value_sequence", "quotient_census", "witness_for_value",
                  "random_xy_poly", "sample_image", "structure_checks"):
         monkeypatch.setattr(cli, name, reached)
     # ypower's algebra starts when it reads the first grid from the store.

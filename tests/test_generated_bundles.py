@@ -127,7 +127,9 @@ def _check_leads_agree(spec, f):
     coefficient, and the same cancellation scalar against a third lead, of
     g = f * (3x + 1)/(2x), whose value is f's and whose residue is 3/2 of f's."""
     lead = lead_term(spec, f)
-    whole = _lead(spec, exp=spec.divisor.expand(f))
+    # With no rows passed, the scan reads every row of the held grid.
+    exp = spec.divisor.expand(f)
+    whole = _lead(spec, exp.den, None, exp.grid)
     assert (whole.i, whole.j, whole.value, whole.coeff) == (lead.i, lead.j, lead.value, lead.coeff)
     third = lead_term(spec, f.scale(RatFunc(UniPoly([1, 3]), UniPoly([0, 2]))))
     assert lead.cancel_scalar(third) == whole.cancel_scalar(third) == Fraction(-2, 3)
@@ -174,7 +176,7 @@ def test_generated_bundle(bundle, seed):
     powers = [expand_by_division(YPoly.monomial(e), spec.w) for e in range(3 * spec.m + 1)]
     assert [WExpansion(grid=divisor.ypower(e), den=[1], divisor=divisor).rows for e in range(3 * spec.m + 1)] == powers
     for dm in range(2 * spec.m + 1):
-        assert divisor.bounded_monic(dm)[0] == bounded_monic_reference(spec.w, dm, powers)
+        assert divisor.bounded_monic(dm).element() == bounded_monic_reference(spec.w, dm, powers)
 
 
 @settings(
@@ -206,7 +208,7 @@ def _check_builder_by_uniqueness(spec, d_max=3):
     or proper (numerator degree below denominator degree) except the top
     cell (d, 0), which is 1."""
     for d in range(d_max + 1):
-        f = spec.divisor.bounded_monic(d * spec.m)[0]
+        f = spec.divisor.bounded_monic(d * spec.m).element()
         assert f.deg_y == d * spec.m and f.is_monic_in_y()
         assert all(c.is_polynomial() for c in f.terms.values())
         rows = expand_by_division(f, spec.w)
@@ -232,6 +234,51 @@ def test_builder_output_is_the_unique_proper_monic_on_the_presets(ex55, ex52):
 @given(bundles())
 def test_generated_builder_output_is_the_unique_proper_monic(bundle):
     _check_builder_by_uniqueness(make_spec(*bundle))
+
+
+def _check_expansions_carry_their_elements(spec, seed):
+    """E.element() is the element that E expands, for E from expand, plus,
+    times and bounded_monic: the rows and the grid stand for one element.
+    The element is checked against YPoly arithmetic and the bounded-monic
+    recursion, and the grid against division of that element."""
+
+    def check(exp, f):
+        assert exp.element() == f
+        assert exp.rows == expand_by_division(f, spec.w)
+
+    divisor = Divisor(spec.w)
+    powers = [expand_by_division(YPoly.monomial(e), spec.w) for e in range(2 * spec.m + 1)]
+    for dm in range(2 * spec.m + 1):
+        check(divisor.bounded_monic(dm), bounded_monic_reference(spec.w, dm, powers))
+    rng = random.Random(seed)
+    corpus = [random_rational_poly(rng, 3, 2 * spec.m) for _ in range(2)]
+    corpus += [random_xy_poly(rng, 4) for _ in range(2)] + [spec.w, parse_poly("2*x^3 - x"), YPoly.zero()]
+    exps = [divisor.expand(f) for f in corpus]
+    for f, exp in zip(corpus, exps):
+        check(exp, f)
+    for _ in range(6):
+        a, b = rng.randrange(len(corpus)), rng.randrange(len(corpus))
+        lam = Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2, 5)))
+        check(exps[a].plus(lam, exps[b]), corpus[a] + corpus[b].scale(lam))
+        check(exps[a].times(exps[b]), product_reference(corpus[a], corpus[b]))
+    check(exps[0].plus(Fraction(-1), exps[0]), YPoly.zero())
+
+
+def test_expansions_carry_their_elements_on_the_presets(ex55, ex52):
+    for spec in (ex55, ex52):
+        _check_expansions_carry_their_elements(spec, 5)
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=10,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(bundles(), st.integers(0, 10**6))
+def test_generated_expansions_carry_their_elements(bundle, seed):
+    _check_expansions_carry_their_elements(make_spec(*bundle), seed)
 
 
 def _check_census_one_cell(spec, ell=12):
@@ -297,7 +344,7 @@ def test_generated_bounded_monic_in_any_order_matches_the_reference(bundle):
     spec = make_spec(*bundle)
     powers = [expand_by_division(YPoly.monomial(e), spec.w) for e in range(3 * spec.m + 1)]
     for d in (2, 0, 3, 1, 3, 2, 0):
-        assert spec.divisor.bounded_monic(d * spec.m)[0] == bounded_monic_reference(spec.w, d * spec.m, powers)
+        assert spec.divisor.bounded_monic(d * spec.m).element() == bounded_monic_reference(spec.w, d * spec.m, powers)
 
 
 @settings(
@@ -335,8 +382,8 @@ def test_generated_bundle_grids_without_division(bundle, seed):
     spec = make_spec(*bundle)
     divisor = Divisor(spec.w)
     for dm in range(3 * spec.m + 1):
-        f, exp = divisor.bounded_monic(dm)
-        rows = expand_by_division(f, spec.w)
+        exp = divisor.bounded_monic(dm)
+        rows = expand_by_division(exp.element(), spec.w)
         assert len(exp.grid) == len(rows) and exp.rows == rows
     rng = random.Random(seed)
     corpus = [random_rational_poly(rng, 3, 2 * spec.m) for _ in range(3)]

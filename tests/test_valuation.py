@@ -149,19 +149,19 @@ def test_cancel_leads_runs_on_any_match(ex52):
     # value beta = (0,-1); with w in the table too, the loop ends at 0.
     def whole(f):
         exp = ex52.divisor.expand(f)
-        return exp, _lead(ex52, exp=exp)
+        return exp, _lead(ex52, exp.den, exp.nums, exp.grid)
 
     y2, x3, w = parse_poly("y^2"), parse_poly("x^3"), ex52.w
-    table = {value(ex52, x3): ("x^3", x3, *whole(x3))}
-    f, steps, exp, lead = _cancel_leads(ex52, y2, *whole(y2), table.get)
+    table = {value(ex52, x3): ("x^3", *whole(x3))}
+    steps, exp, lead = _cancel_leads(ex52, *whole(y2), table.get)
     assert steps == [("x^3", 1)]
-    assert f == w and lead.value == ValuePair(0, -1) == value(ex52, w)
+    assert exp.element() == w and lead.value == ValuePair(0, -1) == value(ex52, w)
     assert exp.rows == ex52.divisor.expand(w).rows
 
-    table[value(ex52, w)] = ("w", w, *whole(w))
-    f, steps, exp, lead = _cancel_leads(ex52, y2, *whole(y2), table.get)
+    table[value(ex52, w)] = ("w", *whole(w))
+    steps, exp, lead = _cancel_leads(ex52, *whole(y2), table.get)
     assert steps == [("x^3", 1), ("w", -1)]
-    assert f.is_zero() and lead is None
+    assert exp.element().is_zero() and lead is None
     assert exp.rows == ((RatFunc.zero(),) * 2,)
 
 
@@ -397,8 +397,9 @@ def test_questions_reduce_no_cell(ex55, ex52, monkeypatch):
 
 
 def test_lead_reduces_one_cell(ex55, monkeypatch, capsys):
-    # The lead term keeps its cell unreduced, and `coeff` reduces it once,
-    # when first read: the one RatFunc the valuation module builds.
+    # The lead term keeps its cell unreduced, and `coeff` reduces it on each
+    # read: the one RatFunc per read that the valuation module builds.  The
+    # lead command reads it once.
     import lexval.valuation as valuation_mod
     from lexval.cli import main
 
@@ -412,7 +413,7 @@ def test_lead_reduces_one_cell(ex55, monkeypatch, capsys):
     t = lead_term(ex55, parse_poly("y^3/(x^2+1) + x*y"))
     assert calls == []
     assert t.coeff == t.coeff == RatFunc(UniPoly([1, 0, 0, 1]), UniPoly([0, 0, 1, 0, 1]))
-    assert len(calls) == 1
+    assert len(calls) == 2
     assert (t.i, t.j) == (0, 1)
     calls.clear()
     assert main(["lead", "y^3/(x^2+1) + x*y"]) == 0

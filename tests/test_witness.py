@@ -34,7 +34,6 @@ from lexval.witness import (
     _random_rational_rows,
     _random_rows,
     _seeded_corpus,
-    _target_witness,
     denominator_clearer,
 )
 from lexval.ypoly import Divisor, WExpansion, _from_rows
@@ -51,7 +50,7 @@ def fresh_spec(name):
 
 
 def test_build_bounded_monic_d0(ex55):
-    f = ex55.divisor.bounded_monic(0)[0]
+    f = ex55.divisor.bounded_monic(0).element()
     assert f == parse_poly("1")
     assert value(ex55, f) == ValuePair(0, 0)
 
@@ -60,14 +59,14 @@ def test_build_bounded_monic_d1_exact(ex55):
     # hand execution of the corrector recursion: the top coefficient is 1,
     # the y-coefficient corrects -1/x (already proper, so 0), and the
     # constant corrects -x^3 to x^3
-    assert ex55.divisor.bounded_monic(ex55.m)[0] == parse_poly("y^2 + x^3")
+    assert ex55.divisor.bounded_monic(ex55.m).element() == parse_poly("y^2 + x^3")
 
 
 def test_build_bounded_monic_bound_and_shape(ex55, ex52):
     for spec in (ex55, ex52):
         bound = (spec.m * spec.n - spec.m - spec.n) * spec.alpha
         for d in range(7):
-            f = spec.divisor.bounded_monic(d * spec.m)[0]
+            f = spec.divisor.bounded_monic(d * spec.m).element()
             assert f.deg_y == d * spec.m
             assert f.is_monic_in_y()
             assert all(c.is_polynomial() for c in f.terms.values())
@@ -96,7 +95,7 @@ def test_witness_chain_validation(ex55, monkeypatch):
 def test_reduce_past_chain_first_step(ex55):
     f0 = parse_poly("y^2 + x^3")
     chain = [(f0, value(ex55, f0))]
-    raw = ex55.divisor.bounded_monic(2 * ex55.m)[0]
+    raw = ex55.divisor.bounded_monic(2 * ex55.m).element()
     g, steps, v = reduce_past_chain(ex55, raw, chain)
     assert v == value(ex55, g)
     assert v > ValuePair(-1, -1)
@@ -154,9 +153,9 @@ def test_increasing_value_sequence_reduces_through_the_core(ex55, monkeypatch):
     seq = increasing_value_sequence(ex55, 5)
     monkeypatch.undo()
     assert len(results) == 5
-    assert [(g, lead.value) for g, _, _, lead in results] == seq[1:]
+    assert [(exp.element(), lead.value) for _, exp, lead in results] == seq[1:]
     for d in range(1, 6):
-        g, _, v = reduce_past_chain(ex55, ex55.divisor.bounded_monic((d + 1) * ex55.m)[0], seq[:d])
+        g, _, v = reduce_past_chain(ex55, ex55.divisor.bounded_monic((d + 1) * ex55.m).element(), seq[:d])
         assert (g, v) == seq[d]
 
 
@@ -165,7 +164,7 @@ def test_reduce_past_chain_divides_only_the_chain_elements_it_uses(ex55, monkeyp
     # are never expanded.  Reducing the builder's d = 7 output past seq[:6]
     # takes one step, on chain element 1.
     seq = increasing_value_sequence(ex55, 5)
-    f = ex55.divisor.bounded_monic(7 * ex55.m)[0]
+    f = ex55.divisor.bounded_monic(7 * ex55.m).element()
     divisor = ex55.divisor
     calls = []
     division = divisor.division
@@ -235,13 +234,59 @@ def test_increasing_value_sequence_reduces_no_question_cell(monkeypatch):
     monkeypatch.setattr(ratfunc_mod, "_reduced", refuse)
     # The target's value is read off E(f_j) * E(f_0)^(i-1), not off a division.
     monkeypatch.setattr(Divisor, "division", refuse)
-    f4 = ex55.divisor.bounded_monic(4 * ex55.m)[0]
+    f4 = ex55.divisor.bounded_monic(4 * ex55.m).element()
     seq = increasing_value_sequence(ex55, 5)
-    target, v = _target_witness(ex55, 3, 2)
+    target, v = witness_for_value(ex55, 3, 2)
     monkeypatch.undo()
     assert f4.deg_y == 8 and all(c.is_polynomial() for c in f4.terms.values())
     assert [v for _, v in seq] == [ValuePair(-1, d - 1) for d in range(6)]
     assert v == value(ex55, target) == ValuePair(-3, -1)
+
+
+def test_witness_path_runs_no_ypoly_arithmetic(ex55, monkeypatch):
+    # The sequence and the target carry each element as its expansion with
+    # its cleared rows: no YPoly sum, scaling or product and no clearing
+    # runs beside the grid operations, and a YPoly is built only from the
+    # rows, at the end.
+    import lexval.ypoly as ypoly_mod
+
+    seq, target = increasing_value_sequence(ex55, 10), witness_for_value(ex55, 4, 3)
+
+    def refuse(*args):
+        raise AssertionError("YPoly arithmetic or clearing on the witness path")
+
+    for name in ("__add__", "scale", "__mul__"):
+        monkeypatch.setattr(YPoly, name, refuse)
+    monkeypatch.setattr(ypoly_mod, "_clear_denominators", refuse)
+    assert increasing_value_sequence(ex55, 10) == seq
+    assert witness_for_value(ex55, 4, 3) == target
+    monkeypatch.undo()
+    assert target[1] == value(ex55, target[0]) == ValuePair(-4, -1)
+
+
+def test_held_grid_scan_stops_at_the_row_bound(ex55):
+    # E(f_1) * E(f_0)^59 holds 62 rows; with its rows known, the scan of the
+    # held grid stops at the row bound and reads the same lead as a scan of
+    # every row.
+    from lexval.valuation import _lead
+    from lexval.witness import _sequence
+
+    (e0, _), (e1, _) = _sequence(ex55, 1)
+    exp = e1
+    for _ in range(59):
+        exp = exp.times(e0)
+    drawn = []
+
+    def rows():
+        for row in exp.grid:
+            drawn.append(row)
+            yield row
+
+    lead = _lead(ex55, exp.den, exp.nums, rows())
+    assert len(drawn) < len(exp.grid)
+    whole = _lead(ex55, exp.den, None, exp.grid)
+    assert (lead.i, lead.j, lead.value) == (whole.i, whole.j, whole.value)
+    assert lead.value == ValuePair(-60, -59)
 
 
 def test_bounded_monic_matches_corrector_reference(ex55, ex52):
@@ -255,7 +300,7 @@ def test_bounded_monic_matches_corrector_reference(ex55, ex52):
     for w in divisors:
         powers = [expand_by_division(YPoly.monomial(e), w) for e in range(9)]
         for dm in range(9):
-            assert Divisor(w).bounded_monic(dm)[0] == bounded_monic_reference(w, dm, powers)
+            assert Divisor(w).bounded_monic(dm).element() == bounded_monic_reference(w, dm, powers)
 
 
 def test_denominator_clearer(ex55, ex52):
@@ -282,14 +327,14 @@ def test_class_witness_value_law(ex55):
 def test_witness_for_value_window(ex55):
     for i in range(1, 5):
         for j in range(5):
-            f = witness_for_value(ex55, i, j)
-            assert value(ex55, f) == ValuePair(-i, j - i)
+            f, v = witness_for_value(ex55, i, j)
+            assert value(ex55, f) == v == ValuePair(-i, j - i)
 
 
 def test_witness_for_value_examples(ex55):
-    assert witness_for_value(ex55, 1, 0) == parse_poly("y^2 + x^3")
-    assert value(ex55, witness_for_value(ex55, 2, 0)) == ValuePair(-2, -2)
-    assert value(ex55, witness_for_value(ex55, 3, 2)) == ValuePair(-3, -1)
+    assert witness_for_value(ex55, 1, 0)[0] == parse_poly("y^2 + x^3")
+    assert value(ex55, witness_for_value(ex55, 2, 0)[0]) == ValuePair(-2, -2)
+    assert value(ex55, witness_for_value(ex55, 3, 2)[0]) == ValuePair(-3, -1)
 
 
 # (value, sha256 of the printed witness) of `target`, recorded when the value
@@ -339,9 +384,9 @@ def test_target_outputs_are_pinned(name, request):
     for (preset, i, j), pinned in TARGET_DIGESTS.items():
         if preset != name:
             continue
-        f, v = _target_witness(spec, i, j)
+        f, v = witness_for_value(spec, i, j)
         assert (str(v), hashlib.sha256(str(f).encode()).hexdigest()) == pinned
-        assert witness_for_value(spec, i, j) == f and value(spec, f) == v
+        assert witness_for_value(spec, i, j) == (f, v) and value(spec, f) == v
 
 
 def test_sample_image_ex55(ex55):
@@ -709,7 +754,7 @@ _EX55_REDUCTION_STEPS = [
 def test_reduce_past_chain_step_lists_are_unchanged(ex55):
     seq = increasing_value_sequence(ex55, 15)
     for d, want in enumerate(_EX55_REDUCTION_STEPS, start=1):
-        _, steps, _ = reduce_past_chain(ex55, ex55.divisor.bounded_monic((d + 1) * ex55.m)[0], seq[:d])
+        _, steps, _ = reduce_past_chain(ex55, ex55.divisor.bounded_monic((d + 1) * ex55.m).element(), seq[:d])
         assert steps == want, d
         assert all(isinstance(lam, Fraction) for _, lam in steps)
 
@@ -752,8 +797,9 @@ def test_builder_expansion_matches_division(ex55, ex52):
     for spec in (ex55, ex52):
         divisor = Divisor(spec.w)
         for d in range(9):
-            f, exp = divisor.bounded_monic(d * spec.m)
-            assert f == spec.divisor.bounded_monic(d * spec.m)[0]
+            exp = divisor.bounded_monic(d * spec.m)
+            f = exp.element()
+            assert f == spec.divisor.bounded_monic(d * spec.m).element()
             assert len(exp.den) == 1
             rows = expand_by_division(f, spec.w)
             assert len(exp.grid) == len(rows)
@@ -791,7 +837,7 @@ def test_reduce_past_chain_keeps_its_own_refusal(ex52):
     # The chain reduction names the chain it was given; only
     # increasing_value_sequence turns that into the bundle having no
     # increasing sequence.
-    f0, f1 = ex52.divisor.bounded_monic(ex52.m)[0], ex52.divisor.bounded_monic(2 * ex52.m)[0]
+    f0, f1 = ex52.divisor.bounded_monic(ex52.m).element(), ex52.divisor.bounded_monic(2 * ex52.m).element()
     chain = [(f0, value(ex52, f0))]
     with pytest.raises(ValueError) as err:
         reduce_past_chain(ex52, f1, chain)
@@ -872,7 +918,7 @@ def test_bounded_monic_in_any_order_matches_the_reference():
         spec = fresh_spec(name)
         powers = [expand_by_division(YPoly.monomial(e), spec.w) for e in range(4 * spec.m + 1)]
         for d in SHUFFLED_DEGREES:
-            assert spec.divisor.bounded_monic(d * spec.m)[0] == bounded_monic_reference(spec.w, d * spec.m, powers)
+            assert spec.divisor.bounded_monic(d * spec.m).element() == bounded_monic_reference(spec.w, d * spec.m, powers)
 
 
 def test_increasing_value_sequence_grows_the_store_as_it_builds():
@@ -900,7 +946,7 @@ def test_the_divisor_store_is_shared_and_never_changed(monkeypatch):
     divisor = spec.divisor
     seq = increasing_value_sequence(spec, 5)
     ypow = copy.deepcopy(divisor._ypow)
-    monic = {dm: (p, copy.deepcopy((exp.grid, exp.den))) for dm, (p, exp) in divisor._monic.items()}
+    monic = {dm: (exp, copy.deepcopy((exp.grid, exp.den, exp.nums))) for dm, exp in divisor._monic.items()}
     assert sorted(monic) == [(d + 1) * spec.m for d in range(6)]
 
     calls = {"times_y": 0, "build": 0, "division": 0, "cell": 0}
@@ -917,7 +963,7 @@ def test_the_divisor_store_is_shared_and_never_changed(monkeypatch):
     monkeypatch.setattr(Divisor, "_bounded_monic", counted("build", build))
     monkeypatch.setattr(Divisor, "division", counted("division", division))
     monkeypatch.setattr(WExpansion, "cell", counted("cell", cell))
-    targets = {(i, j): _target_witness(spec, i, j) for i in range(1, 5) for j in range(6)}
+    targets = {(i, j): witness_for_value(spec, i, j) for i in range(1, 5) for j in range(6)}
     assert calls == {"times_y": 0, "build": 0, "division": 0, "cell": 0}
     monkeypatch.undo()
 
@@ -927,10 +973,10 @@ def test_the_divisor_store_is_shared_and_never_changed(monkeypatch):
         assert v == value(spec, f) == ValuePair(-i, j - i)
     assert increasing_value_sequence(spec, 5) == seq
     for d in range(1, 8):
-        g, _, v = reduce_past_chain(spec, spec.divisor.bounded_monic(d * spec.m)[0], seq)
+        g, _, v = reduce_past_chain(spec, spec.divisor.bounded_monic(d * spec.m).element(), seq)
         assert v == value(spec, g)
     assert divisor._ypow.keys() >= ypow.keys()
     assert {e: divisor._ypow[e] for e in ypow} == ypow
-    for dm, (p, lists) in monic.items():
-        stored, exp = divisor._monic[dm]
-        assert stored is p and (exp.grid, exp.den) == lists
+    for dm, (exp, lists) in monic.items():
+        stored = divisor._monic[dm]
+        assert stored is exp and (exp.grid, exp.den, exp.nums) == lists
